@@ -9,11 +9,11 @@ canonical lattice label.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
-from .gf import GF, DenseMatrix, det as gf_det, inverse as gf_inverse
+from .errors import InvariantError
+from .gf import GF, DenseMatrix, inverse as gf_inverse
 from .poly import CanonicalLabel, Poly, PolyMatrix, lattice_label
 
 Vertex = tuple[int, ...]
@@ -143,56 +143,29 @@ def enumerate_flag_reps(n: int, field: GF) -> list[DenseMatrix]:
     """One determinant-one matrix per complete flag of F_q^n.
 
     Column j of a representative spans the j-th step of its flag over
-    the previous ones.  Enumeration is by lexicographic choice of the
-    first new vector at every step, so the list is deterministic and
-    exhausts each flag exactly once.
+    the previous ones.  The flags are enumerated by Bruhat cells: for
+    each row permutation w, column k < n-1 is e_w(k) plus free entries
+    at the rows r > w(k) not already used by w(0), ..., w(k-1), and the
+    last column is e_w(n-1), signed so that the determinant is 1.  The
+    cells together hold [n]_q! = (1)(1+q)...(1+q+...+q^(n-1)) flags,
+    each exactly once, and the list is sorted by column tuples.
     """
     p = field.p
     reps: list[DenseMatrix] = []
-
-    def span_set(basis: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-        vecs = {tuple([0] * n)}
-        for b in basis:
-            vecs = {tuple((x + c * y) % p for x, y in zip(v, b))
-                    for v in vecs for c in range(p)}
-        return frozenset(vecs)
-
-    def extensions(span: frozenset[tuple[int, ...]], basis: list[tuple[int, ...]]):
-        seen: dict[frozenset, tuple[int, ...]] = {}
-        for vec in product(range(p), repeat=n):
-            if vec in span:
-                continue
-            new_span = frozenset(
-                tuple((x + c * y) % p for x, y in zip(v, vec))
-                for v in span for c in range(p)
-            )
-            if new_span not in seen:
-                seen[new_span] = vec
-        return sorted(seen.values())
-
-    def grow(basis: list[tuple[int, ...]], span: frozenset[tuple[int, ...]]) -> None:
-        if len(basis) == n - 1:
-            for vec in product(range(p), repeat=n):
-                if vec not in span:
-                    complete(basis + [vec])
-                    return
-            raise AssertionError("no completion found")
-        for vec in extensions(span, basis):
-            grow(basis + [vec], span_set(basis + [vec]))
-
-    def complete(basis: list[tuple[int, ...]]) -> None:
-        m = DenseMatrix(field, n, n, [basis[j][i] for i in range(n) for j in range(n)])
-        d = gf_det(m)
-        if d != 1:
-            # rescale the last column; the flag itself is untouched
-            inv = field.inv(d)
-            ent = list(m.entries)
-            for i in range(n):
-                ent[i * n + (n - 1)] = (ent[i * n + (n - 1)] * inv) % p
-            m = DenseMatrix(field, n, n, ent)
-        reps.append(m)
-
-    grow([], frozenset({tuple([0] * n)}))
+    for w in permutations(range(n)):
+        free = [(r, k) for k in range(n - 1) for r in range(w[k] + 1, n) if r not in w[:k]]
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
+        base = [0] * (n * n)
+        for k in range(n):
+            base[w[k] * n + k] = 1
+        # permuting rows makes the matrix unitriangular, so det = sign(w)
+        base[w[n - 1] * n + n - 1] = (-1) ** inversions
+        for values in product(range(p), repeat=len(free)):
+            ent = base[:]
+            for (r, k), v in zip(free, values):
+                ent[r * n + k] = v
+            reps.append(DenseMatrix(field, n, n, ent))
+    reps.sort(key=lambda s: [s.col(j) for j in range(n)])
     return reps
 
 
@@ -250,55 +223,40 @@ class ComplexZ:
         return CanonicalLabel(PolyMatrix.identity(self.field, self.n)).key()
 
 
-def build_Z(n: int, q: int, radius: int, threads: int = 1,
+def build_Z(n: int, q: int, radius: int,
             flag_reps: list[DenseMatrix] | None = None) -> ComplexZ:
     """Union of the flag translates of the radius-R wedge, deduplicated.
 
     Every retained vertex or edge stores the lexicographically first
     (flag matrix, standard simplex) representative, so the result is
-    independent of enumeration order and worker count.
+    independent of enumeration order.  A label determines the wedge
+    coordinates of every (flag, vertex) pair that carries it; a label
+    reached from two different wedge vertices raises InvariantError.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
     flags = flag_reps if flag_reps is not None else enumerate_flag_reps(n, field)
 
-    def translate(s: DenseMatrix):
+    best_v: dict = {}
+    best_e: dict = {}
+    for s in flags:
         labels = {r: vertex_label(s, r) for r in ball_vertices}
-        vcands = {labels[r].key(): (s, r, labels[r]) for r in ball_vertices}
-        ecands = {}
+        keys = {r: lbl.key() for r, lbl in labels.items()}
+        for r in ball_vertices:
+            held = best_v.get(keys[r])
+            if held is not None and held[1] != r:
+                raise InvariantError("vertex label does not match its wedge coordinates")
+            if held is None or s.entries < held[0].entries:
+                best_v[keys[r]] = (s, r, labels[r])
         for (ra, rb) in ball_edges:
-            ka, kb = labels[ra].key(), labels[rb].key()
+            ka, kb = keys[ra], keys[rb]
             if ka < kb:
                 pair, simplex = (ka, kb), (ra, rb)
             else:
                 pair, simplex = (kb, ka), (rb, ra)
-            ecands[pair] = (s, simplex)
-        return vcands, ecands
-
-    def vkey(cand):
-        s, r, _ = cand
-        return (s.entries, r)
-
-    def ekey(cand):
-        s, simplex = cand
-        return (s.entries, simplex)
-
-    best_v: dict = {}
-    best_e: dict = {}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(translate, flags))
-    else:
-        results = [translate(s) for s in flags]
-
-    for vcands, ecands in results:
-        for k, cand in vcands.items():
-            if k not in best_v or vkey(cand) < vkey(best_v[k]):
-                best_v[k] = cand
-        for k, cand in ecands.items():
-            if k not in best_e or ekey(cand) < ekey(best_e[k]):
-                best_e[k] = cand
+            held = best_e.get(pair)
+            if held is None or (s.entries, simplex) < (held[0].entries, held[1]):
+                best_e[pair] = (s, simplex)
 
     vertices = {
         k: VertexRep(label=cand[2], flag=cand[0], vertex=cand[1])

@@ -12,12 +12,12 @@ import json
 import sys
 import time
 
-from .building import BoundProfile, ComplexZ, build_Z, root_order, standard_ball, bound_profile
+from .building import (BoundProfile, ComplexZ, adjacency, bound_profile, build_Z, root_order,
+                       standard_ball)
 from .errors import InvariantError, OracleLimitError
 from .gf import GF, SparseMatrix
 from .homology import assemble_boundary, h0_dimension, h1_basis, surviving_degrees
 from .oracle import DEFAULT_LIMIT, adjacency_oracle, expected_order_exponent, verify_h1_formula
-from .building import adjacency
 
 
 def _is_prime_q(q: int) -> bool:
@@ -59,7 +59,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if not _is_prime_q(args.q):
         return _usage_error("q must be prime")
     t0 = time.monotonic()
-    z = build_Z(args.n, args.q, args.radius, threads=args.threads)
+    z = build_Z(args.n, args.q, args.radius)
     report = h0_dimension(z)
     doc = report.to_dict()
     doc["timing_ms"] = int((time.monotonic() - t0) * 1000)
@@ -137,7 +137,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if not _is_prime_q(args.q):
         return _usage_error("q must be prime")
-    z = build_Z(args.n, args.q, args.radius, threads=args.threads)
+    z = build_Z(args.n, args.q, args.radius)
     boundary, _ = assemble_boundary(z)
     try:
         with open(args.dot, "w") as fh:
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--radius", type=int, required=True, help="slice radius, at least 1")
         else:
             sp.add_argument("--radius", type=int, default=radius_default)
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("compute", help="build Z_R and report the cokernel dimension")
     common(sp)
@@ -197,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error("n must be at least 2")
     if getattr(args, "radius", 1) < 1:
         return _usage_error("radius must be at least 1")
-    if getattr(args, "threads", 1) < 1:
-        return _usage_error("threads must be at least 1")
     try:
         return args.func(args)
     except SystemExit:

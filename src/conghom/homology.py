@@ -18,16 +18,13 @@ from typing import NamedTuple
 from .building import (
     BoundProfile,
     ComplexZ,
-    EdgeRep,
-    VertexRep,
     Vertex,
     bound_profile,
-    vertex_label,
 )
 from .congruence import GroupElement
 from .errors import InvariantError
 from .gf import DenseMatrix, GF, SparseMatrix, inverse as gf_inverse, sparse_rank
-from .poly import Poly, PolyMatrix
+from .poly import Poly
 
 
 class WeightSlot(NamedTuple):
@@ -159,57 +156,48 @@ def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
                    vertex_rep: tuple[DenseMatrix, Vertex]) -> DenseMatrix:
     """Matrix of the inclusion-induced map on H1, edge into endpoint vertex.
 
-    The column for edge slot (i, j, d) is the class vector of the
-    conjugated generator W (I + E_ij(t^d)) W^-1 with W = s_v^-1 s_e.
-    Conjugation by W is exact: the generator maps to I + t^d M with
-    M = W E_ij W^-1 constant.  Membership of the conjugate in the
-    vertex profile must hold; failure means the representatives do not
-    name the same simplices and is reported as an invariant violation.
+    With W = s_v^-1 s_e, conjugation by W carries the generator
+    I + E_ij(t^d) of edge slot (i, j, d) to I + t^d M with the constant
+    matrix M = W E_ij W^-1, so the column of that slot holds M[a][b] at
+    the vertex slots (a, b, d) and 0 at the slots of other degrees.
+    The vertex is an endpoint when its wedge coordinates r_v lie in the
+    simplex and W lies in the parabolic subgroup of r_v (W[a][b] = 0
+    wherever r_a < r_b, r padded with 0), which is exactly when the two
+    translates share a label; otherwise ValueError.  M must be supported
+    on {a < b, b_ab >= d} of the vertex profile; failure means the
+    representatives do not name the same simplices and is reported as
+    an invariant violation.
     """
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep
-    field = s_e.field
-    n = s_e.rows
-
-    lv = vertex_label(s_v, rv)
-    if vertex_label(s_e, simplex[0]) == lv:
-        r_end = simplex[0]
-    elif vertex_label(s_e, simplex[1]) == lv:
-        r_end = simplex[1]
-    else:
-        raise ValueError("vertex is not an endpoint of the edge")
-    if r_end != rv:
-        raise InvariantError("endpoint label does not match its wedge coordinates")
-
-    edge_basis = h1_basis(bound_profile(list(simplex)))
-    vert_basis = h1_basis(bound_profile([rv]))
-
     w = gf_inverse(s_v) @ s_e
-    w_inv = gf_inverse(w)
-    one = Poly.one(field)
-    zero = Poly.zero(field)
+    return _inclusion(w, gf_inverse(w), simplex, h1_basis(bound_profile(list(simplex))),
+                      rv, h1_basis(bound_profile([rv])))
 
+
+def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex],
+               edge_basis: H1Basis, rv: Vertex, vert_basis: H1Basis) -> DenseMatrix:
+    """edge_inclusion for a given W = s_v^-1 s_e, its inverse and both bases."""
+    n = w.rows
+    p = w.field.p
+    exps = tuple(rv) + (0,)
+    if rv not in simplex or any(
+        w.get(a, b) for a in range(n) for b in range(n) if exps[a] < exps[b]
+    ):
+        raise ValueError("vertex is not an endpoint of the edge")
+    caps = vert_basis.profile.b
     cols = []
     for s in edge_basis.slots:
-        wcol = [w.get(a, s.i - 1) for a in range(n)]
-        wrow = [w_inv.get(s.j - 1, b) for b in range(n)]
-        entries = []
+        wcol = w.col(s.i - 1)
+        wrow = w_inv.row(s.j - 1)
         for a in range(n):
-            row = []
             for b in range(n):
-                c = (wcol[a] * wrow[b]) % field.p
-                e = one if a == b else zero
-                if c:
-                    e = e + Poly.monomial(field, s.degree, c)
-                row.append(e)
-            entries.append(row)
-        u = GroupElement(PolyMatrix(field, entries))
-        if not membership(vert_basis.profile, u):
-            raise InvariantError("representative inconsistency")
-        cols.append(class_vector(vert_basis, u))
-
-    ent = [cols[b][a] for a in range(vert_basis.dim) for b in range(edge_basis.dim)]
-    return DenseMatrix(field, vert_basis.dim, edge_basis.dim, ent)
+                if wcol[a] and wrow[b] and (a >= b or caps[(a + 1, b + 1)] < s.degree):
+                    raise InvariantError("representative inconsistency")
+        cols.append([wcol[v.i - 1] * wrow[v.j - 1] % p if v.degree == s.degree else 0
+                     for v in vert_basis.slots])
+    ent = [col[a] for a in range(vert_basis.dim) for col in cols]
+    return DenseMatrix(w.field, vert_basis.dim, edge_basis.dim, ent)
 
 
 @dataclass(frozen=True)
@@ -236,12 +224,23 @@ def assemble_boundary(z: ComplexZ, flip_orientation: bool = False
     vertex_blocks = []
     row_offset = {}
     off = 0
-    vertex_basis = {}
+    bases = {}
+    inverses = {}
+
+    def basis_of(simplex) -> H1Basis:
+        if simplex not in bases:
+            bases[simplex] = h1_basis(bound_profile(list(simplex)))
+        return bases[simplex]
+
+    def inverse_of(s: DenseMatrix) -> DenseMatrix:
+        if s.entries not in inverses:
+            inverses[s.entries] = gf_inverse(s)
+        return inverses[s.entries]
+
     for key, rep in z.vertices.items():
-        basis = h1_basis(bound_profile([rep.vertex]))
+        basis = basis_of((rep.vertex,))
         vertex_blocks.append((key, off, basis))
         row_offset[key] = off
-        vertex_basis[key] = basis
         off += basis.dim
     dim_c0 = off
 
@@ -250,15 +249,15 @@ def assemble_boundary(z: ComplexZ, flip_orientation: bool = False
     off = 0
     sign_first, sign_second = (1, -1) if not flip_orientation else (-1, 1)
     for pair, erep in z.edges.items():
-        basis = h1_basis(bound_profile(list(erep.simplex)))
+        basis = basis_of(erep.simplex)
         edge_blocks.append((pair, off, basis))
         if basis.dim:
-            for key, r_end, sign in (
-                (pair[0], erep.simplex[0], sign_first),
-                (pair[1], erep.simplex[1], sign_second),
-            ):
+            for key, sign in ((pair[0], sign_first), (pair[1], sign_second)):
                 vrep = z.vertices[key]
-                mat = edge_inclusion((erep.flag, erep.simplex), (vrep.flag, vrep.vertex))
+                w = inverse_of(vrep.flag) @ erep.flag
+                w_inv = inverse_of(erep.flag) @ vrep.flag
+                mat = _inclusion(w, w_inv, erep.simplex, basis,
+                                 vrep.vertex, basis_of((vrep.vertex,)))
                 r0 = row_offset[key]
                 for a in range(mat.rows):
                     for b in range(mat.cols):

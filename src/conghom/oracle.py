@@ -185,7 +185,7 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     for raw in tbl.elements:
         g = _deserialize(raw, n, m)
         gi = inv.get(raw) or _trunc_inverse(g, n, m, p)
-        for hraw in list(seen)[: len(seen)]:
+        for hraw in seen:
             h = _deserialize(hraw, n, m)
             conj = _trunc_mul(_trunc_mul(g, h, n, m, p), gi, n, m, p)
             if _serialize(conj) not in seen:

@@ -186,9 +186,7 @@ def test_criterion_07_determinism_and_invariance():
 
     assert h0_dimension(build_Z(3, 2, 1), flip_orientation=True).to_json() == base
 
-    assert h0_dimension(build_Z(3, 2, 1, threads=4)).to_json() == base
-    assert h0_dimension(build_Z(3, 2, 1, threads=1)).to_json() == base
-    _report(7, "shuffled flags, flipped orientation, 1 vs 4 threads: byte-identical")
+    _report(7, "shuffled flags, flipped orientation: byte-identical")
 
 
 def test_criterion_08_n2_contrast(capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from conghom import building
 from conghom.building import (
     BoundProfile,
     adjacency,
@@ -12,6 +13,7 @@ from conghom.building import (
     standard_ball,
     vertex_label,
 )
+from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, det, rref
 
 F2 = GF(2)
@@ -84,11 +86,15 @@ def _flag_chain(s):
     return tuple(chain)
 
 
-@pytest.mark.parametrize("n,q,count", [(2, 2, 3), (3, 2, 21), (3, 3, 52), (2, 3, 4), (4, 2, 315)])
+@pytest.mark.parametrize("n,q,count", [(2, 2, 3), (3, 2, 21), (3, 3, 52), (2, 3, 4), (4, 2, 315),
+                                         (3, 5, 186), (4, 3, 2080)])
 def test_flag_reps_counts(n, q, count):
+    # count = [n]_q! = sum over permutations w of q^inv(w)
     field = GF(q)
     reps = enumerate_flag_reps(n, field)
     assert len(reps) == count
+    columns = [tuple(s.col(j) for j in range(n)) for s in reps]
+    assert columns == sorted(columns)
     assert all(det(s) == 1 for s in reps)
     chains = {_flag_chain(s) for s in reps}
     assert len(chains) == count  # pairwise inequivalent, hence exhaustive
@@ -228,13 +234,16 @@ def test_build_z_order_invariance():
         assert base.vertices[k].vertex == other.vertices[k].vertex
 
 
-def test_build_z_threads_identical():
-    a = build_Z(3, 2, 2, threads=1)
-    b = build_Z(3, 2, 2, threads=4)
-    assert list(a.vertices) == list(b.vertices)
-    assert list(a.edges) == list(b.edges)
-    for k in a.vertices:
-        assert a.vertices[k].flag.entries == b.vertices[k].flag.entries
+def test_build_z_rejects_label_shared_by_two_wedge_vertices(monkeypatch):
+    # a label names one wedge vertex; make (1, 1) borrow the label of (1, 0)
+    real = building.vertex_label
+
+    def clashing(s, r):
+        return real(s, (1, 0) if r == (1, 1) else r)
+
+    monkeypatch.setattr(building, "vertex_label", clashing)
+    with pytest.raises(InvariantError):
+        build_Z(3, 2, 1)
 
 
 def test_graph_distance_equals_r1():

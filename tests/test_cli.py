@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import conghom
 from conghom.cli import main
 
 
@@ -60,6 +63,14 @@ def test_compute_n2_finding_code(capsys):
     code, out, _ = run_cli(capsys, "compute", "--n", "2", "--q", "2", "--radius", "2")
     assert code == 3
     assert json.loads(out)["dim_h0"] == 6
+
+
+@pytest.mark.parametrize("command", ["compute", "export", "oracle"])
+def test_threads_option_removed(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", "--q", "2", "--radius", "1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_survive_example(capsys):
@@ -130,9 +141,12 @@ def test_export_unwritable(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, however it got on sys.path
+    src = str(Path(conghom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conghom", "compute", "--n", "2", "--q", "2", "--radius", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim_h0"] == 3

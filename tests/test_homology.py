@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conghom.building import BoundProfile, bound_profile, build_Z, standard_ball, vertex_label
+from conghom.building import (BoundProfile, bound_profile, build_Z, enumerate_flag_reps,
+                              standard_ball, vertex_label)
 from conghom.congruence import GroupElement, elementary
 from conghom.errors import InvariantError
-from conghom.gf import GF, DenseMatrix
+from conghom.gf import GF, DenseMatrix, inverse
 from conghom.homology import (
     assemble_boundary,
     class_vector,
@@ -203,9 +204,26 @@ def test_edge_inclusion_into_origin_is_empty():
     assert (mat.rows, mat.cols) == (0, 0)
 
 
+def _reference_inclusion(edge_rep, vertex_rep):
+    # the polynomial route: conjugate each edge generator by W = s_v^-1 s_e,
+    # check membership and read the class vector in the vertex basis
+    s_e, simplex = edge_rep
+    s_v, rv = vertex_rep
+    field, n = s_e.field, s_e.rows
+    w = inverse(s_v) @ s_e
+    vert_basis = h1_basis(bound_profile([rv]))
+    cols = []
+    for s in h1_basis(bound_profile(list(simplex))).slots:
+        u = elementary(s.i, s.j, Poly.monomial(field, s.degree), n).conjugate_by(w)
+        assert membership(vert_basis.profile, u)
+        cols.append(class_vector(vert_basis, u))
+    return [[col[a] for col in cols] for a in range(vert_basis.dim)]
+
+
 def test_assembled_column_weight_radius_two():
-    # through radius 2 every edge class lands in at least one endpoint
-    for z in (build_Z(3, 2, 2), build_Z(3, 3, 1)):
+    # through radius 2 every edge class lands in at least one endpoint, and
+    # every constant-matrix inclusion matches the polynomial reference
+    for z in (build_Z(3, 2, 2), build_Z(3, 3, 1), build_Z(4, 2, 1)):
         for pair, erep in z.edges.items():
             basis = h1_basis(bound_profile(list(erep.simplex)))
             if basis.dim == 0:
@@ -213,11 +231,41 @@ def test_assembled_column_weight_radius_two():
             mats = []
             for key in pair:
                 vrep = z.vertices[key]
-                mats.append(edge_inclusion((erep.flag, erep.simplex),
-                                           (vrep.flag, vrep.vertex)))
+                edge_rep = (erep.flag, erep.simplex)
+                vertex_rep = (vrep.flag, vrep.vertex)
+                mat = edge_inclusion(edge_rep, vertex_rep)
+                assert mat.to_rows() == _reference_inclusion(edge_rep, vertex_rep)
+                mats.append(mat)
             for b in range(basis.dim):
                 weight = sum(1 for m in mats for a in range(m.rows) if m.get(a, b))
                 assert weight >= 1
+
+
+def test_endpoint_criterion_matches_vertex_labels():
+    # edge_inclusion accepts (s', r) as an endpoint of (s, edge) exactly when
+    # s^-1 s' lies in the parabolic of r, i.e. when the HNF labels agree
+    rng = random.Random(2024)
+    for n, q, radius in ((3, 2, 2), (3, 3, 2), (4, 2, 1)):
+        reps = enumerate_flag_reps(n, GF(q))
+        verts, edges = standard_ball(n, radius)
+        label = {(s, r): vertex_label(s, r).key() for s in reps for r in verts}
+        outcomes = set()
+        for _ in range(150):
+            edge = rng.choice(edges)
+            r = rng.choice(edge)
+            s = rng.choice(reps)
+            # half the partners are drawn from the flags that share s's label
+            partners = [t for t in reps if label[(t, r)] == label[(s, r)]]
+            sp = rng.choice(partners if rng.random() < 0.5 else reps)
+            same = label[(s, r)] == label[(sp, r)]
+            try:
+                edge_inclusion((s, edge), (sp, r))
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == same
+            outcomes.add(same)
+        assert outcomes == {True, False}
 
 
 def test_edge_class_can_die_in_both_endpoints_at_radius_three():

@@ -8,6 +8,7 @@ garbage residues.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
 
 
@@ -290,11 +291,22 @@ class SparseMatrix:
 
 
 def sparse_rank(m: SparseMatrix) -> int:
-    """Rank by sparse elimination with Markowitz pivot selection.
+    """Rank by sparse elimination with a lazy heap of pivot rows.
 
-    At every step the pivot minimizes (nnz(row)-1)*(nnz(col)-1) to limit
-    fill-in; ties break on (row, col) so the elimination order is
-    deterministic.  Agrees with rref on the densified matrix.
+    The pivot row is the live row with the fewest nonzeros, ties broken
+    on the smaller row index; within it the pivot column is the one
+    with the fewest live rows, ties broken on the smaller column index.
+    This is the Markowitz rule restricted to the shortest row, so the
+    elimination order is deterministic and fill-in stays low.
+
+    The rows wait in a min-heap keyed on (length, row).  Every update
+    pushes the row again with its new length instead of removing the
+    old entry, so a popped entry whose row is gone or whose length no
+    longer matches is stale and is skipped.  Rows that cancel to zero
+    are dropped.  Choosing a pivot costs O(log h) per popped entry for
+    a heap of h entries, plus one pass over the pivot row, instead of a
+    scan over every live nonzero; the updates dominate the total.
+    Agrees with rref on the densified matrix.
     """
     field = m.field
     p = field.p
@@ -304,20 +316,16 @@ def sparse_rank(m: SparseMatrix) -> int:
         rows.setdefault(r, {})[c] = v
         col_members.setdefault(c, set()).add(r)
 
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
     rank = 0
-    while rows:
-        best = None
-        best_cost = None
-        for r, row in rows.items():
-            rw = len(row) - 1
-            for c in row:
-                cost = rw * (len(col_members[c]) - 1)
-                key = (cost, r, c)
-                if best_cost is None or key < best_cost:
-                    best_cost = key
-                    best = (r, c)
-        pr, pc = best
-        pivot_row = rows.pop(pr)
+    while heap:
+        length, pr = heapq.heappop(heap)
+        pivot_row = rows.get(pr)
+        if pivot_row is None or len(pivot_row) != length:
+            continue
+        pc = min(pivot_row, key=lambda c: (len(col_members[c]), c))
+        del rows[pr]
         inv = field.inv(pivot_row[pc])
         pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
         for c in pivot_row:
@@ -334,7 +342,9 @@ def sparse_rank(m: SparseMatrix) -> int:
                 elif c in row:
                     del row[c]
                     col_members[c].discard(r)
-            if not row:
+            if row:
+                heapq.heappush(heap, (len(row), r))
+            else:
                 del rows[r]
         rank += 1
     return rank

@@ -211,3 +211,18 @@ def test_criterion_09_stretch_n4():
     assert isinstance(rep.meets_conjecture, bool)
     _report(9, f"n=4 dim {rep.dim_h0} (target 15, meets={rep.meets_conjecture}) "
                f"in {elapsed:.1f}s")
+
+
+def test_deep_workload_configurations():
+    t0 = time.monotonic()
+    counts = {}
+    for n, q, radius in ((3, 3, 4), (4, 2, 2)):
+        rep = h0_dimension(build_Z(n, q, radius))
+        counts[(n, q, radius)] = (rep.dim_c0, rep.dim_c1, rep.rank_boundary, rep.dim_h0)
+    elapsed = time.monotonic() - t0
+    assert counts == {
+        (3, 3, 4): (1872, 5044, 1864, 8),
+        (4, 2, 2): (2265, 11045, 2250, 15),
+    }
+    assert elapsed < 60.0
+    print(f"deep configurations: dim_h0 8 at (3,3,4) and 15 at (4,2,2) in {elapsed:.1f}s")

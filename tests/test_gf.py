@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conghom.gf import GF, DenseMatrix, SparseMatrix, det, inverse, rref, sparse_rank
 
@@ -153,3 +155,46 @@ def test_sparse_rank_matches_dense_200():
     f = GF(2)
     m = _random_sparse(rng, f, 200, 200, 0.02)
     assert sparse_rank(m) == rref(m.densify())[0]
+
+
+@st.composite
+def _sparse_with_dependencies(draw):
+    """A small sparse matrix whose rows include dependent ones.
+
+    Some base rows are drawn, then more rows as combinations of them:
+    scaled duplicates, empty rows and rows that cancel to zero part-way
+    through elimination.  Zero columns appear whenever no row uses one.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    cols = draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.integers(1, p - 1))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=8))
+    combos = draw(st.lists(st.lists(entry, min_size=len(base), max_size=len(base)),
+                           max_size=8))
+    dense = base + [[sum(a * row[j] for a, row in zip(combo, base)) % p for j in range(cols)]
+                    for combo in combos]
+    order = draw(st.permutations(range(len(dense))))
+    dense = [dense[i] for i in order]
+    triples = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+    return SparseMatrix(GF(p), len(dense), cols, triples)
+
+
+# Pivoting on row 0 in column 0 grows row 1 from three entries to four,
+# so row 1's first heap entry is stale when it is popped.
+@example(SparseMatrix(GF(2), 4, 9, [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 3, 1),
+                                    (1, 4, 1), (2, 1, 1), (2, 5, 1), (2, 6, 1), (3, 2, 1),
+                                    (3, 7, 1), (3, 8, 1)]))
+@given(_sparse_with_dependencies())
+def test_sparse_rank_matches_rref_property(m):
+    assert sparse_rank(m) == rref(m.densify())[0]
+
+
+@given(_sparse_with_dependencies(), st.data())
+def test_sparse_rank_invariant_under_permutation_and_scaling(m, data):
+    p = m.field.p
+    row_perm = data.draw(st.permutations(range(m.rows)))
+    col_perm = data.draw(st.permutations(range(m.cols)))
+    scale = data.draw(st.lists(st.integers(1, p - 1), min_size=m.rows, max_size=m.rows))
+    moved = SparseMatrix(m.field, m.rows, m.cols,
+                         [(row_perm[r], col_perm[c], v * scale[r]) for r, c, v in m.triples()])
+    assert sparse_rank(moved) == sparse_rank(m)

@@ -3,8 +3,12 @@
 Standard vertices are weakly decreasing exponent tuples (r_1, ...,
 r_{n-1}) with an implicit trailing 0.  The radius-R slice of the
 fundamental domain is the union of the translates of the truncated
-wedge by one constant matrix per full flag of F_q^n, deduplicated by
-canonical lattice label.
+wedge by one constant matrix per full flag of F_q^n.  The translate of
+a wedge vertex r by a flag matrix s depends only on r and on the
+partial flag of F_q^n that s cuts out at the breaks of r, so translates
+are deduplicated by that partial flag, written as RREF column spans.
+Canonical HNF lattice labels are computed only for the retained
+vertices: they name the vertices of Z_R and fix its order.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import InvariantError
-from .gf import GF, DenseMatrix, inverse as gf_inverse
+from .gf import GF, DenseMatrix, inverse as gf_inverse, rref
 from .poly import CanonicalLabel, Poly, PolyMatrix, lattice_label
 
 Vertex = tuple[int, ...]
@@ -178,7 +182,10 @@ def vertex_label(s: DenseMatrix, r: Vertex) -> CanonicalLabel:
     supported where r_i >= r_j, which is precisely the group that
     normalizes the stabilizer attached to r.  Labels therefore identify
     translated vertices exactly when their stabilizers in the
-    congruence kernel agree.
+    congruence kernel agree.  The label costs an n! cofactor
+    determinant and a polynomial HNF, so build_Z decides which
+    translates coincide with partial_flag_keys and calls this once per
+    retained vertex, to name it.
     """
     field = s.field
     n = s.rows
@@ -192,6 +199,59 @@ def vertex_label(s: DenseMatrix, r: Vertex) -> CanonicalLabel:
         for i in range(n)
     ]
     return lattice_label(PolyMatrix(field, entries))
+
+
+def vertex_breaks(r: Vertex) -> tuple[int, ...]:
+    """The k in 1..n-1 where the padded exponents (r, 0) drop: r_k > r_{k+1}."""
+    exps = tuple(r) + (0,)
+    return tuple(k for k in range(1, len(exps)) if exps[k - 1] > exps[k])
+
+
+def partial_flag_keys(s: DenseMatrix, vertices, spans: dict | None = None) -> dict:
+    """Partial-flag key of the translate of each wedge vertex r by s.
+
+    The key is (r, the RREF of the span of the first k columns of s for
+    each break k of r).  (s, r) and (s', r) share a vertex_label exactly
+    when s^-1 s' lies in the parabolic of r, that is, block upper
+    triangular with blocks ending at the breaks, which holds exactly
+    when the leading column spans agree at every break.  `spans`
+    memoizes each RREF on the leading columns; flags sorted by columns
+    share many of them.
+    """
+    if spans is None:
+        spans = {}
+    n = s.rows
+    by_column = tuple(v for j in range(n) for v in s.entries[j::n])  # column j at [j*n:(j+1)*n]
+    keys = {}
+    for r in vertices:
+        flag = []
+        for k in vertex_breaks(r):
+            lead = by_column[:k * n]
+            span = spans.get(lead)
+            if span is None:
+                span = spans[lead] = rref(DenseMatrix(s.field, k, n, lead))[1].entries
+            flag.append(span)
+        keys[r] = (r, tuple(flag))
+    return keys
+
+
+def partial_flag_count(n: int, q: int, breaks) -> int:
+    """Number of partial flags of F_q^n with subspaces of the given dimensions.
+
+    With b_0 = 0 < b_1 < ... < b_k < b_{k+1} = n this is the q-multinomial
+    [n]_q! / prod [b_{i+1} - b_i]_q!, where [m]_q! = prod_{i<=m} (q^i - 1)/(q - 1).
+    """
+    def q_factorial(m: int) -> int:
+        out = 1
+        for i in range(1, m + 1):
+            out *= (q ** i - 1) // (q - 1)
+        return out
+
+    dims = (0, *sorted(breaks), n)
+    count = q_factorial(n)
+    for a, b in zip(dims, dims[1:]):
+        count //= q_factorial(b - a)
+    return count
 
 
 @dataclass(frozen=True)
@@ -227,43 +287,62 @@ def build_Z(n: int, q: int, radius: int,
             flag_reps: list[DenseMatrix] | None = None) -> ComplexZ:
     """Union of the flag translates of the radius-R wedge, deduplicated.
 
+    Translates are deduplicated by partial flag (partial_flag_keys).
     Every retained vertex or edge stores the lexicographically first
-    (flag matrix, standard simplex) representative, so the result is
-    independent of enumeration order.  A label determines the wedge
-    coordinates of every (flag, vertex) pair that carries it; a label
-    reached from two different wedge vertices raises InvariantError.
+    flag matrix that reaches it, with its standard simplex, so the
+    result is independent of enumeration order.  The numbers of retained vertices
+    and edges must equal the closed-form partial-flag counts
+    (partial_flag_count) summed over the wedge's vertices and edges;
+    otherwise InvariantError is raised.  Only then is vertex_label
+    computed, once per retained vertex: the labels key and order the
+    vertices and edges and orient each edge.  Two retained vertices
+    with one label raise InvariantError, since a label determines the
+    wedge coordinates.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
     flags = flag_reps if flag_reps is not None else enumerate_flag_reps(n, field)
 
-    best_v: dict = {}
-    best_e: dict = {}
+    spans: dict = {}
+    best_v: dict = {}  # partial-flag key -> first flag
+    best_e: dict = {}  # (key, key) in wedge order -> first flag
     for s in flags:
-        labels = {r: vertex_label(s, r) for r in ball_vertices}
-        keys = {r: lbl.key() for r, lbl in labels.items()}
-        for r in ball_vertices:
-            held = best_v.get(keys[r])
-            if held is not None and held[1] != r:
-                raise InvariantError("vertex label does not match its wedge coordinates")
-            if held is None or s.entries < held[0].entries:
-                best_v[keys[r]] = (s, r, labels[r])
-        for (ra, rb) in ball_edges:
-            ka, kb = keys[ra], keys[rb]
-            if ka < kb:
-                pair, simplex = (ka, kb), (ra, rb)
-            else:
-                pair, simplex = (kb, ka), (rb, ra)
+        keys = partial_flag_keys(s, ball_vertices, spans)
+        for key in keys.values():
+            held = best_v.get(key)
+            if held is None or s.entries < held.entries:
+                best_v[key] = s
+        # one flag maps the wedge injectively, so each pair is met once per flag
+        for ra, rb in ball_edges:
+            pair = (keys[ra], keys[rb])
             held = best_e.get(pair)
-            if held is None or (s.entries, simplex) < (held[0].entries, held[1]):
-                best_e[pair] = (s, simplex)
+            if held is None or s.entries < held.entries:
+                best_e[pair] = s
 
-    vertices = {
-        k: VertexRep(label=cand[2], flag=cand[0], vertex=cand[1])
-        for k, cand in sorted(best_v.items())
-    }
-    edges = {
-        k: EdgeRep(labels=k, flag=cand[0], simplex=cand[1])
-        for k, cand in sorted(best_e.items())
-    }
-    return ComplexZ(n=n, q=q, radius=radius, field=field, vertices=vertices, edges=edges)
+    want_v = sum(partial_flag_count(n, q, vertex_breaks(r)) for r in ball_vertices)
+    want_e = sum(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
+                 for a, b in ball_edges)
+    if (len(best_v), len(best_e)) != (want_v, want_e):
+        raise InvariantError(
+            f"{len(best_v)} vertices and {len(best_e)} edges, but the partial-flag "
+            f"counts give {want_v} and {want_e}")
+
+    vertices: dict = {}
+    label_key: dict = {}  # partial-flag key -> label key
+    for key, s in best_v.items():
+        label = vertex_label(s, key[0])
+        lk = label.key()
+        if lk in vertices:
+            raise InvariantError("vertex label does not match its wedge coordinates")
+        vertices[lk] = VertexRep(label=label, flag=s, vertex=key[0])
+        label_key[key] = lk
+    edges: dict = {}
+    for (ka, kb), s in best_e.items():
+        la, lb = label_key[ka], label_key[kb]
+        if la < lb:
+            pair, simplex = (la, lb), (ka[0], kb[0])
+        else:
+            pair, simplex = (lb, la), (kb[0], ka[0])
+        edges[pair] = EdgeRep(labels=pair, flag=s, simplex=simplex)
+    return ComplexZ(n=n, q=q, radius=radius, field=field,
+                    vertices=dict(sorted(vertices.items())), edges=dict(sorted(edges.items())))

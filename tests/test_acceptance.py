@@ -226,3 +226,13 @@ def test_deep_workload_configurations():
     }
     assert elapsed < 60.0
     print(f"deep configurations: dim_h0 8 at (3,3,4) and 15 at (4,2,2) in {elapsed:.1f}s")
+
+
+def test_n5_radius_one_configuration():
+    t0 = time.monotonic()
+    rep = h0_dimension(build_Z(5, 2, 1))
+    elapsed = time.monotonic() - t0
+    assert (rep.num_vertices, rep.num_edges) == (372, 4650)
+    assert (rep.dim_c0, rep.dim_c1, rep.rank_boundary, rep.dim_h0) == (2108, 11935, 2084, 24)
+    assert elapsed < 60.0
+    print(f"(5,2,1): dim_h0 24 (target 24) in {elapsed:.1f}s")

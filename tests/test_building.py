@@ -1,15 +1,21 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conghom import building
 from conghom.building import (
     BoundProfile,
+    EdgeRep,
+    VertexRep,
     adjacency,
     bound_profile,
     build_Z,
     enumerate_flag_reps,
+    partial_flag_keys,
     standard_ball,
     vertex_label,
 )
@@ -244,6 +250,106 @@ def test_build_z_rejects_label_shared_by_two_wedge_vertices(monkeypatch):
     monkeypatch.setattr(building, "vertex_label", clashing)
     with pytest.raises(InvariantError):
         build_Z(3, 2, 1)
+
+
+def test_build_z_pins_translate_counts_to_partial_flags():
+    # without its last flag, (3,2,1) misses one complete flag: 34 edges, not [3]_2! + 14 = 35
+    reps = enumerate_flag_reps(3, F2)
+    with pytest.raises(InvariantError, match="15 vertices and 34 edges.* 15 and 35"):
+        build_Z(3, 2, 1, flag_reps=reps[:-1])
+
+
+def test_build_z_labels_each_retained_vertex_once(monkeypatch):
+    real = building.vertex_label
+    calls = []
+
+    def counting(s, r):
+        calls.append((s, r))
+        return real(s, r)
+
+    monkeypatch.setattr(building, "vertex_label", counting)
+    z = build_Z(4, 2, 1)
+    assert len(calls) == len(z.vertices) == 66
+
+
+def _reference_build_z(n, q, radius):
+    """build_Z's vertices and edges, keyed by the HNF label of every (flag, ball vertex) pair."""
+    field = GF(q)
+    ball_vertices, ball_edges = standard_ball(n, radius)
+    best_v = {}
+    best_e = {}
+    for s in enumerate_flag_reps(n, field):
+        labels = {r: vertex_label(s, r) for r in ball_vertices}
+        keys = {r: lbl.key() for r, lbl in labels.items()}
+        for r in ball_vertices:
+            held = best_v.get(keys[r])
+            if held is not None and held[1] != r:
+                raise InvariantError("vertex label does not match its wedge coordinates")
+            if held is None or s.entries < held[0].entries:
+                best_v[keys[r]] = (s, r, labels[r])
+        for (ra, rb) in ball_edges:
+            ka, kb = keys[ra], keys[rb]
+            if ka < kb:
+                pair, simplex = (ka, kb), (ra, rb)
+            else:
+                pair, simplex = (kb, ka), (rb, ra)
+            held = best_e.get(pair)
+            if held is None or (s.entries, simplex) < (held[0].entries, held[1]):
+                best_e[pair] = (s, simplex)
+    vertices = {
+        k: VertexRep(label=cand[2], flag=cand[0], vertex=cand[1])
+        for k, cand in sorted(best_v.items())
+    }
+    edges = {
+        k: EdgeRep(labels=k, flag=cand[0], simplex=cand[1])
+        for k, cand in sorted(best_e.items())
+    }
+    return vertices, edges
+
+
+@pytest.mark.parametrize("n,q,radius", [(3, 2, 1), (3, 2, 2), (3, 3, 1), (2, 5, 3), (2, 2, 4),
+                                        (4, 2, 1), (3, 7, 1), (3, 3, 4)])
+def test_build_z_matches_per_pair_label_reference(n, q, radius):
+    z = build_Z(n, q, radius)
+    vertices, edges = _reference_build_z(n, q, radius)
+    assert list(z.vertices.items()) == list(vertices.items())
+    assert list(z.edges.items()) == list(edges.items())
+
+
+@cache
+def _flag_reps(n, q):
+    return enumerate_flag_reps(n, GF(q))
+
+
+def _parabolic_element(data, field, r):
+    """A determinant-one matrix that is block upper triangular, blocks ending at r's breaks."""
+    n = len(r) + 1
+    exps = tuple(r) + (0,)
+    entry = st.integers(0, field.p - 1)
+    lower = [[1 if i == j else data.draw(entry) if i > j and exps[i] == exps[j] else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else data.draw(entry) if i < j else 0 for j in range(n)]
+             for i in range(n)]
+    return DenseMatrix.from_rows(field, lower) @ DenseMatrix.from_rows(field, upper)
+
+
+@given(st.data())
+def test_partial_flag_key_partitions_like_vertex_label(data):
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    reps = _flag_reps(n, q)
+    ball = standard_ball(n, 2)[0]
+    r = data.draw(st.sampled_from(ball))
+    s = data.draw(st.sampled_from(reps))
+    if data.draw(st.booleans()):
+        other = data.draw(st.sampled_from(reps))
+    else:
+        # s times the parabolic of a random wedge vertex: the same translate of r
+        # when that vertex's breaks include r's, often a near miss otherwise
+        other = s @ _parabolic_element(data, s.field, data.draw(st.sampled_from(ball)))
+    same_key = partial_flag_keys(s, [r])[r] == partial_flag_keys(other, [r])[r]
+    same_label = vertex_label(s, r).key() == vertex_label(other, r).key()
+    assert same_key == same_label
 
 
 def test_graph_distance_equals_r1():

@@ -6,14 +6,15 @@ fundamental domain is the union of the translates of the truncated
 wedge by one constant matrix per full flag of F_q^n.  The translate of
 a wedge vertex r by a flag matrix s depends only on r and on the
 partial flag of F_q^n that s cuts out at the breaks of r, so translates
-are deduplicated by that partial flag, written as RREF column spans.
-Canonical HNF lattice labels are computed only for the retained
-vertices: they name the vertices of Z_R and fix its order.
+are deduplicated, keyed and ordered by that partial flag, written as
+RREF column spans.  Canonical HNF lattice labels are computed only on
+export (order_by_label), to name the vertices of Z_R and fix the
+published order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 
 from .errors import InvariantError
@@ -183,9 +184,9 @@ def vertex_label(s: DenseMatrix, r: Vertex) -> CanonicalLabel:
     normalizes the stabilizer attached to r.  Labels therefore identify
     translated vertices exactly when their stabilizers in the
     congruence kernel agree.  The label costs an n! cofactor
-    determinant and a polynomial HNF, so build_Z decides which
-    translates coincide with partial_flag_keys and calls this once per
-    retained vertex, to name it.
+    determinant and a polynomial HNF, so build_Z identifies translates
+    by partial_flag_keys instead, and only order_by_label calls this,
+    once per vertex, to name the vertices on export.
     """
     field = s.field
     n = s.rows
@@ -256,16 +257,14 @@ def partial_flag_count(n: int, q: int, breaks) -> int:
 
 @dataclass(frozen=True)
 class VertexRep:
-    label: CanonicalLabel
     flag: DenseMatrix
     vertex: Vertex
 
 
 @dataclass(frozen=True)
 class EdgeRep:
-    labels: tuple  # (key_small, key_big), label-sorted
     flag: DenseMatrix
-    simplex: tuple[Vertex, Vertex]  # aligned with `labels`
+    simplex: tuple[Vertex, Vertex]  # aligned with the edge's key pair
 
 
 @dataclass
@@ -276,28 +275,26 @@ class ComplexZ:
     q: int
     radius: int
     field: GF
-    vertices: dict  # label key -> VertexRep
+    vertices: dict  # partial-flag key -> VertexRep
     edges: dict     # (key, key) -> EdgeRep
 
     def origin_key(self):
-        return CanonicalLabel(PolyMatrix.identity(self.field, self.n)).key()
+        """Key of the break-free vertex: the origin, fixed by every flag."""
+        return ((0,) * (self.n - 1), ())
 
 
 def build_Z(n: int, q: int, radius: int,
             flag_reps: list[DenseMatrix] | None = None) -> ComplexZ:
     """Union of the flag translates of the radius-R wedge, deduplicated.
 
-    Translates are deduplicated by partial flag (partial_flag_keys).
-    Every retained vertex or edge stores the lexicographically first
-    flag matrix that reaches it, with its standard simplex, so the
-    result is independent of enumeration order.  The numbers of retained vertices
-    and edges must equal the closed-form partial-flag counts
-    (partial_flag_count) summed over the wedge's vertices and edges;
-    otherwise InvariantError is raised.  Only then is vertex_label
-    computed, once per retained vertex: the labels key and order the
-    vertices and edges and orient each edge.  Two retained vertices
-    with one label raise InvariantError, since a label determines the
-    wedge coordinates.
+    Translates are deduplicated and keyed by partial flag
+    (partial_flag_keys).  Every retained vertex or edge stores the
+    lexicographically first flag matrix that reaches it, with its
+    standard simplex, so the result is independent of enumeration
+    order.  Both dicts are sorted by key, and each edge is oriented by
+    key order.  The numbers of retained vertices and edges must equal
+    the closed-form partial-flag counts (partial_flag_count) summed over
+    the wedge's vertices and edges; otherwise InvariantError is raised.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
@@ -327,22 +324,35 @@ def build_Z(n: int, q: int, radius: int,
             f"{len(best_v)} vertices and {len(best_e)} edges, but the partial-flag "
             f"counts give {want_v} and {want_e}")
 
-    vertices: dict = {}
-    label_key: dict = {}  # partial-flag key -> label key
-    for key, s in best_v.items():
-        label = vertex_label(s, key[0])
-        lk = label.key()
-        if lk in vertices:
-            raise InvariantError("vertex label does not match its wedge coordinates")
-        vertices[lk] = VertexRep(label=label, flag=s, vertex=key[0])
-        label_key[key] = lk
+    vertices = {key: VertexRep(flag=best_v[key], vertex=key[0]) for key in sorted(best_v)}
     edges: dict = {}
-    for (ka, kb), s in best_e.items():
-        la, lb = label_key[ka], label_key[kb]
-        if la < lb:
-            pair, simplex = (la, lb), (ka[0], kb[0])
-        else:
-            pair, simplex = (lb, la), (kb[0], ka[0])
-        edges[pair] = EdgeRep(labels=pair, flag=s, simplex=simplex)
+    for pair, s in best_e.items():
+        ka, kb = sorted(pair)
+        edges[(ka, kb)] = EdgeRep(flag=s, simplex=(ka[0], kb[0]))
     return ComplexZ(n=n, q=q, radius=radius, field=field,
-                    vertices=dict(sorted(vertices.items())), edges=dict(sorted(edges.items())))
+                    vertices=vertices, edges=dict(sorted(edges.items())))
+
+
+def order_by_label(z: ComplexZ) -> tuple[ComplexZ, dict]:
+    """Z_R in HNF label order, for export, and the label of each vertex key.
+
+    Calls vertex_label once per vertex; two vertices with one label raise
+    InvariantError, since a label determines the wedge coordinates.  Keys
+    and representatives are kept, sorted by label key, and each edge is
+    oriented from its label-smaller endpoint, its simplex reversed with it.
+    """
+    labels = {key: vertex_label(rep.flag, rep.vertex) for key, rep in z.vertices.items()}
+    label_key = {key: label.key() for key, label in labels.items()}
+    if len(set(label_key.values())) != len(label_key):
+        raise InvariantError("vertex label does not match its wedge coordinates")
+    edges = {}
+    for (ka, kb), rep in z.edges.items():
+        if label_key[kb] < label_key[ka]:
+            ka, kb, rep = kb, ka, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+        edges[(ka, kb)] = rep
+    ordered = replace(
+        z,
+        vertices=dict(sorted(z.vertices.items(), key=lambda item: label_key[item[0]])),
+        edges=dict(sorted(edges.items(),
+                          key=lambda item: (label_key[item[0][0]], label_key[item[0][1]]))))
+    return ordered, labels

@@ -12,8 +12,8 @@ import json
 import sys
 import time
 
-from .building import (BoundProfile, ComplexZ, adjacency, bound_profile, build_Z, root_order,
-                       standard_ball)
+from .building import (BoundProfile, ComplexZ, adjacency, bound_profile, build_Z,
+                       order_by_label, root_order, standard_ball)
 from .errors import InvariantError, OracleLimitError
 from .gf import GF, SparseMatrix
 from .homology import assemble_boundary, h0_dimension, h1_basis, surviving_degrees
@@ -33,17 +33,17 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _dot_text(z: ComplexZ) -> str:
+def _dot_text(z: ComplexZ, labels: dict) -> str:
     origin = z.origin_key()
     lines = ["graph Z {"]
-    for key, rep in z.vertices.items():
-        name = rep.label.hex()
+    for key in z.vertices:
+        name = labels[key].hex()
         if key == origin:
             lines.append(f'  "{name}" [shape=doublecircle, label="v0"];')
         else:
             lines.append(f'  "{name}";')
     for (ka, kb) in z.edges:
-        lines.append(f'  "{z.vertices[ka].label.hex()}" -- "{z.vertices[kb].label.hex()}";')
+        lines.append(f'  "{labels[ka].hex()}" -- "{labels[kb].hex()}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -65,8 +65,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
     doc["timing_ms"] = int((time.monotonic() - t0) * 1000)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _usage_error(f"cannot write output: {exc}")
     else:
         print(text)
     return 0 if report.meets_conjecture else 3
@@ -99,6 +102,8 @@ def cmd_survive(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if not _is_prime_q(args.q):
         return _usage_error("q must be prime")
+    if args.limit < 1:
+        return _usage_error("limit must be at least 1")
     field = GF(args.q)
     verts, edges = standard_ball(args.n, args.radius)
     simplices = [(f"vertex {v}", [v]) for v in verts]
@@ -137,11 +142,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if not _is_prime_q(args.q):
         return _usage_error("q must be prime")
-    z = build_Z(args.n, args.q, args.radius)
+    z, labels = order_by_label(build_Z(args.n, args.q, args.radius))
     boundary, _ = assemble_boundary(z)
     try:
         with open(args.dot, "w") as fh:
-            fh.write(_dot_text(z))
+            fh.write(_dot_text(z, labels))
         with open(args.matrix, "w") as fh:
             fh.write(_matrix_text(boundary))
     except OSError as exc:

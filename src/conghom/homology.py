@@ -204,8 +204,8 @@ def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex
 class BlockIndex:
     """Row and column layout of the assembled boundary matrix."""
 
-    vertex_blocks: tuple  # (label key, row offset, H1Basis)
-    edge_blocks: tuple    # (label key pair, col offset, H1Basis)
+    vertex_blocks: tuple  # (vertex key, row offset, H1Basis)
+    edge_blocks: tuple    # (vertex key pair, col offset, H1Basis)
     dim_c0: int
     dim_c1: int
 
@@ -214,10 +214,11 @@ def assemble_boundary(z: ComplexZ, flip_orientation: bool = False
                       ) -> tuple[SparseMatrix, BlockIndex]:
     """Boundary map from edge coefficients to vertex coefficients.
 
-    Rows are the concatenated vertex slot bases in label order (the
-    origin contributes none); columns the edge bases.  Each edge column
-    is the inclusion into its label-smaller endpoint minus the
-    inclusion into the larger one.  Over GF(2) the sign vanishes, and
+    Rows are the concatenated vertex slot bases in the order of
+    z.vertices (the origin contributes none); columns the edge bases in
+    the order of z.edges.  Each edge column is the inclusion into the
+    first endpoint of its key pair, the key-smaller one for build_Z,
+    minus the inclusion into the second.  Over GF(2) the sign vanishes, and
     in general flipping it leaves the rank and cokernel unchanged.
     """
     field = z.field

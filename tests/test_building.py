@@ -1,3 +1,4 @@
+import json
 import random
 from functools import cache
 from itertools import combinations
@@ -6,21 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conghom import building
+from conghom import building, poly
 from conghom.building import (
     BoundProfile,
-    EdgeRep,
-    VertexRep,
     adjacency,
     bound_profile,
     build_Z,
     enumerate_flag_reps,
+    order_by_label,
     partial_flag_keys,
     standard_ball,
     vertex_label,
 )
+from conghom.cli import main
 from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, det, rref
+from conghom.homology import h0_dimension
 
 F2 = GF(2)
 F3 = GF(3)
@@ -240,18 +242,6 @@ def test_build_z_order_invariance():
         assert base.vertices[k].vertex == other.vertices[k].vertex
 
 
-def test_build_z_rejects_label_shared_by_two_wedge_vertices(monkeypatch):
-    # a label names one wedge vertex; make (1, 1) borrow the label of (1, 0)
-    real = building.vertex_label
-
-    def clashing(s, r):
-        return real(s, (1, 0) if r == (1, 1) else r)
-
-    monkeypatch.setattr(building, "vertex_label", clashing)
-    with pytest.raises(InvariantError):
-        build_Z(3, 2, 1)
-
-
 def test_build_z_pins_translate_counts_to_partial_flags():
     # without its last flag, (3,2,1) misses one complete flag: 34 edges, not [3]_2! + 14 = 35
     reps = enumerate_flag_reps(3, F2)
@@ -259,21 +249,60 @@ def test_build_z_pins_translate_counts_to_partial_flags():
         build_Z(3, 2, 1, flag_reps=reps[:-1])
 
 
-def test_build_z_labels_each_retained_vertex_once(monkeypatch):
-    real = building.vertex_label
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_compute_path_computes_no_labels(monkeypatch, capsys):
     calls = []
+    for module, name in ((building, "vertex_label"), (building, "lattice_label"),
+                         (poly, "lattice_label"), (poly, "polymat_det"), (poly, "column_hnf")):
+        _count_calls(monkeypatch, module, name, calls)
+    want = {"n": 4, "q": 2, "radius": 1, "num_vertices": 65, "num_edges": 315, "dim_c0": 230,
+            "dim_c1": 525, "rank_boundary": 215, "dim_h0": 15, "target": 15,
+            "meets_conjecture": True, "counts_note": None}
+    assert h0_dimension(build_Z(4, 2, 1)).to_dict() == want
+    assert main(["compute", "--n", "4", "--q", "2", "--radius", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["timing_ms"]
+    assert doc == want
+    assert calls == []
 
-    def counting(s, r):
-        calls.append((s, r))
-        return real(s, r)
 
-    monkeypatch.setattr(building, "vertex_label", counting)
-    z = build_Z(4, 2, 1)
-    assert len(calls) == len(z.vertices) == 66
+def test_export_labels_each_vertex_once(monkeypatch, tmp_path):
+    calls = []
+    _count_calls(monkeypatch, building, "vertex_label", calls)
+    code = main(["export", "--n", "4", "--q", "2", "--radius", "1",
+                 "--dot", str(tmp_path / "z.dot"), "--matrix", str(tmp_path / "m.txt")])
+    assert code == 0
+    assert len(calls) == len(build_Z(4, 2, 1).vertices) == 66
+
+
+def test_export_rejects_label_shared_by_two_wedge_vertices(monkeypatch, tmp_path, capsys):
+    # a label names one wedge vertex; make (1, 1) borrow the label of (1, 0)
+    real = building.vertex_label
+    monkeypatch.setattr(building, "vertex_label",
+                        lambda s, r: real(s, (1, 0) if r == (1, 1) else r))
+    code = main(["export", "--n", "3", "--q", "2", "--radius", "1",
+                 "--dot", str(tmp_path / "z.dot"), "--matrix", str(tmp_path / "m.txt")])
+    assert code == 4
+    assert "vertex label does not match its wedge coordinates" in capsys.readouterr().err
+    assert main(["compute", "--n", "3", "--q", "2", "--radius", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_h0"] == 8
 
 
 def _reference_build_z(n, q, radius):
-    """build_Z's vertices and edges, keyed by the HNF label of every (flag, ball vertex) pair."""
+    """build_Z's vertices and edges, keyed by the HNF label of every (flag, ball vertex) pair.
+
+    Vertices map a label key to (label, flag, wedge vertex), edges a
+    label-key pair to (flag, simplex aligned with the pair).
+    """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
     best_v = {}
@@ -296,24 +325,36 @@ def _reference_build_z(n, q, radius):
             held = best_e.get(pair)
             if held is None or (s.entries, simplex) < (held[0].entries, held[1]):
                 best_e[pair] = (s, simplex)
-    vertices = {
-        k: VertexRep(label=cand[2], flag=cand[0], vertex=cand[1])
-        for k, cand in sorted(best_v.items())
-    }
-    edges = {
-        k: EdgeRep(labels=k, flag=cand[0], simplex=cand[1])
-        for k, cand in sorted(best_e.items())
-    }
+    vertices = {k: (cand[2], cand[0], cand[1]) for k, cand in sorted(best_v.items())}
+    edges = {k: (cand[0], cand[1]) for k, cand in sorted(best_e.items())}
     return vertices, edges
 
 
-@pytest.mark.parametrize("n,q,radius", [(3, 2, 1), (3, 2, 2), (3, 3, 1), (2, 5, 3), (2, 2, 4),
-                                        (4, 2, 1), (3, 7, 1), (3, 3, 4)])
+REFERENCE_CONFIGS = [(3, 2, 1), (3, 2, 2), (3, 3, 1), (2, 5, 3), (2, 2, 4), (4, 2, 1), (3, 7, 1),
+                     (3, 3, 4)]
+
+
+@pytest.mark.parametrize("n,q,radius", REFERENCE_CONFIGS)
 def test_build_z_matches_per_pair_label_reference(n, q, radius):
-    z = build_Z(n, q, radius)
+    z, labels = order_by_label(build_Z(n, q, radius))
     vertices, edges = _reference_build_z(n, q, radius)
-    assert list(z.vertices.items()) == list(vertices.items())
-    assert list(z.edges.items()) == list(edges.items())
+    assert [(labels[k].key(), labels[k], rep.flag, rep.vertex)
+            for k, rep in z.vertices.items()] == [(k, *v) for k, v in vertices.items()]
+    assert [((labels[ka].key(), labels[kb].key()), rep.flag, rep.simplex)
+            for (ka, kb), rep in z.edges.items()] == [(k, *e) for k, e in edges.items()]
+
+
+@pytest.mark.parametrize("n,q,radius", REFERENCE_CONFIGS)
+def test_build_z_keys_are_partial_flag_keys_of_their_reps(n, q, radius):
+    z = build_Z(n, q, radius)
+    assert list(z.vertices) == sorted(z.vertices)
+    assert list(z.edges) == sorted(z.edges)
+    for key, rep in z.vertices.items():
+        assert key == partial_flag_keys(rep.flag, [rep.vertex])[rep.vertex]
+    for (ka, kb), rep in z.edges.items():
+        keys = partial_flag_keys(rep.flag, rep.simplex)
+        assert (ka, kb) == (keys[rep.simplex[0]], keys[rep.simplex[1]])
+        assert ka < kb
 
 
 @cache

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +59,14 @@ def test_compute_out_file(tmp_path, capsys):
     assert doc["dim_h0"] == 3
 
 
+def test_compute_unwritable(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "compute", "--n", "2", "--q", "2", "--radius", "1",
+                             "--out", str(tmp_path / "no" / "dir" / "report.json"))
+    assert code == 2
+    assert "cannot write" in err
+    assert out == ""
+
+
 def test_compute_n2_finding_code(capsys):
     # for n=2 the dimension grows with the radius, which is a finding
     code, out, _ = run_cli(capsys, "compute", "--n", "2", "--q", "2", "--radius", "2")
@@ -108,6 +117,15 @@ def test_oracle_limit_skips(capsys):
     assert "skipped" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_oracle_rejects_nonpositive_limit(limit, capsys):
+    code, out, err = run_cli(capsys, "oracle", "--n", "3", "--q", "2", "--radius", "1",
+                             "--limit", limit)
+    assert code == 2
+    assert "limit must be at least 1" in err
+    assert out == ""
+
+
 def test_export_golden(tmp_path, capsys):
     dot = tmp_path / "z.dot"
     mat = tmp_path / "boundary.txt"
@@ -130,6 +148,24 @@ def test_export_golden(tmp_path, capsys):
             "--dot", str(dot2), "--matrix", str(mat2))
     assert dot2.read_bytes() == dot.read_bytes()
     assert mat2.read_bytes() == mat.read_bytes()
+
+
+@pytest.mark.parametrize("n,q,radius,dot_sha,matrix_sha", [
+    (3, 2, 1, "3d9f4ccb5fefd2ce9f243d4ae2339cb18bf832d90e388988202303d715d1875d",
+     "ec04e83fb8f0abc112ea2d78c75b06416085e8f08ced7b88ea2f68583c15a070"),
+    (3, 3, 2, "2f1659d4d7e0768d06e68111480d437ab20954bca038685e9aeb5182a4859f32",
+     "fc42feaf450c82b04ca85bd9bd881c8d9d11b7ed01a3279a11c57aada43c5f00"),
+    (4, 2, 1, "2b88895e6fb1c33b15deda486ecdda0c3d2477ce46fbd3ea65b8c6722ad4fdd9",
+     "9056c6b61c05d1de35903fc5af487d80422db395cd19e137910eabfd40818e37"),
+])
+def test_export_pinned_bytes(n, q, radius, dot_sha, matrix_sha, tmp_path, capsys):
+    dot = tmp_path / "z.dot"
+    mat = tmp_path / "boundary.txt"
+    code, _, _ = run_cli(capsys, "export", "--n", str(n), "--q", str(q), "--radius", str(radius),
+                         "--dot", str(dot), "--matrix", str(mat))
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha
+    assert hashlib.sha256(mat.read_bytes()).hexdigest() == matrix_sha
 
 
 def test_export_unwritable(tmp_path, capsys):

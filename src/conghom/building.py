@@ -105,10 +105,14 @@ class BoundProfile:
 
         Values are ordered by column distance then row: (1,2), (2,3),
         ..., (n-1,n), (1,3), ..., (1,n).  Below-diagonal caps are zero.
+        Upper caps of standard simplices are minima of r_i - r_j >= 0, so a
+        negative value is rejected.
         """
         pairs = [(i, i + d) for d in range(1, n) for i in range(1, n - d + 1)]
         if len(values) != len(pairs):
             raise ValueError(f"expected {len(pairs)} bounds for n={n}")
+        if any(v < 0 for v in values):
+            raise ValueError("bounds must be non-negative")
         b = {}
         for (i, j), v in zip(pairs, values):
             b[(i, j)] = v

@@ -1,17 +1,17 @@
 """Independent brute-force checks of the graded model and the adjacency rule.
 
 Stabilizer groups have entries of bounded degree, so reducing modulo
-t^m with m = 1 + max cap embeds them in a finite matrix group that can
-be enumerated by closure.  Abelianization orders from the enumeration
-certify the surviving-slot count; lattice containment certifies the
-arithmetic adjacency rule.  Nothing here shares code paths with the
-graded model it is checking.
+t^m with m = 1 + max cap embeds them in a finite matrix group.  One
+breadth-first closure enumerates both the group and its derived
+subgroup, the normal closure of the generator commutators.  The
+abelianization orders certify the surviving-slot count; lattice
+containment certifies the arithmetic adjacency rule.  Nothing here
+shares code paths with the graded model it is checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .building import BoundProfile, Vertex, adjacency, is_standard_vertex
 from .congruence import GroupElement, elementary
@@ -110,6 +110,35 @@ class FiniteGroupTable:
         return len(self.elements)
 
 
+def _closure(mults: list[Trunc], conjugators: list[Trunc], n: int, m: int,
+             p: int, limit: int) -> set[bytes]:
+    """Smallest set holding I, closed under x -> x*g and x -> c*x*c^-1.
+
+    g runs over `mults`, c over `conjugators`.  In a finite group this is
+    the normal closure of <mults> under the conjugators: each c^-1 is a
+    power of c, so x*y is reached by conjugating x past y's moves.
+    """
+    inverses = [_trunc_inverse(c, n, m, p) for c in conjugators]
+    ident = _trunc_identity(n, m)
+    seen = {_serialize(ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            images = [_trunc_mul(x, g, n, m, p) for g in mults]
+            images += [_trunc_mul(_trunc_mul(c, x, n, m, p), ci, n, m, p)
+                       for c, ci in zip(conjugators, inverses)]
+            for y in images:
+                raw = _serialize(y)
+                if raw not in seen:
+                    seen.add(raw)
+                    if len(seen) > limit:
+                        raise OracleLimitError("group too large for oracle")
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def generate_group(generators: list[GroupElement], m: int,
                    limit: int = DEFAULT_LIMIT) -> FiniteGroupTable:
     """Breadth-first closure of the generators modulo t^m."""
@@ -126,21 +155,7 @@ def generate_group(generators: list[GroupElement], m: int,
             raise ValueError("generator is not congruent to the identity mod t")
         gens.append(t)
 
-    seen = {_serialize(_trunc_identity(n, m))}
-    frontier = [_trunc_identity(n, m)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _trunc_mul(x, g, n, m, p)
-                raw = _serialize(y)
-                if raw not in seen:
-                    seen.add(raw)
-                    if len(seen) > limit:
-                        raise OracleLimitError("group too large for oracle")
-                    nxt.append(y)
-        frontier = nxt
-
+    seen = _closure(gens, [], n, m, p, limit)
     order = len(seen)
     while order % p == 0:
         order //= p
@@ -154,56 +169,38 @@ def generate_group(generators: list[GroupElement], m: int,
 
 
 def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
-    """Closure of all pairwise commutators; normality is asserted."""
+    """G' as the normal closure of the generator commutators [g_a, g_b], a < b.
+
+    For G = <S>, [G, G] is the normal closure of {[a, b] : a, b in S}
+    (Magnus, Karrass & Solitar, Combinatorial Group Theory; Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory).  The result's
+    generators are those commutators.
+    """
     n, m, p = tbl.n, tbl.m, tbl.p
-    elems = [_deserialize(raw, n, m) for raw in sorted(tbl.elements)]
-    inv = {_serialize(x): _trunc_inverse(x, n, m, p) for x in elems}
-
-    comms = set()
-    for x in elems:
-        xi = inv[_serialize(x)]
-        for y in elems:
-            yi = inv[_serialize(y)]
-            c = _trunc_mul(_trunc_mul(x, y, n, m, p),
-                           _trunc_mul(xi, yi, n, m, p), n, m, p)
-            comms.add(_serialize(c))
-
-    gens = [_deserialize(raw, n, m) for raw in sorted(comms)]
-    seen = {_serialize(_trunc_identity(n, m))}
-    frontier = [_trunc_identity(n, m)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _trunc_mul(x, g, n, m, p)
-                raw = _serialize(y)
-                if raw not in seen:
-                    seen.add(raw)
-                    nxt.append(y)
-        frontier = nxt
-
-    for raw in tbl.elements:
-        g = _deserialize(raw, n, m)
-        gi = inv.get(raw) or _trunc_inverse(g, n, m, p)
-        for hraw in seen:
-            h = _deserialize(hraw, n, m)
-            conj = _trunc_mul(_trunc_mul(g, h, n, m, p), gi, n, m, p)
-            if _serialize(conj) not in seen:
-                raise InvariantError("commutator subgroup is not normal")
-
+    gens = [_deserialize(raw, n, m) for raw in tbl.generators]
+    inverses = [_trunc_inverse(g, n, m, p) for g in gens]
+    comms = [
+        _trunc_mul(_trunc_mul(gens[a], gens[b], n, m, p),
+                   _trunc_mul(inverses[a], inverses[b], n, m, p), n, m, p)
+        for a in range(len(gens)) for b in range(a + 1, len(gens))
+    ]
+    seen = _closure(comms, gens, n, m, p, tbl.order)
+    if not seen <= tbl.elements:
+        raise InvariantError("commutator subgroup leaves the group")
     return FiniteGroupTable(
         n=n, m=m, p=p,
         elements=frozenset(seen),
-        generators=tuple(sorted(comms)),
+        generators=tuple(_serialize(c) for c in comms),
     )
 
 
 def abelianization_dim(tbl: FiniteGroupTable) -> int:
     """log_p of the abelianization order; requires an elementary quotient.
 
-    Checks that the p-th power of every element lands in the commutator
-    subgroup.  A violating element would disprove the graded model, so
-    it is raised with the witness attached.
+    G' comes from `commutator_subgroup`, the normal closure of the
+    generator commutators.  Checks that the p-th power of every element
+    lands in G'.  A violating element would disprove the graded model,
+    so it is raised with the witness attached.
     """
     n, m, p = tbl.n, tbl.m, tbl.p
     derived = commutator_subgroup(tbl)

@@ -103,13 +103,10 @@ def test_criterion_04_skip_example(capsys):
 def test_criterion_05_oracle_certification_sweep():
     t0 = time.monotonic()
     checked = 0
-    for q, radius, include_edges in ((2, 3, True), (3, 2, False)):
+    for n, q, radius in ((3, 2, 3), (3, 3, 2), (3, 3, 3), (4, 2, 2), (4, 3, 1)):
         field = GF(q)
-        verts, edges = standard_ball(3, radius)
-        simplices = [[v] for v in verts]
-        if include_edges:
-            simplices += [list(e) for e in edges]
-        for simplex in simplices:
+        verts, edges = standard_ball(n, radius)
+        for simplex in [[v] for v in verts] + [list(e) for e in edges]:
             prof = bound_profile(simplex)
             gens = profile_generators(prof, field)
             expected_dim = h1_basis(prof).dim
@@ -122,6 +119,7 @@ def test_criterion_05_oracle_certification_sweep():
             assert abelianization_dim(tbl) == expected_dim
             checked += 1
     elapsed = time.monotonic() - t0
+    assert checked == 99
     assert elapsed < 300.0
     _report(5, f"{checked} stabilizer groups certified in {elapsed:.1f}s")
 

@@ -101,6 +101,14 @@ def test_survive_unrealizable(capsys):
     assert "unrealizable" in err
 
 
+@pytest.mark.parametrize("n, bounds", [("3", "1,-1,1"), ("2", "-5")])
+def test_survive_rejects_negative_bounds(capsys, n, bounds):
+    code, out, err = run_cli(capsys, "survive", "--n", n, f"--bounds={bounds}")
+    assert code == 2
+    assert "non-negative" in err
+    assert "dimension" not in out
+
+
 def test_oracle_small(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--q", "2", "--radius", "1")
     assert code == 0

@@ -2,10 +2,17 @@ import pytest
 
 from conghom.building import BoundProfile, adjacency, bound_profile, standard_ball
 from conghom.congruence import elementary
-from conghom.errors import OracleLimitError
+from conghom.errors import InvariantError, OracleLimitError
 from conghom.gf import GF
 from conghom.homology import h1_basis
 from conghom.oracle import (
+    FiniteGroupTable,
+    _closure,
+    _deserialize,
+    _serialize,
+    _trunc_identity,
+    _trunc_inverse,
+    _trunc_mul,
     abelianization_dim,
     adjacency_oracle,
     commutator_subgroup,
@@ -69,6 +76,87 @@ def test_commutator_subgroup_112():
 def test_commutator_subgroup_213():
     tbl = _group_for(profile(3, [2, 1, 3]), F2)
     assert commutator_subgroup(tbl).order == 4  # degrees two and three at the corner
+
+
+def _reference_commutator_subgroup(tbl):
+    """Closure of all pairwise commutators; normality is asserted."""
+    n, m, p = tbl.n, tbl.m, tbl.p
+    elems = [_deserialize(raw, n, m) for raw in sorted(tbl.elements)]
+    inv = {_serialize(x): _trunc_inverse(x, n, m, p) for x in elems}
+
+    comms = set()
+    for x in elems:
+        xi = inv[_serialize(x)]
+        for y in elems:
+            yi = inv[_serialize(y)]
+            c = _trunc_mul(_trunc_mul(x, y, n, m, p),
+                           _trunc_mul(xi, yi, n, m, p), n, m, p)
+            comms.add(_serialize(c))
+
+    gens = [_deserialize(raw, n, m) for raw in sorted(comms)]
+    seen = {_serialize(_trunc_identity(n, m))}
+    frontier = [_trunc_identity(n, m)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _trunc_mul(x, g, n, m, p)
+                raw = _serialize(y)
+                if raw not in seen:
+                    seen.add(raw)
+                    nxt.append(y)
+        frontier = nxt
+
+    for raw in tbl.elements:
+        g = _deserialize(raw, n, m)
+        gi = inv.get(raw) or _trunc_inverse(g, n, m, p)
+        for hraw in seen:
+            h = _deserialize(hraw, n, m)
+            conj = _trunc_mul(_trunc_mul(g, h, n, m, p), gi, n, m, p)
+            if _serialize(conj) not in seen:
+                raise InvariantError("commutator subgroup is not normal")
+
+    return FiniteGroupTable(
+        n=n, m=m, p=p,
+        elements=frozenset(seen),
+        generators=tuple(sorted(comms)),
+    )
+
+
+def test_commutator_subgroup_matches_all_pairs_reference():
+    checked = 0
+    for n, q, radius in ((3, 2, 2), (4, 2, 1), (2, 3, 4), (2, 5, 3), (3, 3, 2)):
+        field = GF(q)
+        verts, edges = standard_ball(n, radius)
+        for simplex in [[v] for v in verts] + [list(e) for e in edges]:
+            prof = bound_profile(simplex)
+            if not profile_generators(prof, field):
+                continue
+            tbl = _group_for(prof, field)
+            derived = commutator_subgroup(tbl)
+            assert derived.elements == _reference_commutator_subgroup(tbl).elements, (
+                n, q, simplex)
+            checked += 1
+    assert checked == 42
+
+
+@pytest.mark.parametrize("q, order, derived_order, unconjugated_order",
+                         [(2, 64, 8, 4), (3, 729, 27, 9)])
+def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
+                                               unconjugated_order):
+    # <I+tE12, I+tE23, I+tE34> mod t^4: the generator commutators
+    # I+t^2E13 and I+t^2E24 close to an abelian group of order q^2 that is
+    # not normal; conjugating by g3 or g1 adds the corner I+t^3E14.
+    field = GF(q)
+    gens = [elementary(i, i + 1, Poly.monomial(field, 1), 4) for i in (1, 2, 3)]
+    tbl = generate_group(gens, m=4)
+    assert tbl.order == order
+    derived = commutator_subgroup(tbl)
+    assert derived.order == derived_order
+    if q == 2:  # the all-pairs reference needs |G|^2 products: minutes at 729
+        assert derived.elements == _reference_commutator_subgroup(tbl).elements
+    comms = [_deserialize(raw, 4, 4) for raw in derived.generators]
+    assert len(_closure(comms, [], 4, 4, q, tbl.order)) == unconjugated_order
 
 
 def test_abelianization_dims():

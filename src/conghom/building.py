@@ -1,15 +1,15 @@
-"""The standard wedge, flag translates, and the deduplicated complex Z_R.
+"""The standard wedge, flag translates, and the complex Z_R.
 
 Standard vertices are weakly decreasing exponent tuples (r_1, ...,
 r_{n-1}) with an implicit trailing 0.  The radius-R slice of the
 fundamental domain is the union of the translates of the truncated
 wedge by one constant matrix per full flag of F_q^n.  The translate of
 a wedge vertex r by a flag matrix s depends only on r and on the
-partial flag of F_q^n that s cuts out at the breaks of r, so translates
-are deduplicated, keyed and ordered by that partial flag, written as
-RREF column spans.  Canonical HNF lattice labels are computed only on
-export (order_by_label), to name the vertices of Z_R and fix the
-published order.
+partial flag of F_q^n that s cuts out at the breaks of r, so Z_R takes
+one canonical flag per partial flag, and keys and orders translates by
+that partial flag, written as RREF column spans.  Canonical HNF lattice
+labels are computed only on export (order_by_label), to name the
+vertices of Z_R and fix the published order.
 """
 
 from __future__ import annotations
@@ -157,7 +157,12 @@ def enumerate_flag_reps(n: int, field: GF) -> list[DenseMatrix]:
     at the rows r > w(k) not already used by w(0), ..., w(k-1), and the
     last column is e_w(n-1), signed so that the determinant is 1.  The
     cells together hold [n]_q! = (1)(1+q)...(1+q+...+q^(n-1)) flags,
-    each exactly once, and the list is sorted by column tuples.
+    each exactly once, and the list is sorted by column tuples.  The
+    coset w W_B of the Young subgroup of a break set B has a unique
+    longest element, the one decreasing inside every block of B
+    (Bjorner-Brenti, GTM 231, 2.4), so the flags whose ascents
+    (w(k-1) < w(k), k in 1..n-1) lie in B are one per partial flag of
+    type B.
     """
     p = field.p
     reps: list[DenseMatrix] = []
@@ -188,9 +193,10 @@ def vertex_label(s: DenseMatrix, r: Vertex) -> CanonicalLabel:
     normalizes the stabilizer attached to r.  Labels therefore identify
     translated vertices exactly when their stabilizers in the
     congruence kernel agree.  The label costs an n! cofactor
-    determinant and a polynomial HNF, so build_Z identifies translates
-    by partial_flag_keys instead, and only order_by_label calls this,
-    once per vertex, to name the vertices on export.
+    determinant and a polynomial HNF, so build_Z keys the translates of
+    one canonical flag per partial flag by partial_flag_keys instead,
+    and only order_by_label calls this, once per vertex, to name the
+    vertices on export.
     """
     field = s.field
     n = s.rows
@@ -273,14 +279,14 @@ class EdgeRep:
 
 @dataclass
 class ComplexZ:
-    """Deduplicated 1-skeleton of the radius-R fundamental-domain slice."""
+    """1-skeleton of the radius-R fundamental-domain slice, one entry per partial flag."""
 
     n: int
     q: int
     radius: int
     field: GF
-    vertices: dict  # partial-flag key -> VertexRep
-    edges: dict     # (key, key) -> EdgeRep
+    vertices: dict  # partial-flag key -> VertexRep of its canonical flag
+    edges: dict     # (key, key), the vertex dict's key objects -> EdgeRep
 
     def origin_key(self):
         """Key of the break-free vertex: the origin, fixed by every flag."""
@@ -289,52 +295,66 @@ class ComplexZ:
 
 def build_Z(n: int, q: int, radius: int,
             flag_reps: list[DenseMatrix] | None = None) -> ComplexZ:
-    """Union of the flag translates of the radius-R wedge, deduplicated.
+    """Union of the flag translates of the radius-R wedge, one per partial flag.
 
-    Translates are deduplicated and keyed by partial flag
-    (partial_flag_keys).  Every retained vertex or edge stores the
-    lexicographically first flag matrix that reaches it, with its
-    standard simplex, so the result is independent of enumeration
-    order.  Both dicts are sorted by key, and each edge is oriented by
-    key order.  The numbers of retained vertices and edges must equal
-    the closed-form partial-flag counts (partial_flag_count) summed over
-    the wedge's vertices and edges; otherwise InvariantError is raised.
+    Of the full flags (flag_reps, default enumerate_flag_reps), a ball
+    vertex or edge of break type B, for an edge the union of its
+    vertices' breaks, is keyed (partial_flag_keys) only by those whose
+    ascents lie in B, one per partial flag of type B, and stores that
+    flag with its standard simplex.  A key reached twice, an edge
+    endpoint that is not a vertex key, or counts other than the wedge's
+    closed-form partial_flag_count sums raise InvariantError.  Both
+    dicts are sorted by key, and each edge is oriented by key order.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
-    flags = flag_reps if flag_reps is not None else enumerate_flag_reps(n, field)
-
+    by_ascents: dict = {}  # ascent set of a flag's Bruhat permutation -> flags
+    for s in flag_reps if flag_reps is not None else enumerate_flag_reps(n, field):
+        w = [next(r for r in range(n) if s.entries[r * n + k]) for k in range(n)]
+        by_ascents.setdefault(frozenset(k for k in range(1, n) if w[k - 1] < w[k]), []).append(s)
     spans: dict = {}
-    best_v: dict = {}  # partial-flag key -> first flag
-    best_e: dict = {}  # (key, key) in wedge order -> first flag
-    for s in flags:
-        keys = partial_flag_keys(s, ball_vertices, spans)
-        for key in keys.values():
-            held = best_v.get(key)
-            if held is None or s.entries < held.entries:
-                best_v[key] = s
-        # one flag maps the wedge injectively, so each pair is met once per flag
-        for ra, rb in ball_edges:
-            pair = (keys[ra], keys[rb])
-            held = best_e.get(pair)
-            if held is None or s.entries < held.entries:
-                best_e[pair] = s
+
+    def canonical(simplices):
+        """(flag, simplex, keys) for each simplex and each flag whose ascents lie in its breaks."""
+        by_type: dict = {}  # break type -> simplices
+        for simplex in simplices:
+            breaks = frozenset(k for r in simplex for k in vertex_breaks(r))
+            by_type.setdefault(breaks, []).append(simplex)
+        for breaks, group in by_type.items():
+            ball = {r for simplex in group for r in simplex}
+            for ascents, flags in by_ascents.items():
+                if ascents <= breaks:
+                    for s in flags:
+                        keys = partial_flag_keys(s, ball, spans)
+                        for simplex in group:
+                            yield s, simplex, keys
+
+    def put(found: dict, key, rep) -> None:
+        if key in found:
+            raise InvariantError(f"{key} is reached by two flags")
+        found[key] = rep
+
+    found_v: dict = {}
+    for s, (r,), keys in canonical([(r,) for r in ball_vertices]):
+        put(found_v, keys[r], VertexRep(flag=s, vertex=r))
+    own = {key: key for key in found_v}  # edges share the vertex dict's key objects
+    found_e: dict = {}
+    for s, simplex, keys in canonical(ball_edges):
+        try:
+            ka, kb = sorted(own[keys[r]] for r in simplex)
+        except KeyError as missing:
+            raise InvariantError(f"edge endpoint {missing} is not a vertex") from None
+        put(found_e, (ka, kb), EdgeRep(flag=s, simplex=(ka[0], kb[0])))
 
     want_v = sum(partial_flag_count(n, q, vertex_breaks(r)) for r in ball_vertices)
     want_e = sum(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
                  for a, b in ball_edges)
-    if (len(best_v), len(best_e)) != (want_v, want_e):
+    if (len(found_v), len(found_e)) != (want_v, want_e):
         raise InvariantError(
-            f"{len(best_v)} vertices and {len(best_e)} edges, but the partial-flag "
+            f"{len(found_v)} vertices and {len(found_e)} edges, but the partial-flag "
             f"counts give {want_v} and {want_e}")
-
-    vertices = {key: VertexRep(flag=best_v[key], vertex=key[0]) for key in sorted(best_v)}
-    edges: dict = {}
-    for pair, s in best_e.items():
-        ka, kb = sorted(pair)
-        edges[(ka, kb)] = EdgeRep(flag=s, simplex=(ka[0], kb[0]))
     return ComplexZ(n=n, q=q, radius=radius, field=field,
-                    vertices=vertices, edges=dict(sorted(edges.items())))
+                    vertices=dict(sorted(found_v.items())), edges=dict(sorted(found_e.items())))
 
 
 def order_by_label(z: ComplexZ) -> tuple[ComplexZ, dict]:

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 from conghom import building, poly
 from conghom.building import (
     BoundProfile,
+    ComplexZ,
+    EdgeRep,
+    VertexRep,
     adjacency,
     bound_profile,
     build_Z,
     enumerate_flag_reps,
     order_by_label,
+    partial_flag_count,
     partial_flag_keys,
     standard_ball,
+    vertex_breaks,
     vertex_label,
 )
 from conghom.cli import main
@@ -236,7 +241,7 @@ def test_build_z_order_invariance():
     other = build_Z(3, 2, 1, flag_reps=shuffled)
     assert set(base.vertices) == set(other.vertices)
     assert set(base.edges) == set(other.edges)
-    # lexicographically-first representatives are order independent too
+    # canonical representatives are order independent too
     for k in base.vertices:
         assert base.vertices[k].flag.entries == other.vertices[k].flag.entries
         assert base.vertices[k].vertex == other.vertices[k].vertex
@@ -247,6 +252,88 @@ def test_build_z_pins_translate_counts_to_partial_flags():
     reps = enumerate_flag_reps(3, F2)
     with pytest.raises(InvariantError, match="15 vertices and 34 edges.* 15 and 35"):
         build_Z(3, 2, 1, flag_reps=reps[:-1])
+
+
+def test_build_z_rejects_partial_flag_reached_twice():
+    reps = enumerate_flag_reps(3, F2)
+    with pytest.raises(InvariantError, match="reached by two flags"):
+        build_Z(3, 2, 1, flag_reps=reps + [reps[0]])
+
+
+def test_build_z_rejects_edge_endpoint_that_is_not_a_vertex():
+    # reps[0] is the one flag with no ascent, so without it the origin is no vertex,
+    # while the flags of the 14 edges at the origin still reach its key
+    reps = enumerate_flag_reps(3, F2)
+    assert _ascents(reps[0]) == frozenset()
+    with pytest.raises(InvariantError, match=r"edge endpoint \(\(0, 0\), \(\)\) is not a vertex"):
+        build_Z(3, 2, 1, flag_reps=reps[1:])
+
+
+def _ascents(s):
+    """Ascents of the Bruhat permutation w of s, w(k) the first nonzero row of column k."""
+    w = [next(i for i, v in enumerate(s.col(k)) if v) for k in range(s.cols)]
+    return frozenset(k for k in range(1, len(w)) if w[k - 1] < w[k])
+
+
+def _vertex_of_type(n, breaks):
+    """The standard vertex whose breaks are exactly `breaks`."""
+    return tuple(sum(1 for b in breaks if b >= k) for k in range(1, n))
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (5, 2)])
+def test_ascent_rule_picks_one_flag_per_partial_flag(n, q):
+    # for every break type B, the flags whose ascents lie in B are one per partial flag
+    types = {_vertex_of_type(n, b): b for size in range(n) for b in combinations(range(1, n), size)}
+    chosen = {r: 0 for r in types}
+    keys = {r: set() for r in types}
+    spans = {}
+    for s in _flag_reps(n, q):
+        ascents = _ascents(s)
+        mine = [r for r, breaks in types.items() if ascents <= set(breaks)]
+        for r, key in partial_flag_keys(s, mine, spans).items():
+            chosen[r] += 1
+            keys[r].add(key)
+    for r, breaks in types.items():
+        assert vertex_breaks(r) == breaks
+        assert len(keys[r]) == chosen[r] == partial_flag_count(n, q, breaks)
+
+
+def _full_flag_build_z(n, q, radius):
+    """Z_R from every full flag times every ball simplex, keeping the lexicographically
+    first flag that reaches each partial-flag key."""
+    field = GF(q)
+    ball_vertices, ball_edges = standard_ball(n, radius)
+    best_v = {}
+    best_e = {}
+    for s in enumerate_flag_reps(n, field):
+        keys = partial_flag_keys(s, ball_vertices)
+        for key in keys.values():
+            held = best_v.get(key)
+            if held is None or s.entries < held.entries:
+                best_v[key] = s
+        for ra, rb in ball_edges:
+            pair = tuple(sorted((keys[ra], keys[rb])))
+            held = best_e.get(pair)
+            if held is None or s.entries < held.entries:
+                best_e[pair] = s
+    vertices = {key: VertexRep(flag=best_v[key], vertex=key[0]) for key in sorted(best_v)}
+    edges = {(ka, kb): EdgeRep(flag=best_e[(ka, kb)], simplex=(ka[0], kb[0]))
+             for ka, kb in sorted(best_e)}
+    return ComplexZ(n=n, q=q, radius=radius, field=field, vertices=vertices, edges=edges)
+
+
+@pytest.mark.parametrize("n,q,radius", [(3, 2, 3), (3, 3, 4), (4, 2, 2), (4, 3, 1)])
+def test_build_z_matches_full_flag_reference(n, q, radius):
+    z = build_Z(n, q, radius)
+    ref = _full_flag_build_z(n, q, radius)
+    assert list(z.vertices) == list(ref.vertices)
+    assert list(z.edges) == list(ref.edges)
+    if q == 2:
+        # over F_2 the canonical flag is the lexicographically first one, so the
+        # complexes are equal, flags included, and so are their h0_dimension reports
+        assert z == ref
+    else:
+        assert h0_dimension(z).to_dict() == h0_dimension(ref).to_dict()
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -301,30 +388,34 @@ def _reference_build_z(n, q, radius):
     """build_Z's vertices and edges, keyed by the HNF label of every (flag, ball vertex) pair.
 
     Vertices map a label key to (label, flag, wedge vertex), edges a
-    label-key pair to (flag, simplex aligned with the pair).
+    label-key pair to (flag, simplex aligned with the pair).  Each keeps
+    the flag whose ascents lie in the simplex's breaks.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
+    wedge = {}  # label key -> wedge vertex
     best_v = {}
     best_e = {}
     for s in enumerate_flag_reps(n, field):
+        ascents = _ascents(s)
         labels = {r: vertex_label(s, r) for r in ball_vertices}
         keys = {r: lbl.key() for r, lbl in labels.items()}
         for r in ball_vertices:
-            held = best_v.get(keys[r])
-            if held is not None and held[1] != r:
+            if wedge.setdefault(keys[r], r) != r:
                 raise InvariantError("vertex label does not match its wedge coordinates")
-            if held is None or s.entries < held[0].entries:
+            if ascents <= set(vertex_breaks(r)):
+                assert keys[r] not in best_v
                 best_v[keys[r]] = (s, r, labels[r])
         for (ra, rb) in ball_edges:
+            if not ascents <= set(vertex_breaks(ra)) | set(vertex_breaks(rb)):
+                continue
             ka, kb = keys[ra], keys[rb]
             if ka < kb:
                 pair, simplex = (ka, kb), (ra, rb)
             else:
                 pair, simplex = (kb, ka), (rb, ra)
-            held = best_e.get(pair)
-            if held is None or (s.entries, simplex) < (held[0].entries, held[1]):
-                best_e[pair] = (s, simplex)
+            assert pair not in best_e
+            best_e[pair] = (s, simplex)
     vertices = {k: (cand[2], cand[0], cand[1]) for k, cand in sorted(best_v.items())}
     edges = {k: (cand[0], cand[1]) for k, cand in sorted(best_e.items())}
     return vertices, edges

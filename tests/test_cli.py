@@ -162,7 +162,7 @@ def test_export_golden(tmp_path, capsys):
     (3, 2, 1, "3d9f4ccb5fefd2ce9f243d4ae2339cb18bf832d90e388988202303d715d1875d",
      "ec04e83fb8f0abc112ea2d78c75b06416085e8f08ced7b88ea2f68583c15a070"),
     (3, 3, 2, "2f1659d4d7e0768d06e68111480d437ab20954bca038685e9aeb5182a4859f32",
-     "fc42feaf450c82b04ca85bd9bd881c8d9d11b7ed01a3279a11c57aada43c5f00"),
+     "324e57ec432a92c96c9ba89d152f3acd9efb082ba06b0c1e58c1d5f3c8835ef6"),
     (4, 2, 1, "2b88895e6fb1c33b15deda486ecdda0c3d2477ce46fbd3ea65b8c6722ad4fdd9",
      "9056c6b61c05d1de35903fc5af487d80422db395cd19e137910eabfd40818e37"),
 ])

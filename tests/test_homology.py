@@ -223,7 +223,8 @@ def _reference_inclusion(edge_rep, vertex_rep):
 def test_assembled_column_weight_radius_two():
     # through radius 2 every edge class lands in at least one endpoint, and
     # every constant-matrix inclusion matches the polynomial reference
-    for z in (build_Z(3, 2, 2), build_Z(3, 3, 1), build_Z(4, 2, 1)):
+    for z in (build_Z(3, 2, 2), build_Z(3, 3, 1), build_Z(4, 2, 1), build_Z(3, 3, 2),
+              build_Z(3, 7, 1)):
         for pair, erep in z.edges.items():
             basis = h1_basis(bound_profile(list(erep.simplex)))
             if basis.dim == 0:

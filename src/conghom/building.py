@@ -103,12 +103,12 @@ class BoundProfile:
     def from_upper_bounds(cls, n: int, values: list[int]) -> "BoundProfile":
         """Build from explicit upper-triangle caps.
 
-        Values are ordered by column distance then row: (1,2), (2,3),
-        ..., (n-1,n), (1,3), ..., (1,n).  Below-diagonal caps are zero.
+        Values are in root_order: (1,2), (2,3), ..., (n-1,n), (1,3),
+        ..., (1,n).  Below-diagonal caps are zero.
         Upper caps of standard simplices are minima of r_i - r_j >= 0, so a
         negative value is rejected.
         """
-        pairs = [(i, i + d) for d in range(1, n) for i in range(1, n - d + 1)]
+        pairs = root_order(n)
         if len(values) != len(pairs):
             raise ValueError(f"expected {len(pairs)} bounds for n={n}")
         if any(v < 0 for v in values):

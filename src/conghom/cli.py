@@ -203,8 +203,6 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error("radius must be at least 1")
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4

@@ -42,28 +42,10 @@ class GF:
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("division by zero in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def elements(self) -> range:
-        return range(self.p)
 
 
 def _check_same_field(a: "GF", b: "GF") -> None:
@@ -256,37 +238,46 @@ def inverse(m: DenseMatrix) -> DenseMatrix:
 
 
 class SparseMatrix:
-    """Sparse matrix stored as (row, col) -> nonzero residue triples."""
+    """Sparse matrix stored by rows: row -> {col: nonzero residue}.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    Built from (row, col, value) triples; values are reduced mod p, and
+    an index out of bounds, a zero residue or a repeated (row, col)
+    raises ValueError.  Rows without entries are not stored.  triples()
+    lists the entries in (row, col) order.
+    """
+
+    __slots__ = ("field", "rows", "cols", "by_row")
 
     def __init__(self, field: GF, rows: int, cols: int,
                  triples: Iterable[tuple[int, int, int]] = ()) -> None:
         self.field = field
         self.rows = rows
         self.cols = cols
-        data: dict[tuple[int, int], int] = {}
+        by_row: dict[int, dict[int, int]] = {}
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"index ({r}, {c}) out of bounds")
             v %= field.p
             if v == 0:
                 raise ValueError("stored values must be nonzero")
-            if (r, c) in data:
+            row = by_row.setdefault(r, {})
+            if c in row:
                 raise ValueError(f"duplicate entry at ({r}, {c})")
-            data[(r, c)] = v
-        self.data = data
+            row[c] = v
+        self.by_row = by_row
 
     def triples(self) -> list[tuple[int, int, int]]:
-        return sorted((r, c, v) for (r, c), v in self.data.items())
+        return [(r, c, v) for r in sorted(self.by_row)
+                for c, v in sorted(self.by_row[r].items())]
 
     def nnz(self) -> int:
-        return len(self.data)
+        return sum(len(row) for row in self.by_row.values())
 
     def densify(self) -> DenseMatrix:
         ent = [0] * (self.rows * self.cols)
-        for (r, c), v in self.data.items():
-            ent[r * self.cols + c] = v
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                ent[r * self.cols + c] = v
         return DenseMatrix(self.field, self.rows, self.cols, ent)
 
 
@@ -306,15 +297,16 @@ def sparse_rank(m: SparseMatrix) -> int:
     are dropped.  Choosing a pivot costs O(log h) per popped entry for
     a heap of h entries, plus one pass over the pivot row, instead of a
     scan over every live nonzero; the updates dominate the total.
-    Agrees with rref on the densified matrix.
+    Eliminates on a copy of m's rows, so m is left unchanged.  Agrees
+    with rref on the densified matrix.
     """
     field = m.field
     p = field.p
-    rows: dict[int, dict[int, int]] = {}
+    rows = {r: dict(row) for r, row in m.by_row.items()}
     col_members: dict[int, set[int]] = {}
-    for (r, c), v in m.data.items():
-        rows.setdefault(r, {})[c] = v
-        col_members.setdefault(c, set()).add(r)
+    for r, row in rows.items():
+        for c in row:
+            col_members.setdefault(c, set()).add(r)
 
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)

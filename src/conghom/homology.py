@@ -12,7 +12,7 @@ bilinear cross term of a product lands in a killed degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .building import (
@@ -166,18 +166,28 @@ def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
     translates share a label; otherwise ValueError.  M must be supported
     on {a < b, b_ab >= d} of the vertex profile; failure means the
     representatives do not name the same simplices and is reported as
-    an invariant violation.
+    an invariant violation.  Built from the _inclusion entries that
+    assemble_boundary places, so the tests hold the boundary to these
+    blocks and these blocks to the GroupElement route.
     """
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep
     w = gf_inverse(s_v) @ s_e
-    return _inclusion(w, gf_inverse(w), simplex, h1_basis(bound_profile(list(simplex))),
-                      rv, h1_basis(bound_profile([rv])))
+    edge_basis = h1_basis(bound_profile(list(simplex)))
+    vert_basis = h1_basis(bound_profile([rv]))
+    entries = _inclusion(w, gf_inverse(w), simplex, edge_basis, rv, vert_basis)
+    return SparseMatrix(w.field, vert_basis.dim, edge_basis.dim, entries).densify()
 
 
 def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex],
-               edge_basis: H1Basis, rv: Vertex, vert_basis: H1Basis) -> DenseMatrix:
-    """edge_inclusion for a given W = s_v^-1 s_e, its inverse and both bases."""
+               edge_basis: H1Basis, rv: Vertex, vert_basis: H1Basis
+               ) -> list[tuple[int, int, int]]:
+    """Nonzero entries (vertex slot, edge slot, value) of edge_inclusion.
+
+    Takes W = s_v^-1 s_e, its inverse and both bases.  The value at
+    vertex slot (a, b, d) and edge slot (i, j, d) is M[a][b] of
+    M = W E_ij W^-1; slots of different degrees are not listed.
+    """
     n = w.rows
     p = w.field.p
     exps = tuple(rv) + (0,)
@@ -186,18 +196,20 @@ def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex
     ):
         raise ValueError("vertex is not an endpoint of the edge")
     caps = vert_basis.profile.b
-    cols = []
-    for s in edge_basis.slots:
+    entries = []
+    for col, s in enumerate(edge_basis.slots):
         wcol = w.col(s.i - 1)
         wrow = w_inv.row(s.j - 1)
         for a in range(n):
             for b in range(n):
                 if wcol[a] and wrow[b] and (a >= b or caps[(a + 1, b + 1)] < s.degree):
                     raise InvariantError("representative inconsistency")
-        cols.append([wcol[v.i - 1] * wrow[v.j - 1] % p if v.degree == s.degree else 0
-                     for v in vert_basis.slots])
-    ent = [col[a] for a in range(vert_basis.dim) for col in cols]
-    return DenseMatrix(w.field, vert_basis.dim, edge_basis.dim, ent)
+        for row, v in enumerate(vert_basis.slots):
+            if v.degree == s.degree:
+                value = wcol[v.i - 1] * wrow[v.j - 1] % p
+                if value:
+                    entries.append((row, col, value))
+    return entries
 
 
 @dataclass(frozen=True)
@@ -210,16 +222,16 @@ class BlockIndex:
     dim_c1: int
 
 
-def assemble_boundary(z: ComplexZ, flip_orientation: bool = False
-                      ) -> tuple[SparseMatrix, BlockIndex]:
+def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
     """Boundary map from edge coefficients to vertex coefficients.
 
     Rows are the concatenated vertex slot bases in the order of
     z.vertices (the origin contributes none); columns the edge bases in
     the order of z.edges.  Each edge column is the inclusion into the
     first endpoint of its key pair, the key-smaller one for build_Z,
-    minus the inclusion into the second.  Over GF(2) the sign vanishes, and
-    in general flipping it leaves the rank and cokernel unchanged.
+    minus the inclusion into the second, so the key-pair order is the
+    edge's orientation.  The _inclusion entries are offset, signed and
+    stored straight into the SparseMatrix rows.
     """
     field = z.field
     vertex_blocks = []
@@ -248,23 +260,18 @@ def assemble_boundary(z: ComplexZ, flip_orientation: bool = False
     triples = []
     edge_blocks = []
     off = 0
-    sign_first, sign_second = (1, -1) if not flip_orientation else (-1, 1)
     for pair, erep in z.edges.items():
         basis = basis_of(erep.simplex)
         edge_blocks.append((pair, off, basis))
         if basis.dim:
-            for key, sign in ((pair[0], sign_first), (pair[1], sign_second)):
+            for key, sign in ((pair[0], 1), (pair[1], -1)):
                 vrep = z.vertices[key]
                 w = inverse_of(vrep.flag) @ erep.flag
                 w_inv = inverse_of(erep.flag) @ vrep.flag
-                mat = _inclusion(w, w_inv, erep.simplex, basis,
-                                 vrep.vertex, basis_of((vrep.vertex,)))
                 r0 = row_offset[key]
-                for a in range(mat.rows):
-                    for b in range(mat.cols):
-                        v = (sign * mat.get(a, b)) % field.p
-                        if v:
-                            triples.append((r0 + a, off + b, v))
+                for a, b, v in _inclusion(w, w_inv, erep.simplex, basis,
+                                          vrep.vertex, basis_of((vrep.vertex,))):
+                    triples.append((r0 + a, off + b, sign * v))
         off += basis.dim
     dim_c1 = off
 
@@ -300,20 +307,7 @@ class HomologyReport:
     counts_note: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "radius": self.radius,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "dim_c0": self.dim_c0,
-            "dim_c1": self.dim_c1,
-            "rank_boundary": self.rank_boundary,
-            "dim_h0": self.dim_h0,
-            "target": self.target,
-            "meets_conjecture": self.meets_conjecture,
-            "counts_note": self.counts_note,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         import json
@@ -321,15 +315,16 @@ class HomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def h0_dimension(z: ComplexZ, flip_orientation: bool = False) -> HomologyReport:
+def h0_dimension(z: ComplexZ) -> HomologyReport:
     """Dimension of the degree-zero homology of the coefficient system on Z_R.
 
-    Equals dim C0 minus the rank of the boundary.  The result can never
-    drop below n^2 - 1: the coefficient classes surject onto the
-    traceless matrices through the depth-one coefficient map, so a
-    smaller value signals a bug and raises.
+    Equals dim C0 minus the rank of the boundary.  Reversing edges only
+    negates their columns, so the result does not depend on the
+    orientation z carries.  It can never drop below n^2 - 1: the
+    coefficient classes surject onto the traceless matrices through the
+    depth-one coefficient map, so a smaller value signals a bug and raises.
     """
-    boundary, index = assemble_boundary(z, flip_orientation=flip_orientation)
+    boundary, index = assemble_boundary(z)
     rank = sparse_rank(boundary)
     dim_h0 = index.dim_c0 - rank
     target = z.n * z.n - 1

@@ -8,8 +8,10 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
-from conghom.building import bound_profile, build_Z, enumerate_flag_reps, standard_ball
+from conghom.building import (EdgeRep, bound_profile, build_Z, enumerate_flag_reps,
+                              standard_ball)
 from conghom.cli import main as cli_main
 from conghom.congruence import (
     GroupElement,
@@ -20,7 +22,7 @@ from conghom.congruence import (
     rho,
 )
 from conghom.gf import GF, DenseMatrix, rref
-from conghom.homology import h0_dimension, h1_basis
+from conghom.homology import assemble_boundary, h0_dimension, h1_basis
 from conghom.oracle import (
     abelianization_dim,
     expected_order_exponent,
@@ -182,9 +184,16 @@ def test_criterion_07_determinism_and_invariance():
     rng.shuffle(shuffled)
     assert h0_dimension(build_Z(3, 2, 1, flag_reps=shuffled)).to_json() == base
 
-    assert h0_dimension(build_Z(3, 2, 1), flip_orientation=True).to_json() == base
+    # every edge reversed: key pair swapped and simplex reversed with it
+    z = build_Z(3, 2, 1)
+    reversed_z = replace(z, edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+                                   for (ka, kb), rep in z.edges.items()})
+    boundary, _ = assemble_boundary(z)
+    reversed_boundary, _ = assemble_boundary(reversed_z)
+    assert reversed_boundary.triples() == [(r, c, -v % 2) for r, c, v in boundary.triples()]
+    assert h0_dimension(reversed_z).to_json() == base
 
-    _report(7, "shuffled flags, flipped orientation: byte-identical")
+    _report(7, "shuffled flags, reversed edges: byte-identical")
 
 
 def test_criterion_08_n2_contrast(capsys):

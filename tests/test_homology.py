@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from conghom.building import (BoundProfile, bound_profile, build_Z, enumerate_flag_reps,
-                              standard_ball, vertex_label)
+from conghom.building import (BoundProfile, EdgeRep, bound_profile, build_Z,
+                              enumerate_flag_reps, standard_ball, vertex_label)
 from conghom.congruence import GroupElement, elementary
 from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
@@ -321,13 +322,39 @@ def test_h0_dimension_f3_note():
     assert "25" in rep.counts_note and "42" in rep.counts_note
 
 
+def _reversed_edges(z):
+    # every edge re-oriented: its key pair swapped and its simplex reversed with it
+    return replace(z, edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+                             for (ka, kb), rep in z.edges.items()})
+
+
 def test_h0_dimension_invariances():
-    base = h0_dimension(build_Z(3, 2, 1)).to_json()
-    flipped = h0_dimension(build_Z(3, 2, 1), flip_orientation=True).to_json()
-    assert flipped == base
-    f3 = h0_dimension(build_Z(3, 3, 1)).to_json()
-    f3_flipped = h0_dimension(build_Z(3, 3, 1), flip_orientation=True).to_json()
-    assert f3_flipped == f3
+    for q in (2, 3):
+        z = build_Z(3, q, 1)
+        reversed_z = _reversed_edges(z)
+        boundary, _ = assemble_boundary(z)
+        reversed_boundary, _ = assemble_boundary(reversed_z)
+        assert reversed_boundary.triples() == [(r, c, -v % q) for r, c, v in boundary.triples()]
+        assert h0_dimension(reversed_z).to_json() == h0_dimension(z).to_json()
+
+
+@pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1)])
+def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
+    # every edge column is +edge_inclusion into the first endpoint of its key
+    # pair and -edge_inclusion into the second, at the BlockIndex offsets
+    z = build_Z(n, q, radius)
+    boundary, index = assemble_boundary(z)
+    row_offset = {key: off for key, off, _ in index.vertex_blocks}
+    expected = []
+    for pair, off, basis in index.edge_blocks:
+        erep = z.edges[pair]
+        for key, sign in ((pair[0], 1), (pair[1], -1)):
+            vrep = z.vertices[key]
+            mat = edge_inclusion((erep.flag, erep.simplex), (vrep.flag, vrep.vertex))
+            assert mat.cols == basis.dim
+            expected += [(row_offset[key] + a, off + b, sign * mat.get(a, b) % q)
+                         for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]
+    assert boundary.triples() == sorted(expected)
 
 
 def test_h0_monotone_in_radius():
@@ -359,14 +386,14 @@ def test_degree_blocks_of_real_boundaries(n, q, radius, h0_by_degree):
     boundary, index = assemble_boundary(build_Z(n, q, radius))
     row_deg = _slot_degrees(index.vertex_blocks)
     col_deg = _slot_degrees(index.edge_blocks)
-    assert all(row_deg[r] == col_deg[c] for r, c in boundary.data)
+    assert all(row_deg[r] == col_deg[c] for r, c, _ in boundary.triples())
 
     h0 = {}
     for d in sorted(set(row_deg)):
         rows = {r: i for i, r in enumerate(r for r, e in enumerate(row_deg) if e == d)}
         cols = {c: i for i, c in enumerate(c for c, e in enumerate(col_deg) if e == d)}
         block = SparseMatrix(boundary.field, len(rows), len(cols),
-                             [(rows[r], cols[c], v) for (r, c), v in boundary.data.items()
+                             [(rows[r], cols[c], v) for r, c, v in boundary.triples()
                               if r in rows])
         rank = sparse_rank(block)
         assert rank == rref(block.densify())[0]

@@ -9,6 +9,7 @@ garbage residues.
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Iterable, Sequence
 
 
@@ -86,17 +87,15 @@ class DenseMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [self.get(i, j) for j in range(self.cols) for i in range(self.rows)],
+            self.field, self.cols, self.rows,
+            [v for j in range(self.cols) for v in self.col(j)],
         )
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -104,12 +103,12 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         p = self.field.p
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.get(k, j) for k in range(self.cols)) % p)
-        return DenseMatrix(self.field, self.rows, other.cols, out)
+        rows = [self.row(i) for i in range(self.rows)]
+        cols = [other.col(j) for j in range(other.cols)]
+        return DenseMatrix(
+            self.field, self.rows, other.cols,
+            [sum(map(operator.mul, r, c)) % p for r in rows for c in cols],
+        )
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self.mul(other)
@@ -243,7 +242,9 @@ class SparseMatrix:
     Built from (row, col, value) triples; values are reduced mod p, and
     an index out of bounds, a zero residue or a repeated (row, col)
     raises ValueError.  Rows without entries are not stored.  triples()
-    lists the entries in (row, col) order.
+    lists the entries in (row, col) order.  assemble_boundary reuses the
+    memoized entries of each distinct inclusion for every (edge,
+    endpoint) that shares it, offset and signed into these rows.
     """
 
     __slots__ = ("field", "rows", "cols", "by_row")

@@ -20,6 +20,9 @@ from .building import (
     ComplexZ,
     Vertex,
     bound_profile,
+    partial_flag_count,
+    standard_ball,
+    vertex_breaks,
 )
 from .congruence import GroupElement
 from .errors import InvariantError
@@ -166,9 +169,10 @@ def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
     translates share a label; otherwise ValueError.  M must be supported
     on {a < b, b_ab >= d} of the vertex profile; failure means the
     representatives do not name the same simplices and is reported as
-    an invariant violation.  Built from the _inclusion entries that
-    assemble_boundary places, so the tests hold the boundary to these
-    blocks and these blocks to the GroupElement route.
+    an invariant violation.  This is the uncached per-pair route to the
+    _inclusion entries that assemble_boundary memoizes, so the tests
+    hold the boundary to these blocks and these blocks to the
+    GroupElement route.
     """
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep
@@ -186,7 +190,10 @@ def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex
 
     Takes W = s_v^-1 s_e, its inverse and both bases.  The value at
     vertex slot (a, b, d) and edge slot (i, j, d) is M[a][b] of
-    M = W E_ij W^-1; slots of different degrees are not listed.
+    M = W E_ij W^-1; slots of different degrees are not listed.  The
+    result, and whether the endpoint and support checks raise, depend
+    only on (W, simplex, r_v): the bases are those of the simplex and
+    of r_v.  assemble_boundary memoizes it on that key.
     """
     n = w.rows
     p = w.field.p
@@ -212,6 +219,22 @@ def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex
     return entries
 
 
+def closed_form_dims(n: int, q: int, radius: int) -> tuple[int, int]:
+    """dim C0 and dim C1 of Z_R, from the ball alone.
+
+    Each ball simplex of break type B has partial_flag_count(n, q, B)
+    translates in Z_R, and each carries the H1 basis of the simplex's
+    profile, so the dimensions are the sums of count times basis
+    dimension over the ball's vertices and over its edges.
+    """
+    verts, edges = standard_ball(n, radius)
+    dim_c0 = sum(partial_flag_count(n, q, vertex_breaks(r)) * h1_basis(bound_profile([r])).dim
+                 for r in verts)
+    dim_c1 = sum(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
+                 * h1_basis(bound_profile([a, b])).dim for a, b in edges)
+    return dim_c0, dim_c1
+
+
 @dataclass(frozen=True)
 class BlockIndex:
     """Row and column layout of the assembled boundary matrix."""
@@ -230,8 +253,16 @@ def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
     the order of z.edges.  Each edge column is the inclusion into the
     first endpoint of its key pair, the key-smaller one for build_Z,
     minus the inclusion into the second, so the key-pair order is the
-    edge's orientation.  The _inclusion entries are offset, signed and
-    stored straight into the SparseMatrix rows.
+    edge's orientation.
+
+    Each (edge, endpoint) costs one product W = s_v^-1 s_e, with s_v^-1
+    cached per flag.  The _inclusion entries are memoized on
+    (W entries, edge simplex, r_v), which fixes both bases, so only the
+    few distinct inclusions are computed, each with W^-1 formed only
+    then; a key whose inclusion raises is never stored, so every pair
+    passes the endpoint and support checks.  The entries are offset,
+    signed and stored straight into the SparseMatrix rows.  Dimensions
+    other than closed_form_dims raise InvariantError.
     """
     field = z.field
     vertex_blocks = []
@@ -239,6 +270,7 @@ def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
     off = 0
     bases = {}
     inverses = {}
+    inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
 
     def basis_of(simplex) -> H1Basis:
         if simplex not in bases:
@@ -267,14 +299,22 @@ def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
             for key, sign in ((pair[0], 1), (pair[1], -1)):
                 vrep = z.vertices[key]
                 w = inverse_of(vrep.flag) @ erep.flag
-                w_inv = inverse_of(erep.flag) @ vrep.flag
+                memo = (w.entries, erep.simplex, vrep.vertex)
+                entries = inclusions.get(memo)
+                if entries is None:
+                    entries = inclusions[memo] = _inclusion(
+                        w, gf_inverse(w), erep.simplex, basis,
+                        vrep.vertex, basis_of((vrep.vertex,)))
                 r0 = row_offset[key]
-                for a, b, v in _inclusion(w, w_inv, erep.simplex, basis,
-                                          vrep.vertex, basis_of((vrep.vertex,))):
-                    triples.append((r0 + a, off + b, sign * v))
+                triples += [(r0 + a, off + b, sign * v) for a, b, v in entries]
         off += basis.dim
     dim_c1 = off
 
+    want = closed_form_dims(z.n, z.q, z.radius)
+    if (dim_c0, dim_c1) != want:
+        raise InvariantError(
+            f"C0 and C1 have dimensions {dim_c0} and {dim_c1}, but the partial-flag "
+            f"counts give {want[0]} and {want[1]}")
     index = BlockIndex(
         vertex_blocks=tuple(vertex_blocks),
         edge_blocks=tuple(edge_blocks),

@@ -109,6 +109,24 @@ def test_det_and_inverse():
                 assert m @ inverse(m) == DenseMatrix.identity(f, n)
 
 
+def test_product_column_and_transpose_match_entrywise_definitions():
+    rng = random.Random(7)
+    for p in (2, 3, 7):
+        f = GF(p)
+        for _ in range(30):
+            a, b, c = (rng.randrange(0, 5) for _ in range(3))
+            x = DenseMatrix(f, a, b, [rng.randrange(p) for _ in range(a * b)])
+            y = DenseMatrix(f, b, c, [rng.randrange(p) for _ in range(b * c)])
+            assert (x @ y).to_rows() == [
+                [sum(x.get(i, k) * y.get(k, j) for k in range(b)) % p for j in range(c)]
+                for i in range(a)]
+            for j in range(b):
+                assert x.col(j) == tuple(x.get(i, j) for i in range(a))
+            t = x.transpose()
+            assert (t.rows, t.cols) == (b, a)
+            assert all(t.get(j, i) == x.get(i, j) for i in range(a) for j in range(b))
+
+
 def test_sparse_validation():
     f = GF(3)
     with pytest.raises(ValueError):

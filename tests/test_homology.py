@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from conghom.building import (BoundProfile, EdgeRep, bound_profile, build_Z,
+from conghom import homology
+from conghom.building import (BoundProfile, EdgeRep, VertexRep, bound_profile, build_Z,
                               enumerate_flag_reps, standard_ball, vertex_label)
 from conghom.congruence import GroupElement, elementary
 from conghom.errors import InvariantError
@@ -11,6 +12,7 @@ from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
 from conghom.homology import (
     assemble_boundary,
     class_vector,
+    closed_form_dims,
     edge_inclusion,
     h0_dimension,
     h1_basis,
@@ -289,6 +291,64 @@ def test_assemble_boundary_golden_shape():
     # v0-incident edges stay in the tables with empty blocks
     assert len(index.edge_blocks) == 35
     assert sum(1 for _, _, b in index.edge_blocks if b.dim) == 21
+    assert closed_form_dims(3, 2, 1) == (28, 21)
+
+
+def test_assemble_boundary_checks_closed_form_dims():
+    z = build_Z(3, 2, 1)
+    edges = dict(z.edges)
+    del edges[next(pair for pair, rep in z.edges.items()
+                   if h1_basis(bound_profile(list(rep.simplex))).dim)]
+    with pytest.raises(InvariantError, match="partial-flag counts give 28 and 21"):
+        assemble_boundary(replace(z, edges=edges))
+
+
+def _record_inclusions(monkeypatch):
+    # each _inclusion call's (W entries, simplex, r_v), listed before the call runs
+    calls = []
+    real = homology._inclusion
+
+    def recording(w, w_inv, simplex, edge_basis, rv, vert_basis):
+        calls.append((w.entries, simplex, rv))
+        return real(w, w_inv, simplex, edge_basis, rv, vert_basis)
+
+    monkeypatch.setattr(homology, "_inclusion", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n,q,radius,distinct", [
+    (3, 3, 4, 119), (4, 2, 2, 150), (3, 7, 1, 23), (4, 3, 1, 84)])
+def test_assemble_boundary_computes_each_distinct_inclusion_once(monkeypatch, n, q, radius,
+                                                                 distinct):
+    # thousands of (edge, endpoint) pairs share these few inclusions
+    z = build_Z(n, q, radius)
+    calls = _record_inclusions(monkeypatch)
+    assemble_boundary(z)
+    assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("n,q,radius", [(3, 2, 2), (3, 3, 1)])
+def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch, n, q, radius):
+    # give the vertex reached last by a coefficient-bearing edge the flag of
+    # another partial flag of its wedge vertex: its first edge must fail the
+    # endpoint check, although earlier edges cached that simplex and r_v
+    z = build_Z(n, q, radius)
+    first_edge = {}
+    for idx, (pair, rep) in enumerate(z.edges.items()):
+        if h1_basis(bound_profile(list(rep.simplex))).dim:
+            for key in pair:
+                first_edge.setdefault(key, idx)
+    target = max(first_edge, key=first_edge.get)
+    donor = next(key for key in z.vertices if key != target and key[0] == target[0])
+    swapped = replace(z, vertices={**z.vertices,
+                                   target: VertexRep(flag=z.vertices[donor].flag,
+                                                     vertex=target[0])})
+    calls = _record_inclusions(monkeypatch)
+    with pytest.raises(ValueError, match="vertex is not an endpoint of the edge"):
+        assemble_boundary(swapped)
+    failed = calls.pop()
+    assert failed[2] == target[0]
+    assert failed[1:] in {call[1:] for call in calls}
 
 
 def test_assemble_boundary_n2():
@@ -338,7 +398,7 @@ def test_h0_dimension_invariances():
         assert h0_dimension(reversed_z).to_json() == h0_dimension(z).to_json()
 
 
-@pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1)])
+@pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1), (3, 3, 4)])
 def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
     # every edge column is +edge_inclusion into the first endpoint of its key
     # pair and -edge_inclusion into the second, at the BlockIndex offsets

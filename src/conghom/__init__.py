@@ -11,28 +11,17 @@ from .building import (
     standard_ball,
     vertex_label,
 )
-from .congruence import (
-    GroupElement,
-    TracelessMatrix,
-    commutator,
-    elementary,
-    level,
-    reduce_at_zero,
-    rho,
-)
+from .congruence import GroupElement, elementary
 from .errors import InvariantError, OracleLimitError
-from .gf import GF, DenseMatrix, SparseMatrix, det, inverse, rref, sparse_rank
+from .gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
 from .homology import (
     H1Basis,
     HomologyReport,
     WeightSlot,
     assemble_boundary,
-    class_vector,
     edge_inclusion,
     h0_dimension,
     h1_basis,
-    membership,
-    phi_check,
     surviving_degrees,
 )
 from .oracle import (
@@ -57,13 +46,11 @@ from .poly import (
 __all__ = [
     "BoundProfile", "ComplexZ", "adjacency", "bound_profile", "build_Z",
     "enumerate_flag_reps", "standard_ball", "vertex_label",
-    "GroupElement", "TracelessMatrix", "commutator", "elementary", "level",
-    "reduce_at_zero", "rho",
+    "GroupElement", "elementary",
     "InvariantError", "OracleLimitError",
-    "GF", "DenseMatrix", "SparseMatrix", "det", "inverse", "rref", "sparse_rank",
+    "GF", "DenseMatrix", "SparseMatrix", "inverse", "rref", "sparse_rank",
     "H1Basis", "HomologyReport", "WeightSlot", "assemble_boundary",
-    "class_vector", "edge_inclusion", "h0_dimension", "h1_basis",
-    "membership", "phi_check", "surviving_degrees",
+    "edge_inclusion", "h0_dimension", "h1_basis", "surviving_degrees",
     "FiniteGroupTable", "abelianization_dim", "adjacency_oracle",
     "commutator_subgroup", "generate_group", "verify_h1_formula",
     "CanonicalLabel", "Poly", "PolyMatrix", "column_hnf", "lattice_contains",

@@ -1,34 +1,14 @@
-"""Elements of SL_n(F_q[t]) and the depth filtration of its level-t kernel.
+"""Elements of SL_n(F_q[t]) and the elementary matrices that generate groups.
 
-The congruence kernel K consists of the determinant-one polynomial
-matrices that reduce to the identity at t = 0.  Its depth filtration is
-by congruence to the identity modulo t^i; the depth-i coefficient map
-sends such an element to the matrix of its t^i coefficients, which is
-traceless and additive on products.
+A GroupElement is a determinant-one polynomial matrix, checked at
+construction.  The oracle realizes each simplex stabilizer as the group
+generated by the elementaries I + E_ij(a) that its bound profile allows.
 """
 
 from __future__ import annotations
 
-import math
-
-from .errors import InvariantError
-from .gf import GF, DenseMatrix
-from .poly import Poly, PolyMatrix, polymat_adjugate, polymat_det
-
-
-class TracelessMatrix(DenseMatrix):
-    """Square GF(p) matrix with zero trace, checked at construction."""
-
-    def __init__(self, field: GF, n: int, entries) -> None:
-        super().__init__(field, n, n, entries)
-        if self.trace() != 0:
-            raise InvariantError("matrix has nonzero trace")
-
-
-def bracket(x: DenseMatrix, y: DenseMatrix) -> TracelessMatrix:
-    """Commutator bracket x*y - y*x."""
-    d = (x @ y).sub(y @ x)
-    return TracelessMatrix(d.field, d.rows, d.entries)
+from .gf import GF
+from .poly import Poly, PolyMatrix, polymat_det
 
 
 class GroupElement:
@@ -59,18 +39,6 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return self.mul(other)
 
-    def inverse(self) -> "GroupElement":
-        # determinant one, so the adjugate is the exact inverse
-        return GroupElement(polymat_adjugate(self.matrix))
-
-    def conjugate_by(self, s: DenseMatrix) -> "GroupElement":
-        """s * g * s^-1 for a constant determinant-one matrix s."""
-        from .gf import inverse as gf_inverse
-
-        sp = PolyMatrix.from_constant(s)
-        spi = PolyMatrix.from_constant(gf_inverse(s))
-        return GroupElement(sp @ self.matrix @ spi)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupElement) and self.matrix == other.matrix
 
@@ -92,48 +60,3 @@ def elementary(i: int, j: int, a: Poly, n: int) -> GroupElement:
             for r in range(n)]
     rows[i - 1][j - 1] = a
     return GroupElement(PolyMatrix(field, rows))
-
-
-def level(g: GroupElement) -> float:
-    """Largest i with g congruent to the identity mod t^i (inf for identity)."""
-    n = g.n
-    field = g.field
-    best = math.inf
-    one = Poly.one(field)
-    for i in range(n):
-        for j in range(n):
-            e = g.matrix.entries[i][j]
-            d = e - one if i == j else e
-            best = min(best, d.valuation())
-    return best
-
-
-def rho(i: int, g: GroupElement) -> TracelessMatrix:
-    """Depth-i coefficient matrix: the t^i coefficients of g - I.
-
-    Requires level(g) >= i >= 1.  The result is traceless (forced by the
-    determinant) and additive in g on elements of level >= i.
-    """
-    if i < 1:
-        raise ValueError("depth must be at least 1")
-    if level(g) < i:
-        raise ValueError(f"element has level below {i}")
-    n = g.n
-    one = Poly.one(g.field)
-    ent = []
-    for r in range(n):
-        for c in range(n):
-            e = g.matrix.entries[r][c]
-            d = e - one if r == c else e
-            ent.append(d.coefficient(i))
-    return TracelessMatrix(g.field, n, ent)
-
-
-def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    """g h g^-1 h^-1, computed exactly."""
-    return g @ h @ g.inverse() @ h.inverse()
-
-
-def reduce_at_zero(g: GroupElement) -> DenseMatrix:
-    """Constant terms of all entries: the image in SL_n(F_q) at t = 0."""
-    return g.matrix.constant_term()

@@ -102,44 +102,16 @@ class DenseMatrix:
         _check_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        p = self.field.p
         rows = [self.row(i) for i in range(self.rows)]
         cols = [other.col(j) for j in range(other.cols)]
+        # __init__ reduces each sum mod p
         return DenseMatrix(
             self.field, self.rows, other.cols,
-            [sum(map(operator.mul, r, c)) % p for r in rows for c in cols],
+            [sum(map(operator.mul, r, c)) for r in rows for c in cols],
         )
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self.mul(other)
-
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        _check_same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        p = self.field.p
-        return DenseMatrix(
-            self.field, self.rows, self.cols,
-            [(a + b) % p for a, b in zip(self.entries, other.entries)],
-        )
-
-    def sub(self, other: "DenseMatrix") -> "DenseMatrix":
-        _check_same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        p = self.field.p
-        return DenseMatrix(
-            self.field, self.rows, self.cols,
-            [(a - b) % p for a, b in zip(self.entries, other.entries)],
-        )
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.get(i, i) for i in range(self.rows)) % self.field.p
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -189,35 +161,6 @@ def rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
             break
     reduced = DenseMatrix.from_rows(field, a) if m.rows else DenseMatrix(field, 0, m.cols, [])
     return r, reduced, tuple(pivots)
-
-
-def det(m: DenseMatrix) -> int:
-    """Determinant by Gaussian elimination with row swaps."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    field = m.field
-    p = field.p
-    a = m.to_rows()
-    n = m.rows
-    result = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            result = (-result) % p
-        result = (result * a[c][c]) % p
-        inv = field.inv(a[c][c])
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = (a[i][c] * inv) % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-    return result
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:

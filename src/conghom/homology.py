@@ -24,10 +24,8 @@ from .building import (
     standard_ball,
     vertex_breaks,
 )
-from .congruence import GroupElement
 from .errors import InvariantError
-from .gf import DenseMatrix, GF, SparseMatrix, inverse as gf_inverse, sparse_rank
-from .poly import Poly
+from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, sparse_rank
 
 
 class WeightSlot(NamedTuple):
@@ -91,70 +89,6 @@ def h1_basis(profile: BoundProfile) -> H1Basis:
     return H1Basis(profile=profile, slots=slots)
 
 
-def membership(profile: BoundProfile, u: GroupElement) -> bool:
-    """Whether u lies in the bounded unipotent group of the profile."""
-    n = profile.n
-    if u.n != n:
-        return False
-    one = Poly.one(u.field)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e = u.matrix.entries[i - 1][j - 1]
-            if i == j:
-                if e != one:
-                    return False
-            elif i > j:
-                if not e.is_zero():
-                    return False
-            else:
-                if e.is_zero():
-                    continue
-                if e.coefficient(0) != 0:
-                    return False
-                if e.degree > profile.b[(i, j)]:
-                    return False
-    return True
-
-
-def class_vector(basis: H1Basis, u: GroupElement) -> tuple[int, ...]:
-    """Coordinates of the class of u in slot order.
-
-    Reads the coefficient of t^degree off entry (i, j) for each slot.
-    Killed degrees carry no coordinate; the surviving criterion
-    guarantees additivity on products.
-    """
-    if not membership(basis.profile, u):
-        raise ValueError("element lies outside the stabilizer profile")
-    return tuple(
-        u.matrix.entries[s.i - 1][s.j - 1].coefficient(s.degree)
-        for s in basis.slots
-    )
-
-
-def phi_check(profile: BoundProfile, k: int) -> bool:
-    """Whether extracting the whole degree-k coefficient matrix is additive.
-
-    True exactly when degree k survives at every root where it is
-    within the cap; k = 1 always passes since no split of 1 into two
-    positive parts exists.
-    """
-    if k < 1:
-        raise ValueError("degree must be at least 1")
-    if not profile.is_superadditive():
-        raise ValueError("unrealizable profile")
-    for (i, j) in profile.upper_pairs():
-        if profile.b[(i, j)] < k:
-            continue
-        for kk in range(1, profile.n + 1):
-            if kk == i or kk == j:
-                continue
-            bik = profile.b[(i, kk)]
-            bkj = profile.b[(kk, j)]
-            if bik >= 1 and bkj >= 1 and max(1, k - bkj) <= min(bik, k - 1):
-                return False
-    return True
-
-
 def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
                    vertex_rep: tuple[DenseMatrix, Vertex]) -> DenseMatrix:
     """Matrix of the inclusion-induced map on H1, edge into endpoint vertex.
@@ -172,7 +106,7 @@ def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
     an invariant violation.  This is the uncached per-pair route to the
     _inclusion entries that assemble_boundary memoizes, so the tests
     hold the boundary to these blocks and these blocks to the
-    GroupElement route.
+    polynomial conjugation route of tests/reference.py.
     """
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep

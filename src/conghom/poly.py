@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .gf import GF, DenseMatrix, _check_same_field
+from .gf import GF, _check_same_field
 
 
 class Poly:
@@ -71,9 +71,6 @@ class Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other: "Poly") -> "Poly":
         _check_same_field(self.field, other.field)
@@ -190,13 +187,6 @@ class PolyMatrix:
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_constant(cls, m: DenseMatrix) -> "PolyMatrix":
-        if m.rows != m.cols:
-            raise ValueError("only square constant matrices lift")
-        return cls(m.field, [[Poly.const(m.field, m.get(i, j)) for j in range(m.rows)]
-                             for i in range(m.rows)])
-
-    @classmethod
     def diagonal_powers(cls, field: GF, exponents: Sequence[int]) -> "PolyMatrix":
         """diag(t^e1, ..., t^en)."""
         n = len(exponents)
@@ -229,13 +219,6 @@ class PolyMatrix:
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.mul(other)
-
-    def constant_term(self) -> DenseMatrix:
-        """Evaluation at t = 0."""
-        return DenseMatrix(
-            self.field, self.n, self.n,
-            [self.entries[i][j].coefficient(0) for i in range(self.n) for j in range(self.n)],
-        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -274,24 +257,6 @@ def polymat_det(a: PolyMatrix) -> Poly:
     if n == 0:
         return Poly.one(a.field)
     return minor_det(tuple(range(n)), tuple(range(n)))
-
-
-def polymat_adjugate(a: PolyMatrix) -> PolyMatrix:
-    """Adjugate; for determinant-one matrices this is the exact inverse."""
-    n = a.n
-    field = a.field
-    if n == 1:
-        return PolyMatrix(field, [[Poly.one(field)]])
-    out = [[Poly.zero(field)] * n for _ in range(n)]
-    all_rows = tuple(range(n))
-    for i in range(n):
-        rows = all_rows[:i] + all_rows[i + 1:]
-        for j in range(n):
-            cols = all_rows[:j] + all_rows[j + 1:]
-            sub = PolyMatrix(field, [[a.entries[r][c] for c in cols] for r in rows])
-            m = polymat_det(sub)
-            out[j][i] = m if (i + j) % 2 == 0 else -m
-    return PolyMatrix(field, out)
 
 
 def column_hnf(a: PolyMatrix) -> PolyMatrix:
@@ -368,9 +333,6 @@ class CanonicalLabel:
                 out.append(len(e.coeffs))
                 out.extend(e.coeffs)
         return out.hex()
-
-    def pivot_exponents(self) -> tuple[int, ...]:
-        return tuple(self.hnf.entries[i][i].degree for i in range(self.n))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CanonicalLabel) and self.hnf == other.hnf

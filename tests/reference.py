@@ -1,0 +1,239 @@
+"""Slow, independent references that the tests hold the package to.
+
+Nothing here ships: the package never imports this module, and the
+command line never runs it.  It holds
+
+- the paper's filtration identities on the level-t congruence kernel:
+  the level of an element, its depth-i coefficient matrix rho, the Lie
+  bracket and the group commutator, with the traceless matrices they
+  produce;
+- the polynomial routes that the constant-matrix code is checked
+  against: the adjugate inverse, conjugation by a constant flag,
+  membership in a bounded unipotent group and the class vector read
+  off its coefficients;
+- the determinant over GF(p), which checks the flag representatives;
+- the depth-one witness Phi: C0 -> gl_n, whose kernel contains the
+  image of the boundary and whose rank is n^2 - 1, which is why dim H0
+  can never fall below n^2 - 1.
+"""
+
+from __future__ import annotations
+
+import math
+
+from conghom.building import BoundProfile, ComplexZ
+from conghom.congruence import GroupElement
+from conghom.errors import InvariantError
+from conghom.gf import GF, DenseMatrix, SparseMatrix, _check_same_field, inverse as gf_inverse
+from conghom.homology import BlockIndex, H1Basis
+from conghom.poly import Poly, PolyMatrix, polymat_det
+
+
+def add(x: DenseMatrix, y: DenseMatrix) -> DenseMatrix:
+    _check_same_field(x.field, y.field)
+    if (x.rows, x.cols) != (y.rows, y.cols):
+        raise ValueError("shape mismatch")
+    return DenseMatrix(x.field, x.rows, x.cols, [a + b for a, b in zip(x.entries, y.entries)])
+
+
+def sub(x: DenseMatrix, y: DenseMatrix) -> DenseMatrix:
+    _check_same_field(x.field, y.field)
+    if (x.rows, x.cols) != (y.rows, y.cols):
+        raise ValueError("shape mismatch")
+    return DenseMatrix(x.field, x.rows, x.cols, [a - b for a, b in zip(x.entries, y.entries)])
+
+
+def trace(m: DenseMatrix) -> int:
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum(m.get(i, i) for i in range(m.rows)) % m.field.p
+
+
+def det(m: DenseMatrix) -> int:
+    """Determinant by Gaussian elimination with row swaps."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    field = m.field
+    p = field.p
+    a = m.to_rows()
+    n = m.rows
+    result = 1
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if a[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            result = (-result) % p
+        result = (result * a[c][c]) % p
+        inv = field.inv(a[c][c])
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = (a[i][c] * inv) % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return result
+
+
+class TracelessMatrix(DenseMatrix):
+    """Square GF(p) matrix with zero trace, checked at construction."""
+
+    def __init__(self, field: GF, n: int, entries) -> None:
+        super().__init__(field, n, n, entries)
+        if trace(self) != 0:
+            raise InvariantError("matrix has nonzero trace")
+
+
+def bracket(x: DenseMatrix, y: DenseMatrix) -> TracelessMatrix:
+    """Commutator bracket x*y - y*x."""
+    d = sub(x @ y, y @ x)
+    return TracelessMatrix(d.field, d.rows, d.entries)
+
+
+def from_constant(m: DenseMatrix) -> PolyMatrix:
+    """The square constant matrix m as a polynomial matrix."""
+    if m.rows != m.cols:
+        raise ValueError("only square constant matrices lift")
+    return PolyMatrix(m.field, [[Poly.const(m.field, m.get(i, j)) for j in range(m.rows)]
+                                for i in range(m.rows)])
+
+
+def polymat_adjugate(a: PolyMatrix) -> PolyMatrix:
+    """Adjugate; for determinant-one matrices this is the exact inverse."""
+    n = a.n
+    field = a.field
+    if n == 1:
+        return PolyMatrix(field, [[Poly.one(field)]])
+    out = [[Poly.zero(field)] * n for _ in range(n)]
+    all_rows = tuple(range(n))
+    for i in range(n):
+        rows = all_rows[:i] + all_rows[i + 1:]
+        for j in range(n):
+            cols = all_rows[:j] + all_rows[j + 1:]
+            sub_matrix = PolyMatrix(field, [[a.entries[r][c] for c in cols] for r in rows])
+            m = polymat_det(sub_matrix)
+            out[j][i] = m if (i + j) % 2 == 0 else -m
+    return PolyMatrix(field, out)
+
+
+def group_inverse(g: GroupElement) -> GroupElement:
+    # determinant one, so the adjugate is the exact inverse
+    return GroupElement(polymat_adjugate(g.matrix))
+
+
+def conjugate_by(g: GroupElement, s: DenseMatrix) -> GroupElement:
+    """s * g * s^-1 for a constant determinant-one matrix s."""
+    return GroupElement(from_constant(s) @ g.matrix @ from_constant(gf_inverse(s)))
+
+
+def level(g: GroupElement) -> float:
+    """Largest i with g congruent to the identity mod t^i (inf for identity)."""
+    one = Poly.one(g.field)
+    best = math.inf
+    for i in range(g.n):
+        for j in range(g.n):
+            e = g.matrix.entries[i][j]
+            best = min(best, (e - one if i == j else e).valuation())
+    return best
+
+
+def rho(i: int, g: GroupElement) -> TracelessMatrix:
+    """Depth-i coefficient matrix: the t^i coefficients of g - I.
+
+    Requires level(g) >= i >= 1.  The result is traceless (forced by the
+    determinant) and additive in g on elements of level >= i.
+    """
+    if i < 1:
+        raise ValueError("depth must be at least 1")
+    if level(g) < i:
+        raise ValueError(f"element has level below {i}")
+    n = g.n
+    one = Poly.one(g.field)
+    ent = []
+    for r in range(n):
+        for c in range(n):
+            e = g.matrix.entries[r][c]
+            ent.append((e - one if r == c else e).coefficient(i))
+    return TracelessMatrix(g.field, n, ent)
+
+
+def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
+    """g h g^-1 h^-1, computed exactly."""
+    return g @ h @ group_inverse(g) @ group_inverse(h)
+
+
+def membership(profile: BoundProfile, u: GroupElement) -> bool:
+    """Whether u lies in the bounded unipotent group of the profile."""
+    n = profile.n
+    if u.n != n:
+        return False
+    one = Poly.one(u.field)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            e = u.matrix.entries[i - 1][j - 1]
+            if i == j:
+                if e != one:
+                    return False
+            elif i > j:
+                if not e.is_zero():
+                    return False
+            else:
+                if e.is_zero():
+                    continue
+                if e.coefficient(0) != 0:
+                    return False
+                if e.degree > profile.b[(i, j)]:
+                    return False
+    return True
+
+
+def class_vector(basis: H1Basis, u: GroupElement) -> tuple[int, ...]:
+    """Coordinates of the class of u in slot order.
+
+    Reads the coefficient of t^degree off entry (i, j) for each slot.
+    Killed degrees carry no coordinate; the surviving criterion
+    guarantees additivity on products.
+    """
+    if not membership(basis.profile, u):
+        raise ValueError("element lies outside the stabilizer profile")
+    return tuple(
+        u.matrix.entries[s.i - 1][s.j - 1].coefficient(s.degree)
+        for s in basis.slots
+    )
+
+
+def depth_one_witness(z: ComplexZ, index: BlockIndex) -> DenseMatrix:
+    """Phi: C0 -> gl_n as an n^2 x dim C0 matrix, gl_n read row-major.
+
+    Vertex slot (a, b, 1) of v maps to s_v E_ab s_v^-1, the outer
+    product of column a of s_v and row b of s_v^-1; slots of degree
+    two or more map to 0.  An edge slot of degree one goes to
+    s_v W E_ij W^-1 s_v^-1 = s_e E_ij s_e^-1 at both endpoints, so
+    Phi kills every boundary column, and the image is traceless, so
+    its rank is at most n^2 - 1.
+    """
+    n = z.n
+    cols = [(0,) * (n * n)] * index.dim_c0
+    for key, off, basis in index.vertex_blocks:
+        s = z.vertices[key].flag
+        s_inv = gf_inverse(s)
+        for k, slot in enumerate(basis.slots):
+            if slot.degree == 1:
+                cols[off + k] = tuple(x * y for x in s.col(slot.i - 1)
+                                      for y in s_inv.row(slot.j - 1))
+    return DenseMatrix(z.field, index.dim_c0, n * n, [v for c in cols for v in c]).transpose()
+
+
+def witness_defects(phi: DenseMatrix, boundary: SparseMatrix) -> list[int]:
+    """The boundary columns c with phi times column c nonzero, in order."""
+    p = phi.field.p
+    image: dict[int, list[int]] = {}
+    for r, row in boundary.by_row.items():
+        phi_r = phi.col(r)
+        for c, v in row.items():
+            acc = image.get(c, [0] * phi.rows)
+            image[c] = [a + v * x for a, x in zip(acc, phi_r)]
+    return sorted(c for c, acc in image.items() if any(a % p for a in acc))

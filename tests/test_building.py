@@ -26,8 +26,9 @@ from conghom.building import (
 )
 from conghom.cli import main
 from conghom.errors import InvariantError
-from conghom.gf import GF, DenseMatrix, det, rref
+from conghom.gf import GF, DenseMatrix, rref
 from conghom.homology import h0_dimension
+from reference import det
 
 F2 = GF(2)
 F3 = GF(3)

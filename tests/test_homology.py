@@ -11,16 +11,14 @@ from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
 from conghom.homology import (
     assemble_boundary,
-    class_vector,
     closed_form_dims,
     edge_inclusion,
     h0_dimension,
     h1_basis,
-    membership,
-    phi_check,
     surviving_degrees,
 )
 from conghom.poly import Poly, PolyMatrix, lattice_label
+from reference import class_vector, conjugate_by, depth_one_witness, membership, witness_defects
 
 F2 = GF(2)
 F3 = GF(3)
@@ -133,20 +131,6 @@ def test_class_vector_is_homomorphism():
                     assert class_vector(basis, uv) == expected
 
 
-def test_phi_check_examples():
-    # splits allowed everywhere: extracting the full degree-2 coefficient fails
-    assert not phi_check(profile(3, [2, 2, 4]), 2)
-    # n = 2 has no intermediate index, so every depth works
-    p2 = profile(2, [5])
-    for k in range(1, 6):
-        assert phi_check(p2, k)
-    assert phi_check(profile(3, [2, 2, 4]), 1)
-    # depth-1 extraction always works
-    verts, _ = standard_ball(3, 3)
-    for v in verts:
-        assert phi_check(bound_profile([v]), 1)
-
-
 def test_edge_inclusion_identity_flags():
     ident = DenseMatrix.identity(F2, 3)
     mat = edge_inclusion((ident, ((1, 0), (1, 1))), (ident, (1, 0)))
@@ -217,7 +201,7 @@ def _reference_inclusion(edge_rep, vertex_rep):
     vert_basis = h1_basis(bound_profile([rv]))
     cols = []
     for s in h1_basis(bound_profile(list(simplex))).slots:
-        u = elementary(s.i, s.j, Poly.monomial(field, s.degree), n).conjugate_by(w)
+        u = conjugate_by(elementary(s.i, s.j, Poly.monomial(field, s.degree), n), w)
         assert membership(vert_basis.profile, u)
         cols.append(class_vector(vert_basis, u))
     return [[col[a] for col in cols] for a in range(vert_basis.dim)]
@@ -415,6 +399,19 @@ def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
             expected += [(row_offset[key] + a, off + b, sign * mat.get(a, b) % q)
                          for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]
     assert boundary.triples() == sorted(expected)
+
+
+@pytest.mark.parametrize("n,q,radius", [(3, 2, 1), (3, 3, 2), (3, 3, 4), (4, 2, 2), (3, 7, 1),
+                                         (4, 3, 1), (2, 3, 3)])
+def test_depth_one_witness_certifies_the_floor(n, q, radius):
+    # Phi kills every boundary column and has rank n^2 - 1, so
+    # rank boundary <= dim C0 - (n^2 - 1): the floor as a fact of this matrix
+    z = build_Z(n, q, radius)
+    boundary, index = assemble_boundary(z)
+    phi = depth_one_witness(z, index)
+    assert (phi.rows, phi.cols) == (n * n, index.dim_c0)
+    assert witness_defects(phi, boundary) == []
+    assert rref(phi)[0] == n * n - 1
 
 
 def test_h0_monotone_in_radius():

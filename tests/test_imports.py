@@ -1,0 +1,70 @@
+"""The package holds only what its commands run.
+
+The compute path stays free of the polynomial group code, and the
+slow references and the filtration identities live in tests/reference.py,
+not in the package or its exports.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import conghom
+from conghom.congruence import GroupElement
+from conghom.gf import DenseMatrix
+from conghom.poly import CanonicalLabel, Poly, PolyMatrix
+
+MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
+                    "reduce_at_zero", "polymat_adjugate", "membership", "class_vector",
+                    "phi_check", "det")
+METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
+                            (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
+                            (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
+                            (DenseMatrix, "is_zero"), (CanonicalLabel, "pivot_exponents"),
+                            (Poly, "is_monic"))
+
+
+def _package_imports(module: str) -> set[str]:
+    """Names of the conghom modules that src/conghom/<module>.py imports from."""
+    tree = ast.parse((Path(conghom.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "conghom":
+                continue
+            inner = parts[1:] if node.level == 0 else parts
+            if inner and inner[0]:
+                found.add(inner[0])
+            else:  # from . import x, or from conghom import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "conghom" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_compute_path_imports_no_group_code():
+    # the parser sees the imports that are there
+    assert {"building", "gf"} <= _package_imports("homology")
+    assert "poly" in _package_imports("congruence")
+    for module in ("gf", "homology"):
+        assert not _package_imports(module) & {"congruence", "poly"}, module
+    for module in ("cli", "building"):
+        assert "congruence" not in _package_imports(module), module
+
+
+def test_exports_resolve_and_omit_test_references():
+    for name in conghom.__all__:
+        assert getattr(conghom, name) is not None, name
+    modules = [importlib.import_module(f"conghom.{m.name}")
+               for m in pkgutil.iter_modules(conghom.__path__) if m.name != "__main__"]
+    for name in MOVED_OR_DELETED:
+        assert name not in conghom.__all__
+        for module in [conghom] + modules:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for cls, name in METHODS_MOVED_OR_DELETED:
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"

@@ -8,7 +8,6 @@ garbage residues.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from typing import Iterable, Sequence
 
@@ -185,9 +184,8 @@ class SparseMatrix:
     Built from (row, col, value) triples; values are reduced mod p, and
     an index out of bounds, a zero residue or a repeated (row, col)
     raises ValueError.  Rows without entries are not stored.  triples()
-    lists the entries in (row, col) order.  assemble_boundary reuses the
-    memoized entries of each distinct inclusion for every (edge,
-    endpoint) that shares it, offset and signed into these rows.
+    lists the entries in (row, col) order.  The boundary is stored this
+    way only for export and the tests; its rank is taken column by column.
     """
 
     __slots__ = ("field", "rows", "cols", "by_row")
@@ -225,62 +223,47 @@ class SparseMatrix:
         return DenseMatrix(self.field, self.rows, self.cols, ent)
 
 
-def sparse_rank(m: SparseMatrix) -> int:
-    """Rank by sparse elimination with a lazy heap of pivot rows.
+def reduce_columns(field: GF, columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Column reduction into a basis keyed by pivot row.
 
-    The pivot row is the live row with the fewest nonzeros, ties broken
-    on the smaller row index; within it the pivot column is the one
-    with the fewest live rows, ties broken on the smaller column index.
-    This is the Markowitz rule restricted to the shortest row, so the
-    elimination order is deterministic and fill-in stays low.
-
-    The rows wait in a min-heap keyed on (length, row).  Every update
-    pushes the row again with its new length instead of removing the
-    old entry, so a popped entry whose row is gone or whose length no
-    longer matches is stale and is skipped.  Rows that cancel to zero
-    are dropped.  Choosing a pivot costs O(log h) per popped entry for
-    a heap of h entries, plus one pass over the pivot row, instead of a
-    scan over every live nonzero; the updates dominate the total.
-    Eliminates on a copy of m's rows, so m is left unchanged.  Agrees
-    with rref on the densified matrix.
+    Each column is a {row: nonzero residue} dict.  The columns are
+    reduced one at a time, in the order given, against the basis built
+    so far.  The pivot of a column is its largest row index.  While the
+    pivot is taken, the basis column stored there, scaled to the
+    column's pivot value, is subtracted; the column is then empty, or
+    its pivot is new and it joins the basis, scaled to 1 at its pivot.
+    The returned dict maps each pivot row to its basis column, and its
+    size is the rank.  This is the column reduction of Edelsbrunner,
+    Letscher & Zomorodian (2002) with the pivot at the lowest nonzero.
+    The given dicts are reduced in place.
     """
-    field = m.field
     p = field.p
-    rows = {r: dict(row) for r, row in m.by_row.items()}
-    col_members: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_members.setdefault(c, set()).add(r)
-
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        length, pr = heapq.heappop(heap)
-        pivot_row = rows.get(pr)
-        if pivot_row is None or len(pivot_row) != length:
-            continue
-        pc = min(pivot_row, key=lambda c: (len(col_members[c]), c))
-        del rows[pr]
-        inv = field.inv(pivot_row[pc])
-        pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
-        for c in pivot_row:
-            col_members[c].discard(pr)
-        for r in list(col_members[pc]):
-            row = rows[r]
-            f = row[pc]
-            for c, v in pivot_row.items():
-                nv = (row.get(c, 0) - f * v) % p
+    basis: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            pivot = max(col)
+            other = basis.get(pivot)
+            if other is None:
+                inv = field.inv(col[pivot])
+                basis[pivot] = {r: v * inv % p for r, v in col.items()}
+                break
+            f = col[pivot]
+            for r, v in other.items():
+                nv = (col.get(r, 0) - f * v) % p
                 if nv:
-                    if c not in row:
-                        col_members[c].add(r)
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-                    col_members[c].discard(r)
-            if row:
-                heapq.heappush(heap, (len(row), r))
-            else:
-                del rows[r]
-        rank += 1
-    return rank
+                    col[r] = nv
+                else:
+                    del col[r]
+    return basis
+
+
+def sparse_rank(m: SparseMatrix) -> int:
+    """Rank of m: its columns, in column order, through reduce_columns.
+
+    Reduces copies, so m is left unchanged.
+    """
+    columns: dict[int, dict[int, int]] = {}
+    for r, row in m.by_row.items():
+        for c, v in row.items():
+            columns.setdefault(c, {})[r] = v
+    return len(reduce_columns(m.field, (columns[c] for c in sorted(columns))))

@@ -13,7 +13,8 @@ bilinear cross term of a product lands in a killed degree.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from functools import cache
+from typing import Iterator, NamedTuple
 
 from .building import (
     BoundProfile,
@@ -25,7 +26,7 @@ from .building import (
     vertex_breaks,
 )
 from .errors import InvariantError
-from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, sparse_rank
+from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, reduce_columns
 
 
 class WeightSlot(NamedTuple):
@@ -104,7 +105,7 @@ def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
     on {a < b, b_ab >= d} of the vertex profile; failure means the
     representatives do not name the same simplices and is reported as
     an invariant violation.  This is the uncached per-pair route to the
-    _inclusion entries that assemble_boundary memoizes, so the tests
+    _inclusion entries that boundary_columns memoizes, so the tests
     hold the boundary to these blocks and these blocks to the
     polynomial conjugation route of tests/reference.py.
     """
@@ -127,7 +128,7 @@ def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex
     M = W E_ij W^-1; slots of different degrees are not listed.  The
     result, and whether the endpoint and support checks raise, depend
     only on (W, simplex, r_v): the bases are those of the simplex and
-    of r_v.  assemble_boundary memoizes it on that key.
+    of r_v.  boundary_columns memoizes it on that key.
     """
     n = w.rows
     p = w.field.p
@@ -171,7 +172,7 @@ def closed_form_dims(n: int, q: int, radius: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class BlockIndex:
-    """Row and column layout of the assembled boundary matrix."""
+    """Row and column layout of the boundary matrix."""
 
     vertex_blocks: tuple  # (vertex key, row offset, H1Basis)
     edge_blocks: tuple    # (vertex key pair, col offset, H1Basis)
@@ -179,83 +180,86 @@ class BlockIndex:
     dim_c1: int
 
 
-def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
-    """Boundary map from edge coefficients to vertex coefficients.
+def block_index(z: ComplexZ) -> BlockIndex:
+    """Row and column layout of the boundary, from z and the H1 bases alone.
 
     Rows are the concatenated vertex slot bases in the order of
     z.vertices (the origin contributes none); columns the edge bases in
-    the order of z.edges.  Each edge column is the inclusion into the
-    first endpoint of its key pair, the key-smaller one for build_Z,
-    minus the inclusion into the second, so the key-pair order is the
-    edge's orientation.
+    the order of z.edges.  No inclusion is computed, so dimensions other
+    than closed_form_dims raise InvariantError before any of them.
+    """
+    basis_of = cache(lambda simplex: h1_basis(bound_profile(list(simplex))))
+
+    def blocks(simplices) -> tuple[tuple, int]:
+        out = []
+        off = 0
+        for key, simplex in simplices:
+            out.append((key, off, basis_of(simplex)))
+            off += basis_of(simplex).dim
+        return tuple(out), off
+
+    vertex_blocks, dim_c0 = blocks((key, (rep.vertex,)) for key, rep in z.vertices.items())
+    edge_blocks, dim_c1 = blocks((pair, rep.simplex) for pair, rep in z.edges.items())
+    want = closed_form_dims(z.n, z.q, z.radius)
+    if (dim_c0, dim_c1) != want:
+        raise InvariantError(
+            f"C0 and C1 have dimensions {dim_c0} and {dim_c1}, but the partial-flag "
+            f"counts give {want[0]} and {want[1]}")
+    return BlockIndex(vertex_blocks, edge_blocks, dim_c0, dim_c1)
+
+
+def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]:
+    """The boundary's columns, one {row: residue mod p} dict per edge slot.
+
+    Columns come in the order of index.edge_blocks, which is z.edges
+    order, and in slot order within each edge; edges without slots
+    yield none.  Each edge column is the inclusion into the first
+    endpoint of its key pair, the key-smaller one for build_Z, minus
+    the inclusion into the second, so the key-pair order is the edge's
+    orientation.
 
     Each (edge, endpoint) costs one product W = s_v^-1 s_e, with s_v^-1
     cached per flag.  The _inclusion entries are memoized on
     (W entries, edge simplex, r_v), which fixes both bases, so only the
     few distinct inclusions are computed, each with W^-1 formed only
     then; a key whose inclusion raises is never stored, so every pair
-    passes the endpoint and support checks.  The entries are offset,
-    signed and stored straight into the SparseMatrix rows.  Dimensions
-    other than closed_form_dims raise InvariantError.
+    passes the endpoint and support checks.  The entries are offset by
+    the endpoint's row and signed into the columns.
     """
-    field = z.field
-    vertex_blocks = []
-    row_offset = {}
-    off = 0
-    bases = {}
-    inverses = {}
+    p = z.field.p
+    vertex_block = {key: (off, basis) for key, off, basis in index.vertex_blocks}
+    inverse_of = cache(gf_inverse)
     inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
+    for pair, _, basis in index.edge_blocks:
+        if not basis.dim:
+            continue
+        erep = z.edges[pair]
+        columns = [{} for _ in range(basis.dim)]
+        for key, sign in ((pair[0], 1), (pair[1], -1)):
+            vrep = z.vertices[key]
+            w = inverse_of(vrep.flag) @ erep.flag
+            r0, vert_basis = vertex_block[key]
+            memo = (w.entries, erep.simplex, vrep.vertex)
+            entries = inclusions.get(memo)
+            if entries is None:
+                entries = inclusions[memo] = _inclusion(
+                    w, gf_inverse(w), erep.simplex, basis, vrep.vertex, vert_basis)
+            for a, b, v in entries:
+                columns[b][r0 + a] = sign * v % p
+        yield from columns
 
-    def basis_of(simplex) -> H1Basis:
-        if simplex not in bases:
-            bases[simplex] = h1_basis(bound_profile(list(simplex)))
-        return bases[simplex]
 
-    def inverse_of(s: DenseMatrix) -> DenseMatrix:
-        if s.entries not in inverses:
-            inverses[s.entries] = gf_inverse(s)
-        return inverses[s.entries]
+def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
+    """The boundary map from edge coefficients to vertex coefficients.
 
-    for key, rep in z.vertices.items():
-        basis = basis_of((rep.vertex,))
-        vertex_blocks.append((key, off, basis))
-        row_offset[key] = off
-        off += basis.dim
-    dim_c0 = off
-
-    triples = []
-    edge_blocks = []
-    off = 0
-    for pair, erep in z.edges.items():
-        basis = basis_of(erep.simplex)
-        edge_blocks.append((pair, off, basis))
-        if basis.dim:
-            for key, sign in ((pair[0], 1), (pair[1], -1)):
-                vrep = z.vertices[key]
-                w = inverse_of(vrep.flag) @ erep.flag
-                memo = (w.entries, erep.simplex, vrep.vertex)
-                entries = inclusions.get(memo)
-                if entries is None:
-                    entries = inclusions[memo] = _inclusion(
-                        w, gf_inverse(w), erep.simplex, basis,
-                        vrep.vertex, basis_of((vrep.vertex,)))
-                r0 = row_offset[key]
-                triples += [(r0 + a, off + b, sign * v) for a, b, v in entries]
-        off += basis.dim
-    dim_c1 = off
-
-    want = closed_form_dims(z.n, z.q, z.radius)
-    if (dim_c0, dim_c1) != want:
-        raise InvariantError(
-            f"C0 and C1 have dimensions {dim_c0} and {dim_c1}, but the partial-flag "
-            f"counts give {want[0]} and {want[1]}")
-    index = BlockIndex(
-        vertex_blocks=tuple(vertex_blocks),
-        edge_blocks=tuple(edge_blocks),
-        dim_c0=dim_c0,
-        dim_c1=dim_c1,
-    )
-    return SparseMatrix(field, dim_c0, dim_c1, triples), index
+    Materializes boundary_columns into a SparseMatrix laid out by
+    block_index, whose dimension check runs before any inclusion.  The
+    rank never needs this matrix; export writes it.
+    """
+    index = block_index(z)
+    triples = [(r, c, v) for c, column in enumerate(boundary_columns(z, index))
+               for r, v in column.items()]
+    return SparseMatrix(z.field, index.dim_c0, index.dim_c1, triples), index
 
 
 F3_COUNTS_NOTE = (
@@ -292,14 +296,19 @@ class HomologyReport:
 def h0_dimension(z: ComplexZ) -> HomologyReport:
     """Dimension of the degree-zero homology of the coefficient system on Z_R.
 
-    Equals dim C0 minus the rank of the boundary.  Reversing edges only
-    negates their columns, so the result does not depend on the
-    orientation z carries.  It can never drop below n^2 - 1: the
+    Equals dim C0 minus the rank of the boundary.  The columns of
+    boundary_columns are reduced as they arrive by reduce_columns, so the
+    whole boundary is never held: only the reduced basis is.  Reversing
+    edges only negates their columns, so the result does not depend on
+    the orientation z carries.  It can never drop below n^2 - 1: the
     coefficient classes surject onto the traceless matrices through the
-    depth-one coefficient map, so a smaller value signals a bug and raises.
+    depth-one coefficient map, so a smaller value signals a bug and
+    raises.  The reduction does not stop once the rank reaches
+    C0 - (n^2 - 1), because that would skip the endpoint and support
+    checks of the remaining edges.
     """
-    boundary, index = assemble_boundary(z)
-    rank = sparse_rank(boundary)
+    index = block_index(z)
+    rank = len(reduce_columns(z.field, boundary_columns(z, index)))
     dim_h0 = index.dim_c0 - rank
     target = z.n * z.n - 1
     num_vertices = sum(1 for _, _, basis in index.vertex_blocks if basis.dim)

@@ -12,6 +12,8 @@ command line never runs it.  It holds
   membership in a bounded unipotent group and the class vector read
   off its coefficients;
 - the determinant over GF(p), which checks the flag representatives;
+- the heap rank, a Markowitz elimination on the rows, which checks the
+  column reduction of conghom.gf.sparse_rank;
 - the depth-one witness Phi: C0 -> gl_n, whose kernel contains the
   image of the boundary and whose rank is n^2 - 1, which is why dim H0
   can never fall below n^2 - 1.
@@ -19,6 +21,7 @@ command line never runs it.  It holds
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from conghom.building import BoundProfile, ComplexZ
@@ -237,3 +240,64 @@ def witness_defects(phi: DenseMatrix, boundary: SparseMatrix) -> list[int]:
             acc = image.get(c, [0] * phi.rows)
             image[c] = [a + v * x for a, x in zip(acc, phi_r)]
     return sorted(c for c, acc in image.items() if any(a % p for a in acc))
+
+
+def heap_rank(m: SparseMatrix) -> int:
+    """Rank by sparse elimination with a lazy heap of pivot rows.
+
+    The pivot row is the live row with the fewest nonzeros, ties broken
+    on the smaller row index; within it the pivot column is the one
+    with the fewest live rows, ties broken on the smaller column index.
+    This is the Markowitz rule restricted to the shortest row, so the
+    elimination order is deterministic and fill-in stays low.
+
+    The rows wait in a min-heap keyed on (length, row).  Every update
+    pushes the row again with its new length instead of removing the
+    old entry, so a popped entry whose row is gone or whose length no
+    longer matches is stale and is skipped.  Rows that cancel to zero
+    are dropped.  Choosing a pivot costs O(log h) per popped entry for
+    a heap of h entries, plus one pass over the pivot row, instead of a
+    scan over every live nonzero; the updates dominate the total.
+    Eliminates on a copy of m's rows, so m is left unchanged.  Agrees
+    with rref on the densified matrix.
+    """
+    field = m.field
+    p = field.p
+    rows = {r: dict(row) for r, row in m.by_row.items()}
+    col_members: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            col_members.setdefault(c, set()).add(r)
+
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        length, pr = heapq.heappop(heap)
+        pivot_row = rows.get(pr)
+        if pivot_row is None or len(pivot_row) != length:
+            continue
+        pc = min(pivot_row, key=lambda c: (len(col_members[c]), c))
+        del rows[pr]
+        inv = field.inv(pivot_row[pc])
+        pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
+        for c in pivot_row:
+            col_members[c].discard(pr)
+        for r in list(col_members[pc]):
+            row = rows[r]
+            f = row[pc]
+            for c, v in pivot_row.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    if c not in row:
+                        col_members[c].add(r)
+                    row[c] = nv
+                elif c in row:
+                    del row[c]
+                    col_members[c].discard(r)
+            if row:
+                heapq.heappush(heap, (len(row), r))
+            else:
+                del rows[r]
+        rank += 1
+    return rank

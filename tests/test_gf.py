@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
-from reference import det
+from reference import det, heap_rank
 
 
 def test_field_examples():
@@ -199,15 +199,16 @@ def _sparse_with_dependencies(draw):
     return SparseMatrix(GF(p), len(dense), cols, triples)
 
 
-# Pivoting on row 0 in column 0 grows row 1 from three entries to four,
-# so row 1's first heap entry is stale when it is popped.
+# In heap_rank, pivoting on row 0 in column 0 grows row 1 from three
+# entries to four, so row 1's first heap entry is stale when it is popped.
 @example(SparseMatrix(GF(2), 4, 9, [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 3, 1),
                                     (1, 4, 1), (2, 1, 1), (2, 5, 1), (2, 6, 1), (3, 2, 1),
                                     (3, 7, 1), (3, 8, 1)]))
 @given(_sparse_with_dependencies())
 def test_sparse_rank_matches_rref_property(m):
+    # the column reduction, the row heap elimination and rref agree
     before = m.triples()
-    assert sparse_rank(m) == rref(m.densify())[0]
+    assert sparse_rank(m) == heap_rank(m) == rref(m.densify())[0]
     assert m.triples() == before
 
 

@@ -8,9 +8,11 @@ from conghom.building import (BoundProfile, EdgeRep, VertexRep, bound_profile, b
                               enumerate_flag_reps, standard_ball, vertex_label)
 from conghom.congruence import GroupElement, elementary
 from conghom.errors import InvariantError
-from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
+from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, reduce_columns, rref, sparse_rank
 from conghom.homology import (
     assemble_boundary,
+    block_index,
+    boundary_columns,
     closed_form_dims,
     edge_inclusion,
     h0_dimension,
@@ -278,13 +280,17 @@ def test_assemble_boundary_golden_shape():
     assert closed_form_dims(3, 2, 1) == (28, 21)
 
 
-def test_assemble_boundary_checks_closed_form_dims():
+def test_assemble_boundary_checks_closed_form_dims(monkeypatch):
+    # both entry points raise on the layout, before any inclusion is computed
     z = build_Z(3, 2, 1)
     edges = dict(z.edges)
     del edges[next(pair for pair, rep in z.edges.items()
                    if h1_basis(bound_profile(list(rep.simplex))).dim)]
-    with pytest.raises(InvariantError, match="partial-flag counts give 28 and 21"):
-        assemble_boundary(replace(z, edges=edges))
+    calls = _record_inclusions(monkeypatch)
+    for entry in (assemble_boundary, h0_dimension):
+        with pytest.raises(InvariantError, match="partial-flag counts give 28 and 21"):
+            entry(replace(z, edges=edges))
+    assert calls == []
 
 
 def _record_inclusions(monkeypatch):
@@ -300,19 +306,28 @@ def _record_inclusions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n,q,radius,distinct", [
-    (3, 3, 4, 119), (4, 2, 2, 150), (3, 7, 1, 23), (4, 3, 1, 84)])
+def _through_both_entry_points(rows):
+    # each row as it reads through assemble_boundary, and again, with
+    # "-h0_dimension" added to its id, through the streamed h0_dimension
+    return [pytest.param(*row, entry, id="-".join(map(str, row)) + suffix)
+            for entry, suffix in ((assemble_boundary, ""), (h0_dimension, "-h0_dimension"))
+            for row in rows]
+
+
+@pytest.mark.parametrize("n,q,radius,distinct,entry", _through_both_entry_points([
+    (3, 3, 4, 119), (4, 2, 2, 150), (3, 7, 1, 23), (4, 3, 1, 84)]))
 def test_assemble_boundary_computes_each_distinct_inclusion_once(monkeypatch, n, q, radius,
-                                                                 distinct):
+                                                                 distinct, entry):
     # thousands of (edge, endpoint) pairs share these few inclusions
     z = build_Z(n, q, radius)
     calls = _record_inclusions(monkeypatch)
-    assemble_boundary(z)
+    entry(z)
     assert len(calls) == len(set(calls)) == distinct
 
 
-@pytest.mark.parametrize("n,q,radius", [(3, 2, 2), (3, 3, 1)])
-def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch, n, q, radius):
+@pytest.mark.parametrize("n,q,radius,entry", _through_both_entry_points([(3, 2, 2), (3, 3, 1)]))
+def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch, n, q, radius,
+                                                                    entry):
     # give the vertex reached last by a coefficient-bearing edge the flag of
     # another partial flag of its wedge vertex: its first edge must fail the
     # endpoint check, although earlier edges cached that simplex and r_v
@@ -329,10 +344,40 @@ def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch,
                                                      vertex=target[0])})
     calls = _record_inclusions(monkeypatch)
     with pytest.raises(ValueError, match="vertex is not an endpoint of the edge"):
-        assemble_boundary(swapped)
+        entry(swapped)
     failed = calls.pop()
     assert failed[2] == target[0]
     assert failed[1:] in {call[1:] for call in calls}
+
+
+def test_compute_path_builds_no_whole_boundary(monkeypatch):
+    # h0_dimension reduces the column stream and never holds the boundary
+    built = []
+    real = SparseMatrix.__init__
+
+    def recording(self, field, rows, cols, triples=()):
+        built.append((rows, cols))
+        real(self, field, rows, cols, triples)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", recording)
+    z = build_Z(4, 2, 2)
+    assert h0_dimension(z).dim_h0 == 15
+    assert built == []
+    assemble_boundary(z)
+    assert built == [(2265, 11045)]
+
+
+@pytest.mark.parametrize("n,q,radius,rank,basis_nnz", [(3, 3, 4, 1864, 3735),
+                                                       (4, 2, 2, 2250, 4773)])
+def test_boundary_stream_reduces_to_pinned_basis(n, q, radius, rank, basis_nnz):
+    # pins the column order (z.edges, then slots) and the largest-row pivot:
+    # reversed columns leave 4,951 and 8,533 basis nonzeros, and the
+    # smallest-row pivot 5,204 and 8,556, after 20 to 57 times as many
+    # column subtractions
+    z = build_Z(n, q, radius)
+    basis = reduce_columns(z.field, boundary_columns(z, block_index(z)))
+    assert all(max(column) == pivot and column[pivot] == 1 for pivot, column in basis.items())
+    assert (len(basis), sum(map(len, basis.values()))) == (rank, basis_nnz)
 
 
 def test_assemble_boundary_n2():

@@ -29,16 +29,6 @@ class GroupElement:
     def n(self) -> int:
         return self.matrix.n
 
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "GroupElement":
-        return cls(PolyMatrix.identity(field, n))
-
-    def mul(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return self.mul(other)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupElement) and self.matrix == other.matrix
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .building import (
@@ -208,6 +209,11 @@ def block_index(z: ComplexZ) -> BlockIndex:
     return BlockIndex(vertex_blocks, edge_blocks, dim_c0, dim_c1)
 
 
+def _flag_product(inv_rows: tuple, cols: tuple, p: int) -> tuple[int, ...]:
+    """Row-major entries of W = s_v^-1 s_e, from the rows of s_v^-1 and the columns of s_e."""
+    return tuple([sum(map(mul, row, col)) % p for row in inv_rows for col in cols])
+
+
 def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]:
     """The boundary's columns, one {row: residue mod p} dict per edge slot.
 
@@ -218,32 +224,57 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     the inclusion into the second, so the key-pair order is the edge's
     orientation.
 
-    Each (edge, endpoint) costs one product W = s_v^-1 s_e, with s_v^-1
-    cached per flag.  The _inclusion entries are memoized on
-    (W entries, edge simplex, r_v), which fixes both bases, so only the
-    few distinct inclusions are computed, each with W^-1 formed only
-    then; a key whose inclusion raises is never stored, so every pair
+    W = s_v^-1 s_e is the identity when the two flags have equal entries,
+    and no product is formed.  Otherwise W's entries are memoized on the
+    flag pair (s_v entries, s_e entries) and formed by _flag_product from
+    the rows of s_v^-1 and the columns of s_e, each computed once per
+    flag; equal W values share one tuple.  The _inclusion entries are
+    memoized on (W entries, edge simplex, r_v), which fixes both bases,
+    so only the few distinct inclusions are computed, each with the
+    DenseMatrix W and W^-1 formed only then.  Every pair looks up its own
+    key, and a key whose inclusion raises is never stored, so every pair
     passes the endpoint and support checks.  The entries are offset by
     the endpoint's row and signed into the columns.
     """
+    n = z.n
     p = z.field.p
     vertex_block = {key: (off, basis) for key, off, basis in index.vertex_blocks}
-    inverse_of = cache(gf_inverse)
+    identity = DenseMatrix.identity(z.field, n).entries
+    inv_rows = {}    # s_v entries -> rows of s_v^-1
+    cols_of = {}     # s_e entries -> columns of s_e
+    w_of = {}        # (s_v entries, s_e entries) -> W entries
+    interned = {}    # W entries -> the one tuple that every equal W shares
     inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
     for pair, _, basis in index.edge_blocks:
         if not basis.dim:
             continue
         erep = z.edges[pair]
+        se = erep.flag.entries
         columns = [{} for _ in range(basis.dim)]
         for key, sign in ((pair[0], 1), (pair[1], -1)):
             vrep = z.vertices[key]
-            w = inverse_of(vrep.flag) @ erep.flag
+            sv = vrep.flag.entries
+            if sv == se:
+                w = identity
+            else:
+                w = w_of.get((sv, se))
+                if w is None:
+                    rows = inv_rows.get(sv)
+                    if rows is None:
+                        inv = gf_inverse(vrep.flag)
+                        rows = inv_rows[sv] = tuple(inv.row(i) for i in range(n))
+                    cols = cols_of.get(se)
+                    if cols is None:
+                        cols = cols_of[se] = tuple(erep.flag.col(j) for j in range(n))
+                    w = _flag_product(rows, cols, p)
+                    w = w_of[sv, se] = interned.setdefault(w, w)
             r0, vert_basis = vertex_block[key]
-            memo = (w.entries, erep.simplex, vrep.vertex)
+            memo = (w, erep.simplex, vrep.vertex)
             entries = inclusions.get(memo)
             if entries is None:
+                w_mat = DenseMatrix(z.field, n, n, w)
                 entries = inclusions[memo] = _inclusion(
-                    w, gf_inverse(w), erep.simplex, basis, vrep.vertex, vert_basis)
+                    w_mat, gf_inverse(w_mat), erep.simplex, basis, vrep.vertex, vert_basis)
             for a, b, v in entries:
                 columns[b][r0 + a] = sign * v % p
         yield from columns

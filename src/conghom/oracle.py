@@ -206,8 +206,8 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     derived = commutator_subgroup(tbl)
     for raw in tbl.elements:
         g = _deserialize(raw, n, m)
-        power = _trunc_identity(n, m)
-        for _ in range(p):
+        power = g
+        for _ in range(p - 1):
             power = _trunc_mul(power, g, n, m, p)
         if _serialize(power) not in derived.elements:
             raise InvariantError(

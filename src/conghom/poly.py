@@ -37,10 +37,6 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def const(cls, field: GF, c: int) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
     def monomial(cls, field: GF, k: int, c: int = 1) -> "Poly":
         """c * t^k."""
         if k < 0:

@@ -7,8 +7,11 @@ command line never runs it.  It holds
   the level of an element, its depth-i coefficient matrix rho, the Lie
   bracket and the group commutator, with the traceless matrices they
   produce;
+- the group arithmetic that only the tests run: the identity, the
+  product and the adjugate inverse of GroupElements, and the constant
+  polynomial;
 - the polynomial routes that the constant-matrix code is checked
-  against: the adjugate inverse, conjugation by a constant flag,
+  against: conjugation by a constant flag,
   membership in a bounded unipotent group and the class vector read
   off its coefficients;
 - the determinant over GF(p), which checks the flag representatives;
@@ -21,8 +24,10 @@ command line never runs it.  It holds
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 
 from conghom.building import BoundProfile, ComplexZ
 from conghom.congruence import GroupElement
@@ -96,11 +101,16 @@ def bracket(x: DenseMatrix, y: DenseMatrix) -> TracelessMatrix:
     return TracelessMatrix(d.field, d.rows, d.entries)
 
 
+def poly_const(field: GF, c: int) -> Poly:
+    """The constant polynomial c."""
+    return Poly(field, (c,))
+
+
 def from_constant(m: DenseMatrix) -> PolyMatrix:
     """The square constant matrix m as a polynomial matrix."""
     if m.rows != m.cols:
         raise ValueError("only square constant matrices lift")
-    return PolyMatrix(m.field, [[Poly.const(m.field, m.get(i, j)) for j in range(m.rows)]
+    return PolyMatrix(m.field, [[poly_const(m.field, m.get(i, j)) for j in range(m.rows)]
                                 for i in range(m.rows)])
 
 
@@ -120,6 +130,15 @@ def polymat_adjugate(a: PolyMatrix) -> PolyMatrix:
             m = polymat_det(sub_matrix)
             out[j][i] = m if (i + j) % 2 == 0 else -m
     return PolyMatrix(field, out)
+
+
+def group_identity(field: GF, n: int) -> GroupElement:
+    return GroupElement(PolyMatrix.identity(field, n))
+
+
+def group_mul(*factors: GroupElement) -> GroupElement:
+    """The product of the factors, left to right, determinant checked."""
+    return GroupElement(functools.reduce(operator.matmul, (g.matrix for g in factors)))
 
 
 def group_inverse(g: GroupElement) -> GroupElement:
@@ -165,7 +184,7 @@ def rho(i: int, g: GroupElement) -> TracelessMatrix:
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """g h g^-1 h^-1, computed exactly."""
-    return g @ h @ group_inverse(g) @ group_inverse(h)
+    return group_mul(g, h, group_inverse(g), group_inverse(h))
 
 
 def membership(profile: BoundProfile, u: GroupElement) -> bool:

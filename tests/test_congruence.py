@@ -6,7 +6,8 @@ import pytest
 from conghom.congruence import GroupElement, elementary
 from conghom.gf import GF, DenseMatrix
 from conghom.poly import Poly, PolyMatrix
-from reference import add, bracket, commutator, conjugate_by, group_inverse, level, rho, trace
+from reference import (add, bracket, commutator, conjugate_by, group_identity, group_inverse,
+                       group_mul, level, rho, trace)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -62,7 +63,7 @@ def test_determinant_checked():
 
 
 def test_level_examples():
-    assert level(GroupElement.identity(F2, 3)) == math.inf
+    assert level(group_identity(F2, 3)) == math.inf
     assert level(elementary(1, 2, Poly.monomial(F2, 2), 3)) == 2
     assert level(elementary(1, 2, Poly(F2, (1, 1)), 3)) == 0
 
@@ -78,7 +79,7 @@ def test_rho_examples():
     diag = DenseMatrix(F2, 3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 0])  # E11 - E22 over GF(2)
     assert x2 == diag
 
-    g = elementary(1, 2, t_poly(F3), 3) @ elementary(2, 3, t_poly(F3), 3)
+    g = group_mul(elementary(1, 2, t_poly(F3), 3), elementary(2, 3, t_poly(F3), 3))
     x1 = rho(1, g)
     assert x1.get(0, 1) == 1 and x1.get(1, 2) == 1
 
@@ -91,14 +92,14 @@ def test_rho_requires_depth():
 
 def test_commutator_examples():
     g = elementary(1, 2, t_poly(F2), 3)
-    assert commutator(g, GroupElement.identity(F2, 3)) == GroupElement.identity(F2, 3)
+    assert commutator(g, group_identity(F2, 3)) == group_identity(F2, 3)
     c = commutator(elementary(1, 2, t_poly(F2), 3), elementary(2, 3, t_poly(F2), 3))
     assert c == elementary(1, 3, Poly.monomial(F2, 2), 3)
 
 
 def random_k_element(rng, field, n, max_deg=4, factors=4):
     """Random product of level-one elementaries and constant conjugates."""
-    g = GroupElement.identity(field, n)
+    g = group_identity(field, n)
     for _ in range(factors):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
@@ -113,7 +114,7 @@ def random_k_element(rng, field, n, max_deg=4, factors=4):
                 s_rows = [[1 if r == c2 else 0 for c2 in range(n)] for r in range(n)]
                 s_rows[a - 1][b - 1] = rng.randrange(1, field.p)
                 e = conjugate_by(e, DenseMatrix.from_rows(field, s_rows))
-        g = g @ e
+        g = group_mul(g, e)
     return g
 
 
@@ -123,8 +124,8 @@ def test_group_ops_match_naive_oracle():
         for _ in range(25):
             g = random_k_element(rng, field, 3)
             h = random_k_element(rng, field, 3)
-            assert to_dict(g @ h) == naive_mul(to_dict(g), to_dict(h), 3, field.p)
-            assert to_dict(g @ group_inverse(g)) == to_dict(GroupElement.identity(field, 3))
+            assert to_dict(group_mul(g, h)) == naive_mul(to_dict(g), to_dict(h), 3, field.p)
+            assert to_dict(group_mul(g, group_inverse(g))) == to_dict(group_identity(field, 3))
 
 
 def test_inverse_exact():
@@ -132,8 +133,8 @@ def test_inverse_exact():
     for field in (F2, F3):
         for _ in range(20):
             g = random_k_element(rng, field, 3)
-            assert g @ group_inverse(g) == GroupElement.identity(field, 3)
-            assert group_inverse(g) @ g == GroupElement.identity(field, 3)
+            assert group_mul(g, group_inverse(g)) == group_identity(field, 3)
+            assert group_mul(group_inverse(g), g) == group_identity(field, 3)
 
 
 def test_filtration_properties_random():
@@ -152,6 +153,6 @@ def test_filtration_properties_random():
             assert rho(i + j, c) == bracket(rho(i, g), rho(j, h))
             # additivity at a common depth
             k = min(i, j)
-            assert rho(k, g @ h) == add(rho(k, g), rho(k, h))
+            assert rho(k, group_mul(g, h)) == add(rho(k, g), rho(k, h))
             # trace is forced to vanish
             assert trace(rho(i, g)) == 0

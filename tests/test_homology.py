@@ -20,7 +20,8 @@ from conghom.homology import (
     surviving_degrees,
 )
 from conghom.poly import Poly, PolyMatrix, lattice_label
-from reference import class_vector, conjugate_by, depth_one_witness, membership, witness_defects
+from reference import (class_vector, conjugate_by, depth_one_witness, group_mul, membership,
+                       witness_defects)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -124,7 +125,7 @@ def test_class_vector_is_homomorphism():
                 for _ in range(200):
                     u = random_member(rng, prof, field)
                     v = random_member(rng, prof, field)
-                    uv = u @ v
+                    uv = group_mul(u, v)
                     assert membership(prof, uv)
                     expected = tuple(
                         (a + b) % field.p
@@ -325,6 +326,31 @@ def test_assemble_boundary_computes_each_distinct_inclusion_once(monkeypatch, n,
     assert len(calls) == len(set(calls)) == distinct
 
 
+@pytest.mark.parametrize("n,q,radius,products,pairs,same_flag,entry", _through_both_entry_points([
+    (3, 3, 4, 78, 2444, 1898), (4, 2, 2, 1010, 5800, 2550)]))
+def test_boundary_columns_forms_each_flag_pair_product_once(monkeypatch, n, q, radius, products,
+                                                            pairs, same_flag, entry):
+    # W = s_v^-1 s_e is formed once per distinct flag pair with s_v != s_e,
+    # and never for a pair whose two flags are equal
+    z = build_Z(n, q, radius)
+    flag_pairs = [(z.vertices[key].flag.entries, rep.flag.entries)
+                  for pair, rep in z.edges.items()
+                  if h1_basis(bound_profile(list(rep.simplex))).dim for key in pair]
+    assert len(flag_pairs) == pairs
+    assert sum(sv == se for sv, se in flag_pairs) == same_flag
+    assert len({(sv, se) for sv, se in flag_pairs if sv != se}) == products
+    calls = []
+    real = homology._flag_product
+
+    def recording(inv_rows, cols, p):
+        calls.append((inv_rows, cols))
+        return real(inv_rows, cols, p)
+
+    monkeypatch.setattr(homology, "_flag_product", recording)
+    entry(z)
+    assert len(calls) == len(set(calls)) == products
+
+
 @pytest.mark.parametrize("n,q,radius,entry", _through_both_entry_points([(3, 2, 2), (3, 3, 1)]))
 def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch, n, q, radius,
                                                                     entry):
@@ -427,7 +453,8 @@ def test_h0_dimension_invariances():
         assert h0_dimension(reversed_z).to_json() == h0_dimension(z).to_json()
 
 
-@pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1), (3, 3, 4)])
+@pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1), (3, 3, 4), (4, 2, 2),
+                                         (4, 3, 1)])
 def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
     # every edge column is +edge_inclusion into the first endpoint of its key
     # pair and -edge_inclusion into the second, at the BlockIndex offsets

@@ -1,8 +1,9 @@
 """The package holds only what its commands run.
 
-The compute path stays free of the polynomial group code, and the
-slow references and the filtration identities live in tests/reference.py,
-not in the package or its exports.
+The compute path stays free of the polynomial group code, boundary_columns
+forms no general matrix product, and the slow references and the
+filtration identities live in tests/reference.py, not in the package or
+its exports.
 """
 
 import ast
@@ -22,7 +23,8 @@ METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
                             (DenseMatrix, "is_zero"), (CanonicalLabel, "pivot_exponents"),
-                            (Poly, "is_monic"))
+                            (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
+                            (GroupElement, "__matmul__"), (Poly, "const"))
 
 
 def _package_imports(module: str) -> set[str]:
@@ -68,3 +70,17 @@ def test_exports_resolve_and_omit_test_references():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for cls, name in METHODS_MOVED_OR_DELETED:
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_boundary_columns_forms_no_general_product():
+    # W comes from the identity shortcut or the flag-pair memo, never from
+    # a DenseMatrix product on the hot path
+    tree = ast.parse((Path(conghom.__file__).parent / "homology.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "boundary_columns")
+    nodes = list(ast.walk(func))
+    assert any(isinstance(node, ast.Call) for node in nodes)
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                   for node in nodes)
+    assert not any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "mul" for node in nodes)

@@ -14,12 +14,14 @@ vertices of Z_R and fix the published order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import permutations, product
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvariantError
 from .gf import GF, DenseMatrix, inverse as gf_inverse, rref
-from .poly import CanonicalLabel, Poly, PolyMatrix, lattice_label
+
+if TYPE_CHECKING:
+    from .poly import CanonicalLabel
 
 Vertex = tuple[int, ...]
 Edge = tuple[Vertex, Vertex]
@@ -71,8 +73,7 @@ def standard_ball(n: int, radius: int) -> tuple[tuple[Vertex, ...], tuple[Edge, 
     return tuple(verts), edges
 
 
-@dataclass(frozen=True)
-class BoundProfile:
+class BoundProfile(NamedTuple):
     """Degree caps b_ij for the entries of a simplex stabilizer.
 
     Keys are 1-based ordered pairs (i, j), i != j.  For standard
@@ -198,6 +199,8 @@ def vertex_label(s: DenseMatrix, r: Vertex) -> CanonicalLabel:
     and only order_by_label calls this, once per vertex, to name the
     vertices on export.
     """
+    from .poly import Poly, PolyMatrix, lattice_label  # export only: keeps compute off poly
+
     field = s.field
     n = s.rows
     if len(r) != n - 1 or not is_standard_vertex(r):
@@ -265,20 +268,17 @@ def partial_flag_count(n: int, q: int, breaks) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class VertexRep:
+class VertexRep(NamedTuple):
     flag: DenseMatrix
     vertex: Vertex
 
 
-@dataclass(frozen=True)
-class EdgeRep:
+class EdgeRep(NamedTuple):
     flag: DenseMatrix
     simplex: tuple[Vertex, Vertex]  # aligned with the edge's key pair
 
 
-@dataclass
-class ComplexZ:
+class ComplexZ(NamedTuple):
     """1-skeleton of the radius-R fundamental-domain slice, one entry per partial flag."""
 
     n: int
@@ -374,8 +374,7 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, dict]:
         if label_key[kb] < label_key[ka]:
             ka, kb, rep = kb, ka, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
         edges[(ka, kb)] = rep
-    ordered = replace(
-        z,
+    ordered = z._replace(
         vertices=dict(sorted(z.vertices.items(), key=lambda item: label_key[item[0]])),
         edges=dict(sorted(edges.items(),
                           key=lambda item: (label_key[item[0][0]], label_key[item[0][1]]))))

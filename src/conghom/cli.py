@@ -3,6 +3,10 @@
 Exit codes: 0 success (and expected cokernel dimension), 2 usage error,
 3 cokernel dimension above the expected value (a finding), 4 internal
 invariant violation.
+
+The module level imports only what compute, survive and export run;
+oracle imports the brute-force module when it starts, so no other
+command loads the polynomial group code.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import time
 
 from .building import (BoundProfile, ComplexZ, adjacency, bound_profile, build_Z,
                        order_by_label, root_order, standard_ball)
-from .errors import InvariantError, OracleLimitError
+from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
 from .gf import GF, SparseMatrix
 from .homology import assemble_boundary, h0_dimension, h1_basis, surviving_degrees
-from .oracle import DEFAULT_LIMIT, adjacency_oracle, expected_order_exponent, verify_h1_formula
 
 
 def _is_prime_q(q: int) -> bool:
@@ -100,6 +103,8 @@ def cmd_survive(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import adjacency_oracle, expected_order_exponent, verify_h1_formula
+
     if not _is_prime_q(args.q):
         return _usage_error("q must be prime")
     if args.limit < 1:

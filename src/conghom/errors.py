@@ -1,4 +1,6 @@
-"""Exception types shared across modules."""
+"""Exception types shared across modules, and the oracle's default size limit."""
+
+DEFAULT_LIMIT = 2 ** 20  # elements the oracle may enumerate; the CLI's --limit default
 
 
 class InvariantError(RuntimeError):

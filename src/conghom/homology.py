@@ -12,7 +12,6 @@ bilinear cross term of a product lands in a killed degree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cache
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -69,8 +68,7 @@ def surviving_degrees(profile: BoundProfile) -> dict[tuple[int, int], list[int]]
     return out
 
 
-@dataclass(frozen=True)
-class H1Basis:
+class H1Basis(NamedTuple):
     """Ordered basis of the abelianization attached to a profile."""
 
     profile: BoundProfile
@@ -171,8 +169,7 @@ def closed_form_dims(n: int, q: int, radius: int) -> tuple[int, int]:
     return dim_c0, dim_c1
 
 
-@dataclass(frozen=True)
-class BlockIndex:
+class BlockIndex(NamedTuple):
     """Row and column layout of the boundary matrix."""
 
     vertex_blocks: tuple  # (vertex key, row offset, H1Basis)
@@ -300,8 +297,7 @@ F3_COUNTS_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     n: int
     q: int
     radius: int
@@ -316,7 +312,7 @@ class HomologyReport:
     counts_note: str | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def to_json(self) -> str:
         import json

@@ -11,16 +11,14 @@ shares code paths with the graded model it is checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .building import BoundProfile, Vertex, adjacency, is_standard_vertex
 from .congruence import GroupElement, elementary
-from .errors import InvariantError, OracleLimitError
+from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
 from .gf import GF
 from .homology import h1_basis
 from .poly import Poly, PolyMatrix, column_hnf, lattice_contains
-
-DEFAULT_LIMIT = 2 ** 20
 
 Trunc = tuple[tuple[int, ...], ...]   # n*n entries, each m coefficients
 
@@ -87,16 +85,25 @@ def _trunc_inverse(a: Trunc, n: int, m: int, p: int) -> Trunc:
     return acc
 
 
-def _serialize(a: Trunc) -> bytes:
-    return bytes(c for entry in a for c in entry)
+def _coeff_width(p: int) -> int:
+    """Bytes per serialized coefficient in 0..p-1: one for every p <= 256."""
+    return ((p - 1).bit_length() + 7) // 8
 
 
-def _deserialize(raw: bytes, n: int, m: int) -> Trunc:
-    return tuple(tuple(raw[e * m:(e + 1) * m]) for e in range(n * n))
+def _serialize(a: Trunc, width: int = 1) -> bytes:
+    if width == 1:
+        return bytes(c for entry in a for c in entry)
+    return b"".join(c.to_bytes(width, "big") for entry in a for c in entry)
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+def _deserialize(raw: bytes, n: int, m: int, width: int = 1) -> Trunc:
+    if width == 1:
+        return tuple(tuple(raw[e * m:(e + 1) * m]) for e in range(n * n))
+    cs = [int.from_bytes(raw[k:k + width], "big") for k in range(0, len(raw), width)]
+    return tuple(tuple(cs[e * m:(e + 1) * m]) for e in range(n * n))
+
+
+class FiniteGroupTable(NamedTuple):
     """Closure of a generating set inside SL_n(F_q[t]/(t^m))."""
 
     n: int
@@ -120,7 +127,8 @@ def _closure(mults: list[Trunc], conjugators: list[Trunc], n: int, m: int,
     """
     inverses = [_trunc_inverse(c, n, m, p) for c in conjugators]
     ident = _trunc_identity(n, m)
-    seen = {_serialize(ident)}
+    width = _coeff_width(p)
+    seen = {_serialize(ident, width)}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -129,7 +137,7 @@ def _closure(mults: list[Trunc], conjugators: list[Trunc], n: int, m: int,
             images += [_trunc_mul(_trunc_mul(c, x, n, m, p), ci, n, m, p)
                        for c, ci in zip(conjugators, inverses)]
             for y in images:
-                raw = _serialize(y)
+                raw = _serialize(y, width)
                 if raw not in seen:
                     seen.add(raw)
                     if len(seen) > limit:
@@ -164,7 +172,7 @@ def generate_group(generators: list[GroupElement], m: int,
     return FiniteGroupTable(
         n=n, m=m, p=p,
         elements=frozenset(seen),
-        generators=tuple(_serialize(g) for g in gens),
+        generators=tuple(_serialize(g, _coeff_width(p)) for g in gens),
     )
 
 
@@ -177,7 +185,8 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     generators are those commutators.
     """
     n, m, p = tbl.n, tbl.m, tbl.p
-    gens = [_deserialize(raw, n, m) for raw in tbl.generators]
+    width = _coeff_width(p)
+    gens = [_deserialize(raw, n, m, width) for raw in tbl.generators]
     inverses = [_trunc_inverse(g, n, m, p) for g in gens]
     comms = [
         _trunc_mul(_trunc_mul(gens[a], gens[b], n, m, p),
@@ -190,7 +199,7 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     return FiniteGroupTable(
         n=n, m=m, p=p,
         elements=frozenset(seen),
-        generators=tuple(_serialize(c) for c in comms),
+        generators=tuple(_serialize(c, width) for c in comms),
     )
 
 
@@ -204,12 +213,13 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     """
     n, m, p = tbl.n, tbl.m, tbl.p
     derived = commutator_subgroup(tbl)
+    width = _coeff_width(p)
     for raw in tbl.elements:
-        g = _deserialize(raw, n, m)
+        g = _deserialize(raw, n, m, width)
         power = g
         for _ in range(p - 1):
             power = _trunc_mul(power, g, n, m, p)
-        if _serialize(power) not in derived.elements:
+        if _serialize(power, width) not in derived.elements:
             raise InvariantError(
                 f"abelianization is not elementary abelian; witness {raw.hex()}"
             )

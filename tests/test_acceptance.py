@@ -8,7 +8,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 
 from conghom.building import (EdgeRep, bound_profile, build_Z, enumerate_flag_reps,
                               standard_ball)
@@ -181,7 +180,7 @@ def test_criterion_07_determinism_and_invariance():
 
     # every edge reversed: key pair swapped and simplex reversed with it
     z = build_Z(3, 2, 1)
-    reversed_z = replace(z, edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+    reversed_z = z._replace(edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
                                    for (ka, kb), rep in z.edges.items()})
     boundary, _ = assemble_boundary(z)
     reversed_boundary, _ = assemble_boundary(reversed_z)

@@ -349,8 +349,8 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_compute_path_computes_no_labels(monkeypatch, capsys):
     calls = []
-    for module, name in ((building, "vertex_label"), (building, "lattice_label"),
-                         (poly, "lattice_label"), (poly, "polymat_det"), (poly, "column_hnf")):
+    for module, name in ((building, "vertex_label"), (poly, "lattice_label"),
+                         (poly, "polymat_det"), (poly, "column_hnf")):
         _count_calls(monkeypatch, module, name, calls)
     want = {"n": 4, "q": 2, "radius": 1, "num_vertices": 65, "num_edges": 315, "dim_c0": 230,
             "dim_c1": 525, "rank_boundary": 215, "dim_h0": 15, "target": 15,

@@ -134,6 +134,16 @@ def test_oracle_rejects_nonpositive_limit(limit, capsys):
     assert out == ""
 
 
+def test_oracle_field_above_one_byte(capsys):
+    # coefficients of F_257 do not fit in one byte each
+    code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "257", "--radius", "1")
+    assert code == 0
+    simplices = [line for line in out.splitlines() if line.startswith(("vertex", "edge"))]
+    assert len(simplices) == 3
+    assert all(line.endswith(": ok") for line in simplices)
+    assert "order 257^1, slots 1: ok" in out
+
+
 def test_export_golden(tmp_path, capsys):
     dot = tmp_path / "z.dot"
     mat = tmp_path / "boundary.txt"

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -290,7 +289,7 @@ def test_assemble_boundary_checks_closed_form_dims(monkeypatch):
     calls = _record_inclusions(monkeypatch)
     for entry in (assemble_boundary, h0_dimension):
         with pytest.raises(InvariantError, match="partial-flag counts give 28 and 21"):
-            entry(replace(z, edges=edges))
+            entry(z._replace(edges=edges))
     assert calls == []
 
 
@@ -365,7 +364,7 @@ def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch,
                 first_edge.setdefault(key, idx)
     target = max(first_edge, key=first_edge.get)
     donor = next(key for key in z.vertices if key != target and key[0] == target[0])
-    swapped = replace(z, vertices={**z.vertices,
+    swapped = z._replace(vertices={**z.vertices,
                                    target: VertexRep(flag=z.vertices[donor].flag,
                                                      vertex=target[0])})
     calls = _record_inclusions(monkeypatch)
@@ -439,7 +438,7 @@ def test_h0_dimension_f3_note():
 
 def _reversed_edges(z):
     # every edge re-oriented: its key pair swapped and its simplex reversed with it
-    return replace(z, edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+    return z._replace(edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
                              for (ka, kb), rep in z.edges.items()})
 
 

@@ -1,6 +1,7 @@
 """The package holds only what its commands run.
 
-The compute path stays free of the polynomial group code, boundary_columns
+The compute path stays free of the polynomial group code, both in its
+import graph and in the modules a fresh interpreter loads, boundary_columns
 forms no general matrix product, and the slow references and the
 filtration identities live in tests/reference.py, not in the package or
 its exports.
@@ -8,8 +9,13 @@ its exports.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import conghom
 from conghom.congruence import GroupElement
@@ -70,6 +76,39 @@ def test_exports_resolve_and_omit_test_references():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for cls, name in METHODS_MOVED_OR_DELETED:
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_lazy_exports_bind_on_star_import_and_dir():
+    namespace = {}
+    exec("from conghom import *", namespace)
+    assert set(conghom.__all__) <= set(namespace)
+    assert set(conghom.__all__) <= set(dir(conghom))
+    assert all(namespace[name] is getattr(conghom, name) for name in conghom.__all__)
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(conghom, "no_such_export")
+
+
+def _loaded_modules(statement: str) -> set[str]:
+    """sys.modules of a fresh interpreter after running the statement."""
+    # the child imports the same package as this process, however it got on sys.path
+    src = str(Path(conghom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{statement}\nprint(*sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return set(proc.stdout.split())
+
+
+def test_startup_loads_only_what_compute_runs():
+    bare = _loaded_modules("pass")
+    package = _loaded_modules("import conghom") - bare
+    assert "conghom" in package
+    assert not {m for m in package if m.startswith("conghom.")}
+    cli = _loaded_modules("import conghom.cli") - bare
+    assert {"conghom.cli", "conghom.building", "conghom.homology", "conghom.gf"} <= cli
+    assert not cli & {"conghom.poly", "conghom.congruence", "conghom.oracle", "dataclasses",
+                      "inspect"}
 
 
 def test_boundary_columns_forms_no_general_product():

@@ -73,6 +73,17 @@ def test_commutator_subgroup_112():
     assert _serialize(_trunc_from_group_element(corner, tbl.m)) in derived.elements
 
 
+def test_serialize_width_round_trips():
+    a = ((1, 256), (0, 255), (256, 0), (1, 0))
+    for width in (2, 3):
+        raw = _serialize(a, width)
+        assert len(raw) == 8 * width
+        assert _deserialize(raw, 2, 2, width) == a
+    small = ((1, 2), (0, 1), (2, 0), (1, 0))
+    assert _serialize(small) == bytes([1, 2, 0, 1, 2, 0, 1, 0])
+    assert _deserialize(_serialize(small), 2, 2) == small
+
+
 def test_commutator_subgroup_213():
     tbl = _group_for(profile(3, [2, 1, 3]), F2)
     assert commutator_subgroup(tbl).order == 4  # degrees two and three at the corner

@@ -11,6 +11,7 @@ shares code paths with the graded model it is checking.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from .building import BoundProfile, Vertex, adjacency, is_standard_vertex
@@ -85,21 +86,17 @@ def _trunc_inverse(a: Trunc, n: int, m: int, p: int) -> Trunc:
     return acc
 
 
-def _coeff_width(p: int) -> int:
-    """Bytes per serialized coefficient in 0..p-1: one for every p <= 256."""
-    return ((p - 1).bit_length() + 7) // 8
+def _typecode(p: int) -> str:
+    """array type code of a coefficient in 0..p-1: one byte for every p <= 256."""
+    return "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "Q"
 
 
-def _serialize(a: Trunc, width: int = 1) -> bytes:
-    if width == 1:
-        return bytes(c for entry in a for c in entry)
-    return b"".join(c.to_bytes(width, "big") for entry in a for c in entry)
+def _serialize(a: Trunc, p: int) -> bytes:
+    return array(_typecode(p), [c for entry in a for c in entry]).tobytes()
 
 
-def _deserialize(raw: bytes, n: int, m: int, width: int = 1) -> Trunc:
-    if width == 1:
-        return tuple(tuple(raw[e * m:(e + 1) * m]) for e in range(n * n))
-    cs = [int.from_bytes(raw[k:k + width], "big") for k in range(0, len(raw), width)]
+def _deserialize(raw: bytes, n: int, m: int, p: int) -> Trunc:
+    cs = array(_typecode(p), raw)
     return tuple(tuple(cs[e * m:(e + 1) * m]) for e in range(n * n))
 
 
@@ -127,8 +124,7 @@ def _closure(mults: list[Trunc], conjugators: list[Trunc], n: int, m: int,
     """
     inverses = [_trunc_inverse(c, n, m, p) for c in conjugators]
     ident = _trunc_identity(n, m)
-    width = _coeff_width(p)
-    seen = {_serialize(ident, width)}
+    seen = {_serialize(ident, p)}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -137,7 +133,7 @@ def _closure(mults: list[Trunc], conjugators: list[Trunc], n: int, m: int,
             images += [_trunc_mul(_trunc_mul(c, x, n, m, p), ci, n, m, p)
                        for c, ci in zip(conjugators, inverses)]
             for y in images:
-                raw = _serialize(y, width)
+                raw = _serialize(y, p)
                 if raw not in seen:
                     seen.add(raw)
                     if len(seen) > limit:
@@ -172,7 +168,7 @@ def generate_group(generators: list[GroupElement], m: int,
     return FiniteGroupTable(
         n=n, m=m, p=p,
         elements=frozenset(seen),
-        generators=tuple(_serialize(g, _coeff_width(p)) for g in gens),
+        generators=tuple(_serialize(g, p) for g in gens),
     )
 
 
@@ -185,8 +181,7 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     generators are those commutators.
     """
     n, m, p = tbl.n, tbl.m, tbl.p
-    width = _coeff_width(p)
-    gens = [_deserialize(raw, n, m, width) for raw in tbl.generators]
+    gens = [_deserialize(raw, n, m, p) for raw in tbl.generators]
     inverses = [_trunc_inverse(g, n, m, p) for g in gens]
     comms = [
         _trunc_mul(_trunc_mul(gens[a], gens[b], n, m, p),
@@ -199,7 +194,7 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     return FiniteGroupTable(
         n=n, m=m, p=p,
         elements=frozenset(seen),
-        generators=tuple(_serialize(c, width) for c in comms),
+        generators=tuple(_serialize(c, p) for c in comms),
     )
 
 
@@ -213,13 +208,12 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     """
     n, m, p = tbl.n, tbl.m, tbl.p
     derived = commutator_subgroup(tbl)
-    width = _coeff_width(p)
     for raw in tbl.elements:
-        g = _deserialize(raw, n, m, width)
+        g = _deserialize(raw, n, m, p)
         power = g
         for _ in range(p - 1):
             power = _trunc_mul(power, g, n, m, p)
-        if _serialize(power, width) not in derived.elements:
+        if _serialize(power, p) not in derived.elements:
             raise InvariantError(
                 f"abelianization is not elementary abelian; witness {raw.hex()}"
             )

@@ -1,13 +1,8 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import conghom
 from conghom.cli import main
 
 
@@ -194,13 +189,7 @@ def test_export_unwritable(tmp_path, capsys):
     assert "cannot write" in err
 
 
-def test_module_entry_point():
-    # the child imports the same package as this process, however it got on sys.path
-    src = str(Path(conghom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "conghom", "compute", "--n", "2", "--q", "2", "--radius", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+def test_module_entry_point(run_python):
+    proc = run_python("-m", "conghom", "compute", "--n", "2", "--q", "2", "--radius", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim_h0"] == 3

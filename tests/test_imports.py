@@ -9,10 +9,7 @@ its exports.
 
 import ast
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -88,24 +85,18 @@ def test_lazy_exports_bind_on_star_import_and_dir():
         getattr(conghom, "no_such_export")
 
 
-def _loaded_modules(statement: str) -> set[str]:
+def _loaded_modules(run_python, statement: str) -> set[str]:
     """sys.modules of a fresh interpreter after running the statement."""
-    # the child imports the same package as this process, however it got on sys.path
-    src = str(Path(conghom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{statement}\nprint(*sys.modules)"],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python("-c", f"import sys\n{statement}\nprint(*sys.modules)", check=True)
     return set(proc.stdout.split())
 
 
-def test_startup_loads_only_what_compute_runs():
-    bare = _loaded_modules("pass")
-    package = _loaded_modules("import conghom") - bare
+def test_startup_loads_only_what_compute_runs(run_python):
+    bare = _loaded_modules(run_python, "pass")
+    package = _loaded_modules(run_python, "import conghom") - bare
     assert "conghom" in package
     assert not {m for m in package if m.startswith("conghom.")}
-    cli = _loaded_modules("import conghom.cli") - bare
+    cli = _loaded_modules(run_python, "import conghom.cli") - bare
     assert {"conghom.cli", "conghom.building", "conghom.homology", "conghom.gf"} <= cli
     assert not cli & {"conghom.poly", "conghom.congruence", "conghom.oracle", "dataclasses",
                       "inspect"}

@@ -70,18 +70,18 @@ def test_commutator_subgroup_112():
     corner = elementary(1, 3, Poly.monomial(F2, 2), 3)
     from conghom.oracle import _serialize, _trunc_from_group_element
 
-    assert _serialize(_trunc_from_group_element(corner, tbl.m)) in derived.elements
+    assert _serialize(_trunc_from_group_element(corner, tbl.m), tbl.p) in derived.elements
 
 
 def test_serialize_width_round_trips():
-    a = ((1, 256), (0, 255), (256, 0), (1, 0))
-    for width in (2, 3):
-        raw = _serialize(a, width)
-        assert len(raw) == 8 * width
-        assert _deserialize(raw, 2, 2, width) == a
     small = ((1, 2), (0, 1), (2, 0), (1, 0))
-    assert _serialize(small) == bytes([1, 2, 0, 1, 2, 0, 1, 0])
-    assert _deserialize(_serialize(small), 2, 2) == small
+    assert _serialize(small, 3) == bytes([1, 2, 0, 1, 2, 0, 1, 0])
+    assert _deserialize(_serialize(small, 3), 2, 2, 3) == small
+    a = ((1, 256), (0, 255), (256, 0), (1, 0))
+    for p, width in ((257, 2), (65537, 8)):
+        raw = _serialize(a, p)
+        assert len(raw) == 8 * width
+        assert _deserialize(raw, 2, 2, p) == a
 
 
 def test_commutator_subgroup_213():
@@ -92,39 +92,39 @@ def test_commutator_subgroup_213():
 def _reference_commutator_subgroup(tbl):
     """Closure of all pairwise commutators; normality is asserted."""
     n, m, p = tbl.n, tbl.m, tbl.p
-    elems = [_deserialize(raw, n, m) for raw in sorted(tbl.elements)]
-    inv = {_serialize(x): _trunc_inverse(x, n, m, p) for x in elems}
+    elems = [_deserialize(raw, n, m, p) for raw in sorted(tbl.elements)]
+    inv = {_serialize(x, p): _trunc_inverse(x, n, m, p) for x in elems}
 
     comms = set()
     for x in elems:
-        xi = inv[_serialize(x)]
+        xi = inv[_serialize(x, p)]
         for y in elems:
-            yi = inv[_serialize(y)]
+            yi = inv[_serialize(y, p)]
             c = _trunc_mul(_trunc_mul(x, y, n, m, p),
                            _trunc_mul(xi, yi, n, m, p), n, m, p)
-            comms.add(_serialize(c))
+            comms.add(_serialize(c, p))
 
-    gens = [_deserialize(raw, n, m) for raw in sorted(comms)]
-    seen = {_serialize(_trunc_identity(n, m))}
+    gens = [_deserialize(raw, n, m, p) for raw in sorted(comms)]
+    seen = {_serialize(_trunc_identity(n, m), p)}
     frontier = [_trunc_identity(n, m)]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
                 y = _trunc_mul(x, g, n, m, p)
-                raw = _serialize(y)
+                raw = _serialize(y, p)
                 if raw not in seen:
                     seen.add(raw)
                     nxt.append(y)
         frontier = nxt
 
     for raw in tbl.elements:
-        g = _deserialize(raw, n, m)
+        g = _deserialize(raw, n, m, p)
         gi = inv.get(raw) or _trunc_inverse(g, n, m, p)
         for hraw in seen:
-            h = _deserialize(hraw, n, m)
+            h = _deserialize(hraw, n, m, p)
             conj = _trunc_mul(_trunc_mul(g, h, n, m, p), gi, n, m, p)
-            if _serialize(conj) not in seen:
+            if _serialize(conj, p) not in seen:
                 raise InvariantError("commutator subgroup is not normal")
 
     return FiniteGroupTable(
@@ -166,7 +166,7 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
     assert derived.order == derived_order
     if q == 2:  # the all-pairs reference needs |G|^2 products: minutes at 729
         assert derived.elements == _reference_commutator_subgroup(tbl).elements
-    comms = [_deserialize(raw, 4, 4) for raw in derived.generators]
+    comms = [_deserialize(raw, 4, 4, q) for raw in derived.generators]
     assert len(_closure(comms, [], 4, 4, q, tbl.order)) == unconjugated_order
 
 

@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force certification sweep")
     common(sp)
-    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+                    help="most elements to enumerate per stabilizer group; a larger "
+                         "group is skipped. Caps the elements, not the work per element")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("export", help="write the graph (DOT) and boundary matrix (triples)")

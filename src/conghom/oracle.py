@@ -7,11 +7,22 @@ subgroup, the normal closure of the generator commutators.  The
 abelianization orders certify the surviving-slot count; lattice
 containment certifies the arithmetic adjacency rule.  Nothing here
 shares code paths with the graded model it is checking.
+
+The closures and the p-th power check multiply packed matrices
+(Kronecker substitution): an entry c_0 + c_1 t + ... + c_{m-1} t^{m-1}
+is the int sum_d c_d << (d*B), and a matrix is the row-major tuple of
+its n*n entry ints.  A slot of B = (n*m*(p-1)^2).bit_length() bits
+holds any coefficient of an unreduced product entry, a sum of at most
+n*m terms each at most (p-1)^2, so no slot carries into the next.  A
+product is int products and sums, a mask that keeps slots 0..m-1, and
+one % p per slot.  Group tables store elements as bytes, one array item
+per coefficient in row-major entry order (`_Packing.to_bytes`).
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import lshift
 from typing import NamedTuple
 
 from .building import BoundProfile, Vertex, adjacency, is_standard_vertex
@@ -22,6 +33,7 @@ from .homology import h1_basis
 from .poly import Poly, PolyMatrix, column_hnf, lattice_contains
 
 Trunc = tuple[tuple[int, ...], ...]   # n*n entries, each m coefficients
+Packed = tuple[int, ...]              # n*n entries, each m slots of one int
 
 
 def _trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
@@ -34,70 +46,96 @@ def _trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
     return tuple(out)
 
 
-def _trunc_identity(n: int, m: int) -> Trunc:
-    one = (1,) + (0,) * (m - 1)
-    zero = (0,) * m
-    return tuple(one if i == j else zero for i in range(n) for j in range(n))
-
-
-def _trunc_mul(a: Trunc, b: Trunc, n: int, m: int, p: int) -> Trunc:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = [0] * m
-            for k in range(n):
-                x = a[i * n + k]
-                y = b[k * n + j]
-                for d1 in range(m):
-                    c1 = x[d1]
-                    if c1:
-                        for d2 in range(m - d1):
-                            c2 = y[d2]
-                            if c2:
-                                acc[d1 + d2] = (acc[d1 + d2] + c1 * c2) % p
-            out.append(tuple(acc))
-    return tuple(out)
-
-
-def _trunc_sub_identity(a: Trunc, n: int, m: int, p: int) -> Trunc:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            cs = list(a[i * n + j])
-            if i == j:
-                cs[0] = (cs[0] - 1) % p
-            out.append(tuple(cs))
-    return tuple(out)
-
-
-def _trunc_inverse(a: Trunc, n: int, m: int, p: int) -> Trunc:
-    # Neumann series: a = I + N with N divisible by t, so N^m = 0 mod t^m.
-    nil = _trunc_sub_identity(a, n, m, p)
-    acc = _trunc_identity(n, m)
-    term = _trunc_identity(n, m)
-    sign = 1
-    for _ in range(1, m):
-        term = _trunc_mul(term, nil, n, m, p)
-        sign = -sign
-        acc = tuple(
-            tuple((x + sign * y) % p for x, y in zip(acc[e], term[e]))
-            for e in range(n * n)
-        )
-    return acc
-
-
 def _typecode(p: int) -> str:
     """array type code of a coefficient in 0..p-1: one byte for every p <= 256."""
     return "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "Q"
 
 
-def _serialize(a: Trunc, p: int) -> bytes:
-    return array(_typecode(p), [c for entry in a for c in entry]).tobytes()
-
-
 def _deserialize(raw: bytes, n: int, m: int, p: int) -> Trunc:
     cs = array(_typecode(p), raw)
     return tuple(tuple(cs[e * m:(e + 1) * m]) for e in range(n * n))
+
+
+class _Packing:
+    """n x n matrices over F_p[t]/(t^m), each entry packed into one int.
+
+    Slot d of an entry, bits [d*width, (d+1)*width), holds the
+    coefficient of t^d.  The matrix is the row-major tuple of its n*n
+    entries, each reduced: every slot in 0..p-1, nothing above slot m-1.
+    """
+
+    def __init__(self, n: int, m: int, p: int) -> None:
+        self.n, self.m, self.p = n, m, p
+        self.width = (n * m * (p - 1) ** 2).bit_length()
+        self.slot = (1 << self.width) - 1
+        self.keep = (1 << m * self.width) - 1
+        self.shifts = tuple(range(0, m * self.width, self.width))
+        self.identity = tuple(int(i == j) for i in range(n) for j in range(n))
+
+    def pack(self, a: Trunc) -> Packed:
+        shifts = self.shifts
+        return tuple(sum(map(lshift, entry, shifts)) for entry in a)
+
+    def to_bytes(self, x: Packed) -> bytes:
+        """The table form of x: its coefficients, entry by entry, as array items."""
+        slot, shifts = self.slot, self.shifts
+        return array(_typecode(self.p), [v >> s & slot for v in x for s in shifts]).tobytes()
+
+    def from_bytes(self, raw: bytes) -> Packed:
+        return self.pack(_deserialize(raw, self.n, self.m, self.p))
+
+    def mul(self, a: Packed, b: Packed) -> Packed:
+        """a*b mod (p, t^m), by Kronecker substitution on each entry.
+
+        Zero entries of b cost nothing, and wherever b's column j is the
+        unit vector e_k the product's column j is a's column k, copied.
+        """
+        n, p, slot, keep, shifts = self.n, self.p, self.slot, self.keep, self.shifts
+        out = [0] * (n * n)
+        for j in range(n):
+            col = [(k, y) for k, y in enumerate(b[j::n]) if y]
+            if len(col) == 1 and col[0][1] == 1:
+                out[j::n] = a[col[0][0]::n]
+                continue
+            for i in range(0, n * n, n):
+                v = 0
+                for k, y in col:
+                    v += a[i + k] * y
+                v &= keep
+                if v >= p:  # any slot above 0 is at least 2^width > p
+                    v = sum([(v >> s & slot) % p << s for s in shifts])
+                out[i + j] = v
+        return tuple(out)
+
+    def _plus_identity(self, x: Packed) -> Packed:
+        p, slot = self.p, self.slot
+        out = list(x)
+        for e in range(0, len(out), self.n + 1):
+            c = out[e] & slot
+            out[e] += (c + 1) % p - c
+        return tuple(out)
+
+    def inverse(self, a: Packed) -> Packed:
+        """The Neumann series sum_{k<m} (I - a)^k, which inverts a = I mod t.
+
+        Horner's rule: acc <- I + (I - a) acc, m - 1 times.
+        """
+        p, slot, shifts = self.p, self.slot, self.shifts
+        d = self._plus_identity(
+            tuple(sum(-(v >> s & slot) % p << s for s in shifts) for v in a))
+        acc = self.identity
+        for _ in range(1, self.m):
+            acc = self._plus_identity(self.mul(d, acc))
+        return acc
+
+    def power(self, x: Packed, e: int) -> Packed:
+        """x^e for e >= 1, by left-to-right square-and-multiply."""
+        acc = x
+        for bit in bin(e)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, x)
+        return acc
 
 
 class FiniteGroupTable(NamedTuple):
@@ -114,28 +152,26 @@ class FiniteGroupTable(NamedTuple):
         return len(self.elements)
 
 
-def _closure(mults: list[Trunc], conjugators: list[Trunc], n: int, m: int,
-             p: int, limit: int) -> set[bytes]:
+def _closure(mults: list[Packed], conjugators: list[Packed], ring: _Packing,
+             limit: int) -> set[Packed]:
     """Smallest set holding I, closed under x -> x*g and x -> c*x*c^-1.
 
     g runs over `mults`, c over `conjugators`.  In a finite group this is
     the normal closure of <mults> under the conjugators: each c^-1 is a
     power of c, so x*y is reached by conjugating x past y's moves.
     """
-    inverses = [_trunc_inverse(c, n, m, p) for c in conjugators]
-    ident = _trunc_identity(n, m)
-    seen = {_serialize(ident, p)}
-    frontier = [ident]
+    mul = ring.mul
+    inverses = [ring.inverse(c) for c in conjugators]
+    seen = {ring.identity}
+    frontier = [ring.identity]
     while frontier:
         nxt = []
         for x in frontier:
-            images = [_trunc_mul(x, g, n, m, p) for g in mults]
-            images += [_trunc_mul(_trunc_mul(c, x, n, m, p), ci, n, m, p)
-                       for c, ci in zip(conjugators, inverses)]
+            images = [mul(x, g) for g in mults]
+            images += [mul(mul(c, x), ci) for c, ci in zip(conjugators, inverses)]
             for y in images:
-                raw = _serialize(y, p)
-                if raw not in seen:
-                    seen.add(raw)
+                if y not in seen:
+                    seen.add(y)
                     if len(seen) > limit:
                         raise OracleLimitError("group too large for oracle")
                     nxt.append(y)
@@ -159,7 +195,9 @@ def generate_group(generators: list[GroupElement], m: int,
             raise ValueError("generator is not congruent to the identity mod t")
         gens.append(t)
 
-    seen = _closure(gens, [], n, m, p, limit)
+    ring = _Packing(n, m, p)
+    packed = [ring.pack(g) for g in gens]
+    seen = _closure(packed, [], ring, limit)
     order = len(seen)
     while order % p == 0:
         order //= p
@@ -167,8 +205,8 @@ def generate_group(generators: list[GroupElement], m: int,
         raise InvariantError("closure order is not a power of the characteristic")
     return FiniteGroupTable(
         n=n, m=m, p=p,
-        elements=frozenset(seen),
-        generators=tuple(_serialize(g, p) for g in gens),
+        elements=frozenset(map(ring.to_bytes, seen)),
+        generators=tuple(map(ring.to_bytes, packed)),
     )
 
 
@@ -180,22 +218,18 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     O'Brien, Handbook of Computational Group Theory).  The result's
     generators are those commutators.
     """
-    n, m, p = tbl.n, tbl.m, tbl.p
-    gens = [_deserialize(raw, n, m, p) for raw in tbl.generators]
-    inverses = [_trunc_inverse(g, n, m, p) for g in gens]
+    ring = _Packing(tbl.n, tbl.m, tbl.p)
+    mul = ring.mul
+    gens = [ring.from_bytes(raw) for raw in tbl.generators]
+    inverses = [ring.inverse(g) for g in gens]
     comms = [
-        _trunc_mul(_trunc_mul(gens[a], gens[b], n, m, p),
-                   _trunc_mul(inverses[a], inverses[b], n, m, p), n, m, p)
+        mul(mul(gens[a], gens[b]), mul(inverses[a], inverses[b]))
         for a in range(len(gens)) for b in range(a + 1, len(gens))
     ]
-    seen = _closure(comms, gens, n, m, p, tbl.order)
+    seen = frozenset(map(ring.to_bytes, _closure(comms, gens, ring, tbl.order)))
     if not seen <= tbl.elements:
         raise InvariantError("commutator subgroup leaves the group")
-    return FiniteGroupTable(
-        n=n, m=m, p=p,
-        elements=frozenset(seen),
-        generators=tuple(_serialize(c, p) for c in comms),
-    )
+    return tbl._replace(elements=seen, generators=tuple(map(ring.to_bytes, comms)))
 
 
 def abelianization_dim(tbl: FiniteGroupTable) -> int:
@@ -206,14 +240,12 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     lands in G'.  A violating element would disprove the graded model,
     so it is raised with the witness attached.
     """
-    n, m, p = tbl.n, tbl.m, tbl.p
+    p = tbl.p
+    ring = _Packing(tbl.n, tbl.m, p)
     derived = commutator_subgroup(tbl)
+    derived_elements = set(map(ring.from_bytes, derived.elements))
     for raw in tbl.elements:
-        g = _deserialize(raw, n, m, p)
-        power = g
-        for _ in range(p - 1):
-            power = _trunc_mul(power, g, n, m, p)
-        if _serialize(power, p) not in derived.elements:
+        if ring.power(ring.from_bytes(raw), p) not in derived_elements:
             raise InvariantError(
                 f"abelianization is not elementary abelian; witness {raw.hex()}"
             )

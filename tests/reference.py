@@ -17,6 +17,9 @@ command line never runs it.  It holds
 - the determinant over GF(p), which checks the flag representatives;
 - the heap rank, a Markowitz elimination on the rows, which checks the
   column reduction of conghom.gf.sparse_rank;
+- the coefficient-by-coefficient product and Neumann-series inverse of
+  truncated matrices, and their byte form in the group tables, which
+  check the oracle's packed arithmetic;
 - the depth-one witness Phi: C0 -> gl_n, whose kernel contains the
   image of the boundary and whose rank is n^2 - 1, which is why dim H0
   can never fall below n^2 - 1.
@@ -28,12 +31,14 @@ import functools
 import heapq
 import math
 import operator
+from array import array
 
 from conghom.building import BoundProfile, ComplexZ
 from conghom.congruence import GroupElement
 from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, SparseMatrix, _check_same_field, inverse as gf_inverse
 from conghom.homology import BlockIndex, H1Basis
+from conghom.oracle import Trunc, _typecode
 from conghom.poly import Poly, PolyMatrix, polymat_det
 
 
@@ -320,3 +325,61 @@ def heap_rank(m: SparseMatrix) -> int:
                 del rows[r]
         rank += 1
     return rank
+
+
+def serialize(a: Trunc, p: int) -> bytes:
+    """The group tables' byte form of a, one array item per coefficient."""
+    return array(_typecode(p), [c for entry in a for c in entry]).tobytes()
+
+
+def trunc_identity(n: int, m: int) -> Trunc:
+    one = (1,) + (0,) * (m - 1)
+    zero = (0,) * m
+    return tuple(one if i == j else zero for i in range(n) for j in range(n))
+
+
+def trunc_mul(a: Trunc, b: Trunc, n: int, m: int, p: int) -> Trunc:
+    """a*b mod (p, t^m), one coefficient product at a time."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = [0] * m
+            for k in range(n):
+                x = a[i * n + k]
+                y = b[k * n + j]
+                for d1 in range(m):
+                    c1 = x[d1]
+                    if c1:
+                        for d2 in range(m - d1):
+                            c2 = y[d2]
+                            if c2:
+                                acc[d1 + d2] = (acc[d1 + d2] + c1 * c2) % p
+            out.append(tuple(acc))
+    return tuple(out)
+
+
+def trunc_sub_identity(a: Trunc, n: int, m: int, p: int) -> Trunc:
+    out = []
+    for i in range(n):
+        for j in range(n):
+            cs = list(a[i * n + j])
+            if i == j:
+                cs[0] = (cs[0] - 1) % p
+            out.append(tuple(cs))
+    return tuple(out)
+
+
+def trunc_inverse(a: Trunc, n: int, m: int, p: int) -> Trunc:
+    """Neumann series: a = I + N with N divisible by t, so N^m = 0 mod t^m."""
+    nil = trunc_sub_identity(a, n, m, p)
+    acc = trunc_identity(n, m)
+    term = trunc_identity(n, m)
+    sign = 1
+    for _ in range(1, m):
+        term = trunc_mul(term, nil, n, m, p)
+        sign = -sign
+        acc = tuple(
+            tuple((x + sign * y) % p for x, y in zip(acc[e], term[e]))
+            for e in range(n * n)
+        )
+    return acc

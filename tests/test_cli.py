@@ -139,6 +139,46 @@ def test_oracle_field_above_one_byte(capsys):
     assert "order 257^1, slots 1: ok" in out
 
 
+# the full `oracle --n 3 --q 2 --radius 3` report, so that any changed line shows
+ORACLE_3_2_3 = (
+    "vertex (0, 0): order 2^0, slots 0: ok\n"
+    "vertex (1, 0): order 2^2, slots 2: ok\n"
+    "vertex (1, 1): order 2^2, slots 2: ok\n"
+    "vertex (2, 0): order 2^4, slots 4: ok\n"
+    "vertex (2, 1): order 2^4, slots 3: ok\n"
+    "vertex (2, 2): order 2^4, slots 4: ok\n"
+    "vertex (3, 0): order 2^6, slots 6: ok\n"
+    "vertex (3, 1): order 2^6, slots 4: ok\n"
+    "vertex (3, 2): order 2^6, slots 4: ok\n"
+    "vertex (3, 3): order 2^6, slots 6: ok\n"
+    "edge ((0, 0), (1, 0)): order 2^0, slots 0: ok\n"
+    "edge ((0, 0), (1, 1)): order 2^0, slots 0: ok\n"
+    "edge ((1, 0), (1, 1)): order 2^1, slots 1: ok\n"
+    "edge ((1, 0), (2, 0)): order 2^2, slots 2: ok\n"
+    "edge ((1, 0), (2, 1)): order 2^2, slots 2: ok\n"
+    "edge ((1, 1), (2, 1)): order 2^2, slots 2: ok\n"
+    "edge ((1, 1), (2, 2)): order 2^2, slots 2: ok\n"
+    "edge ((2, 0), (2, 1)): order 2^3, slots 3: ok\n"
+    "edge ((2, 0), (3, 0)): order 2^4, slots 4: ok\n"
+    "edge ((2, 0), (3, 1)): order 2^4, slots 4: ok\n"
+    "edge ((2, 1), (2, 2)): order 2^3, slots 3: ok\n"
+    "edge ((2, 1), (3, 1)): order 2^4, slots 3: ok\n"
+    "edge ((2, 1), (3, 2)): order 2^4, slots 3: ok\n"
+    "edge ((2, 2), (3, 2)): order 2^4, slots 4: ok\n"
+    "edge ((2, 2), (3, 3)): order 2^4, slots 4: ok\n"
+    "edge ((3, 0), (3, 1)): order 2^5, slots 5: ok\n"
+    "edge ((3, 1), (3, 2)): order 2^5, slots 4: ok\n"
+    "edge ((3, 2), (3, 3)): order 2^5, slots 5: ok\n"
+    "adjacency: 45 pairs checked, 0 mismatches\n"
+)
+
+
+def test_oracle_pinned_stdout(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--q", "2", "--radius", "3")
+    assert code == 0
+    assert out == ORACLE_3_2_3
+
+
 def test_export_golden(tmp_path, capsys):
     dot = tmp_path / "z.dot"
     mat = tmp_path / "boundary.txt"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conghom.building import BoundProfile, adjacency, bound_profile, standard_ball
 from conghom.congruence import elementary
@@ -9,10 +11,7 @@ from conghom.oracle import (
     FiniteGroupTable,
     _closure,
     _deserialize,
-    _serialize,
-    _trunc_identity,
-    _trunc_inverse,
-    _trunc_mul,
+    _Packing,
     abelianization_dim,
     adjacency_oracle,
     commutator_subgroup,
@@ -22,6 +21,7 @@ from conghom.oracle import (
     verify_h1_formula,
 )
 from conghom.poly import Poly
+from reference import serialize, trunc_identity, trunc_inverse, trunc_mul
 
 F2 = GF(2)
 F3 = GF(3)
@@ -68,20 +68,108 @@ def test_commutator_subgroup_112():
     assert derived.order == 2
     # generated by the corner element of degree two
     corner = elementary(1, 3, Poly.monomial(F2, 2), 3)
-    from conghom.oracle import _serialize, _trunc_from_group_element
+    from conghom.oracle import _trunc_from_group_element
 
-    assert _serialize(_trunc_from_group_element(corner, tbl.m), tbl.p) in derived.elements
+    assert serialize(_trunc_from_group_element(corner, tbl.m), tbl.p) in derived.elements
 
 
 def test_serialize_width_round_trips():
     small = ((1, 2), (0, 1), (2, 0), (1, 0))
-    assert _serialize(small, 3) == bytes([1, 2, 0, 1, 2, 0, 1, 0])
-    assert _deserialize(_serialize(small, 3), 2, 2, 3) == small
+    ring = _Packing(2, 2, 3)
+    raw = ring.to_bytes(ring.pack(small))
+    assert raw == serialize(small, 3) == bytes([1, 2, 0, 1, 2, 0, 1, 0])
+    assert _deserialize(serialize(small, 3), 2, 2, 3) == small
     a = ((1, 256), (0, 255), (256, 0), (1, 0))
     for p, width in ((257, 2), (65537, 8)):
-        raw = _serialize(a, p)
+        ring = _Packing(2, 2, p)
+        raw = ring.to_bytes(ring.pack(a))
+        assert raw == serialize(a, p)
         assert len(raw) == 8 * width
         assert _deserialize(raw, 2, 2, p) == a
+        assert ring.from_bytes(raw) == ring.pack(a)
+
+
+@st.composite
+def _packed_case(draw):
+    """(n, m, p, a, b, u): u is a with the identity's constant term.
+
+    Each column of a and b is a unit vector e_k or holds coefficients
+    drawn with p-1, the slot-width worst case, as likely as 0; the
+    all-(p-1) matrix and the identity are drawn as whole factors.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 257]))
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(1, 4))
+    coeff = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    unit = tuple(int(d == 0) for d in range(m))
+    zero = (0,) * m
+
+    def column():
+        k = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        if k is not None:
+            return [unit if i == k else zero for i in range(n)]
+        return [draw(st.tuples(*[coeff] * m)) for _ in range(n)]
+
+    def matrix():
+        kind = draw(st.sampled_from(["columns", "full", "identity"]))
+        if kind == "full":
+            return ((p - 1,) * m,) * (n * n)
+        if kind == "identity":
+            return trunc_identity(n, m)
+        cols = [column() for _ in range(n)]
+        return tuple(cols[j][i] for i in range(n) for j in range(n))
+
+    a, b = matrix(), matrix()
+    u = tuple((int(e % (n + 1) == 0),) + c[1:] for e, c in enumerate(a))
+    return n, m, p, a, b, u
+
+
+@given(_packed_case(), st.integers(1, 12))
+@example((2, 1, 2, ((1,),) * 4, ((1,),) * 4, ((1,), (0,), (0,), (1,))), 2)  # 1+1 = p
+@example((4, 4, 257, ((256,) * 4,) * 16, ((256,) * 4,) * 16,
+          tuple((int(e % 5 == 0), 256, 256, 256) for e in range(16))), 12)
+def test_packed_arithmetic_matches_reference(case, e):
+    n, m, p, a, b, u = case
+    ring = _Packing(n, m, p)
+
+    def unpack(x):
+        return _deserialize(ring.to_bytes(x), n, m, p)
+
+    pa, pb, pu = ring.pack(a), ring.pack(b), ring.pack(u)
+    assert ring.from_bytes(serialize(a, p)) == pa
+    assert unpack(pa) == a
+    assert unpack(ring.mul(pa, pb)) == trunc_mul(a, b, n, m, p)
+    inv = ring.inverse(pu)
+    assert unpack(inv) == trunc_inverse(u, n, m, p)
+    assert ring.mul(pu, inv) == ring.mul(inv, pu) == ring.identity
+    power = u
+    for _ in range(e - 1):
+        power = trunc_mul(power, u, n, m, p)
+    assert unpack(ring.power(pu, e)) == power
+
+
+def test_power_check_squares_and_multiplies(monkeypatch):
+    # g^257 is 8 squarings and one product: 9 products per element, not 256
+    tbl = _group_for(bound_profile([(1,)]), GF(257))
+    assert tbl.order == 257
+    mul, power = _Packing.mul, _Packing.power
+    products = [0]
+    calls = []
+
+    def counting_mul(self, a, b):
+        products[0] += 1
+        return mul(self, a, b)
+
+    def counting_power(self, x, e):
+        start = products[0]
+        result = power(self, x, e)
+        calls.append((e, products[0] - start))
+        return result
+
+    monkeypatch.setattr(_Packing, "mul", counting_mul)
+    monkeypatch.setattr(_Packing, "power", counting_power)
+    assert abelianization_dim(tbl) == 1
+    assert calls == [(257, 9)] * 257
 
 
 def test_commutator_subgroup_213():
@@ -93,26 +181,26 @@ def _reference_commutator_subgroup(tbl):
     """Closure of all pairwise commutators; normality is asserted."""
     n, m, p = tbl.n, tbl.m, tbl.p
     elems = [_deserialize(raw, n, m, p) for raw in sorted(tbl.elements)]
-    inv = {_serialize(x, p): _trunc_inverse(x, n, m, p) for x in elems}
+    inv = {serialize(x, p): trunc_inverse(x, n, m, p) for x in elems}
 
     comms = set()
     for x in elems:
-        xi = inv[_serialize(x, p)]
+        xi = inv[serialize(x, p)]
         for y in elems:
-            yi = inv[_serialize(y, p)]
-            c = _trunc_mul(_trunc_mul(x, y, n, m, p),
-                           _trunc_mul(xi, yi, n, m, p), n, m, p)
-            comms.add(_serialize(c, p))
+            yi = inv[serialize(y, p)]
+            c = trunc_mul(trunc_mul(x, y, n, m, p),
+                          trunc_mul(xi, yi, n, m, p), n, m, p)
+            comms.add(serialize(c, p))
 
     gens = [_deserialize(raw, n, m, p) for raw in sorted(comms)]
-    seen = {_serialize(_trunc_identity(n, m), p)}
-    frontier = [_trunc_identity(n, m)]
+    seen = {serialize(trunc_identity(n, m), p)}
+    frontier = [trunc_identity(n, m)]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = _trunc_mul(x, g, n, m, p)
-                raw = _serialize(y, p)
+                y = trunc_mul(x, g, n, m, p)
+                raw = serialize(y, p)
                 if raw not in seen:
                     seen.add(raw)
                     nxt.append(y)
@@ -120,11 +208,11 @@ def _reference_commutator_subgroup(tbl):
 
     for raw in tbl.elements:
         g = _deserialize(raw, n, m, p)
-        gi = inv.get(raw) or _trunc_inverse(g, n, m, p)
+        gi = inv.get(raw) or trunc_inverse(g, n, m, p)
         for hraw in seen:
             h = _deserialize(hraw, n, m, p)
-            conj = _trunc_mul(_trunc_mul(g, h, n, m, p), gi, n, m, p)
-            if _serialize(conj, p) not in seen:
+            conj = trunc_mul(trunc_mul(g, h, n, m, p), gi, n, m, p)
+            if serialize(conj, p) not in seen:
                 raise InvariantError("commutator subgroup is not normal")
 
     return FiniteGroupTable(
@@ -166,8 +254,9 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
     assert derived.order == derived_order
     if q == 2:  # the all-pairs reference needs |G|^2 products: minutes at 729
         assert derived.elements == _reference_commutator_subgroup(tbl).elements
-    comms = [_deserialize(raw, 4, 4, q) for raw in derived.generators]
-    assert len(_closure(comms, [], 4, 4, q, tbl.order)) == unconjugated_order
+    ring = _Packing(4, 4, q)
+    comms = [ring.from_bytes(raw) for raw in derived.generators]
+    assert len(_closure(comms, [], ring, tbl.order)) == unconjugated_order
 
 
 def test_abelianization_dims():

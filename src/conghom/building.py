@@ -15,10 +15,10 @@ vertices of Z_R and fix the published order.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import InvariantError
-from .gf import GF, DenseMatrix, inverse as gf_inverse, rref
+from .gf import GF, DenseMatrix, gauss_jordan, inverse as gf_inverse
 
 if TYPE_CHECKING:
     from .poly import CanonicalLabel
@@ -149,37 +149,55 @@ def bound_profile(simplex) -> BoundProfile:
     return BoundProfile(n, b)
 
 
-def enumerate_flag_reps(n: int, field: GF) -> list[DenseMatrix]:
-    """One determinant-one matrix per complete flag of F_q^n.
+def bruhat_cells(n: int, field: GF, break_types=None
+                 ) -> Iterator[tuple[frozenset[int], list[DenseMatrix]]]:
+    """Each Bruhat cell of complete flags of F_q^n, with its ascent set.
 
-    Column j of a representative spans the j-th step of its flag over
-    the previous ones.  The flags are enumerated by Bruhat cells: for
-    each row permutation w, column k < n-1 is e_w(k) plus free entries
-    at the rows r > w(k) not already used by w(0), ..., w(k-1), and the
-    last column is e_w(n-1), signed so that the determinant is 1.  The
+    For each row permutation w, in lexicographic order, the cell holds
+    one determinant-one matrix per flag: column k < n-1 is e_w(k) plus
+    free entries at the rows r > w(k) not already used by w(0), ...,
+    w(k-1), and the last column is e_w(n-1), signed so that the
+    determinant is 1.  So w(k) is the first nonzero row of column k,
+    and the cell's ascent set is {k in 1..n-1 : w(k-1) < w(k)}.  The
     cells together hold [n]_q! = (1)(1+q)...(1+q+...+q^(n-1)) flags,
-    each exactly once, and the list is sorted by column tuples.  The
-    coset w W_B of the Young subgroup of a break set B has a unique
-    longest element, the one decreasing inside every block of B
-    (Bjorner-Brenti, GTM 231, 2.4), so the flags whose ascents
-    (w(k-1) < w(k), k in 1..n-1) lie in B are one per partial flag of
-    type B.
+    each exactly once.  The coset w W_B of the Young subgroup of a break
+    set B has a unique longest element, the one decreasing inside every
+    block of B (Bjorner-Brenti, GTM 231, 2.4), so the flags whose
+    ascents lie in B are one per partial flag of type B.  With
+    break_types given, only the cells whose ascent set lies in one of
+    them are enumerated.
     """
     p = field.p
-    reps: list[DenseMatrix] = []
+    types = None if break_types is None else [frozenset(b) for b in break_types]
     for w in permutations(range(n)):
-        free = [(r, k) for k in range(n - 1) for r in range(w[k] + 1, n) if r not in w[:k]]
+        ascents = frozenset(k for k in range(1, n) if w[k - 1] < w[k])
+        if types is not None and not any(ascents <= b for b in types):
+            continue
+        free = [r * n + k for k in range(n - 1) for r in range(w[k] + 1, n) if r not in w[:k]]
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
         base = [0] * (n * n)
         for k in range(n):
             base[w[k] * n + k] = 1
         # permuting rows makes the matrix unitriangular, so det = sign(w)
         base[w[n - 1] * n + n - 1] = (-1) ** inversions
+        flags = []
         for values in product(range(p), repeat=len(free)):
             ent = base[:]
-            for (r, k), v in zip(free, values):
-                ent[r * n + k] = v
-            reps.append(DenseMatrix(field, n, n, ent))
+            for at, v in zip(free, values):
+                ent[at] = v
+            flags.append(DenseMatrix(field, n, n, ent))
+        yield ascents, flags
+
+
+def enumerate_flag_reps(n: int, field: GF) -> list[DenseMatrix]:
+    """One determinant-one matrix per complete flag of F_q^n: every bruhat_cells flag.
+
+    Column j of a representative spans the j-th step of its flag over
+    the previous ones.  The list is sorted by column tuples.  build_Z
+    reads it only when given it as flag_reps: by default it enumerates
+    just the cells whose ascents lie in a break type of its ball.
+    """
+    reps = [s for _, flags in bruhat_cells(n, field) for s in flags]
     reps.sort(key=lambda s: [s.col(j) for j in range(n)])
     return reps
 
@@ -229,24 +247,48 @@ def partial_flag_keys(s: DenseMatrix, vertices, spans: dict | None = None) -> di
     when s^-1 s' lies in the parabolic of r, that is, block upper
     triangular with blocks ending at the breaks, which holds exactly
     when the leading column spans agree at every break.  `spans`
-    memoizes each RREF on the leading columns; flags sorted by columns
-    share many of them.
+    carries the last RREF computed at each k from one call to the next
+    (see _flag_keys); pass one dict to calls on flags that share
+    leading columns.
     """
-    if spans is None:
-        spans = {}
+    return _flag_keys(s, _with_top({r: vertex_breaks(r) for r in vertices}),
+                      {} if spans is None else spans)
+
+
+def _with_top(breaks: dict) -> tuple:
+    """The (wedge vertex, its breaks) pairs of `breaks`, and the largest break (0 for none)."""
+    return list(breaks.items()), max((b[-1] for b in breaks.values() if b), default=0)
+
+
+def _flag_keys(s: DenseMatrix, vertices: tuple, spans: dict) -> dict:
+    """partial_flag_keys for vertices given by _with_top.
+
+    The span at k, of the first k columns, is the span at k - 1 plus
+    column k, so its RREF is the RREF at k - 1 with that column appended
+    as a row and reduced by gauss_jordan, which eliminates the one new
+    row against rows already reduced.  `spans` holds, for each k, the
+    last (RREF at k - 1, column k, RREF at k) computed: a flag that
+    shares the span at k - 1 (the same tuple) and column k with it
+    reuses that RREF.  Flags in cell order share many leading columns.
+    """
+    pairs, top = vertices
     n = s.rows
-    by_column = tuple(v for j in range(n) for v in s.entries[j::n])  # column j at [j*n:(j+1)*n]
-    keys = {}
-    for r in vertices:
-        flag = []
-        for k in vertex_breaks(r):
-            lead = by_column[:k * n]
-            span = spans.get(lead)
-            if span is None:
-                span = spans[lead] = rref(DenseMatrix(s.field, k, n, lead))[1].entries
-            flag.append(span)
-        keys[r] = (r, tuple(flag))
-    return keys
+    ent = s.entries
+    span = ()
+    at = [span]  # at[k]: RREF entries of the span at k
+    for k in range(1, top + 1):
+        col = ent[k - 1::n]
+        last = spans.get(k)
+        if last is not None and last[0] is span and last[1] == col:
+            span = last[2]
+        else:
+            rows = [list(span[i:i + n]) for i in range(0, len(span), n)]
+            rows.append(list(col))
+            gauss_jordan(rows, s.field.p, n)
+            spans[k] = (span, col, tuple([v for row in rows for v in row]))
+            span = spans[k][2]
+        at.append(span)
+    return {r: (r, tuple([at[k] for k in b])) for r, b in pairs}
 
 
 def partial_flag_count(n: int, q: int, breaks) -> int:
@@ -297,64 +339,83 @@ def build_Z(n: int, q: int, radius: int,
             flag_reps: list[DenseMatrix] | None = None) -> ComplexZ:
     """Union of the flag translates of the radius-R wedge, one per partial flag.
 
-    Of the full flags (flag_reps, default enumerate_flag_reps), a ball
-    vertex or edge of break type B, for an edge the union of its
-    vertices' breaks, is keyed (partial_flag_keys) only by those whose
-    ascents lie in B, one per partial flag of type B, and stores that
-    flag with its standard simplex.  A key reached twice, an edge
+    A ball vertex or edge of break type B, for an edge the union of its
+    vertices' breaks, is keyed (partial_flag_keys) only by the full
+    flags whose ascents lie in B, one per partial flag of type B, and
+    stores that flag with its standard simplex.  By default the flags
+    are those of the bruhat_cells whose ascents lie in some break type
+    of the ball, so no other cell is enumerated; given flag_reps, each
+    flag's ascents are read off its matrix instead.  Each flag is keyed
+    once per pass for all the break types that hold its ascents, and
+    the RREF of each leading column span extends the RREF of the
+    shorter one by a column (_flag_keys).  A key reached twice, an edge
     endpoint that is not a vertex key, or counts other than the wedge's
     closed-form partial_flag_count sums raise InvariantError.  Both
-    dicts are sorted by key, and each edge is oriented by key order.
+    dicts are sorted by key: the vertex keys are sorted once, and the
+    edges by the ranks of their endpoints there, each edge oriented
+    from its key-smaller endpoint.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
-    by_ascents: dict = {}  # ascent set of a flag's Bruhat permutation -> flags
-    for s in flag_reps if flag_reps is not None else enumerate_flag_reps(n, field):
-        w = [next(r for r in range(n) if s.entries[r * n + k]) for k in range(n)]
-        by_ascents.setdefault(frozenset(k for k in range(1, n) if w[k - 1] < w[k]), []).append(s)
+    breaks = {r: vertex_breaks(r) for r in ball_vertices}
+    vertex_types: dict = {}  # break type -> ball vertices of that type, as 1-simplices
+    for r in ball_vertices:
+        vertex_types.setdefault(frozenset(breaks[r]), []).append((r,))
+    edge_types: dict = {}    # break type -> ball edges of that type
+    for a, b in ball_edges:
+        edge_types.setdefault(frozenset(breaks[a] + breaks[b]), []).append((a, b))
+    if flag_reps is None:
+        cells = list(bruhat_cells(n, field, vertex_types.keys() | edge_types.keys()))
+    else:
+        by_ascents: dict = {}  # ascent set of a flag's Bruhat permutation -> flags
+        for s in flag_reps:
+            w = [next(r for r in range(n) if s.entries[r * n + k]) for k in range(n)]
+            by_ascents.setdefault(frozenset(k for k in range(1, n) if w[k - 1] < w[k]),
+                                  []).append(s)
+        cells = list(by_ascents.items())
     spans: dict = {}
 
-    def canonical(simplices):
-        """(flag, simplex, keys) for each simplex and each flag whose ascents lie in its breaks."""
-        by_type: dict = {}  # break type -> simplices
-        for simplex in simplices:
-            breaks = frozenset(k for r in simplex for k in vertex_breaks(r))
-            by_type.setdefault(breaks, []).append(simplex)
-        for breaks, group in by_type.items():
-            ball = {r for simplex in group for r in simplex}
-            for ascents, flags in by_ascents.items():
-                if ascents <= breaks:
-                    for s in flags:
-                        keys = partial_flag_keys(s, ball, spans)
-                        for simplex in group:
-                            yield s, simplex, keys
-
-    def put(found: dict, key, rep) -> None:
-        if key in found:
-            raise InvariantError(f"{key} is reached by two flags")
-        found[key] = rep
+    def canonical(types: dict):
+        """(flag, simplices, keys): each flag, the simplices whose break types hold its ascents."""
+        for ascents, flags in cells:
+            mine = [simplex for btype, group in types.items() if ascents <= btype
+                    for simplex in group]
+            if mine:
+                verts = _with_top({r: breaks[r] for simplex in mine for r in simplex})
+                for s in flags:
+                    yield s, mine, _flag_keys(s, verts, spans)
 
     found_v: dict = {}
-    for s, (r,), keys in canonical([(r,) for r in ball_vertices]):
-        put(found_v, keys[r], VertexRep(flag=s, vertex=r))
-    own = {key: key for key in found_v}  # edges share the vertex dict's key objects
-    found_e: dict = {}
-    for s, simplex, keys in canonical(ball_edges):
-        try:
-            ka, kb = sorted(own[keys[r]] for r in simplex)
-        except KeyError as missing:
-            raise InvariantError(f"edge endpoint {missing} is not a vertex") from None
-        put(found_e, (ka, kb), EdgeRep(flag=s, simplex=(ka[0], kb[0])))
+    for s, mine, keys in canonical(vertex_types):
+        for (r,) in mine:
+            key = keys[r]
+            if key in found_v:
+                raise InvariantError(f"{key} is reached by two flags")
+            found_v[key] = VertexRep(flag=s, vertex=r)
+    order = sorted(found_v)
+    rank = {key: i for i, key in enumerate(order)}
+    found_e: dict = {}  # (rank, rank) -> EdgeRep
+    for s, mine, keys in canonical(edge_types):
+        for a, b in mine:
+            try:
+                ia, ib = rank[keys[a]], rank[keys[b]]
+            except KeyError as missing:
+                raise InvariantError(f"edge endpoint {missing} is not a vertex") from None
+            if ib < ia:
+                ia, ib, a, b = ib, ia, b, a
+            if (ia, ib) in found_e:
+                raise InvariantError(f"{(order[ia], order[ib])} is reached by two flags")
+            found_e[ia, ib] = EdgeRep(flag=s, simplex=(a, b))
 
-    want_v = sum(partial_flag_count(n, q, vertex_breaks(r)) for r in ball_vertices)
-    want_e = sum(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
-                 for a, b in ball_edges)
+    want_v = sum(partial_flag_count(n, q, breaks[r]) for r in ball_vertices)
+    want_e = sum(partial_flag_count(n, q, set(breaks[a]) | set(breaks[b])) for a, b in ball_edges)
     if (len(found_v), len(found_e)) != (want_v, want_e):
         raise InvariantError(
             f"{len(found_v)} vertices and {len(found_e)} edges, but the partial-flag "
             f"counts give {want_v} and {want_e}")
     return ComplexZ(n=n, q=q, radius=radius, field=field,
-                    vertices=dict(sorted(found_v.items())), edges=dict(sorted(found_e.items())))
+                    vertices={key: found_v[key] for key in order},
+                    edges={(order[ia], order[ib]): found_e[ia, ib] for ia, ib in sorted(found_e)})
 
 
 def order_by_label(z: ComplexZ) -> tuple[ComplexZ, dict]:

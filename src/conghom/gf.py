@@ -59,7 +59,8 @@ class DenseMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: GF, rows: int, cols: int, entries: Iterable[int]) -> None:
-        ent = tuple(v % field.p for v in entries)
+        p = field.p
+        ent = tuple([v % p for v in entries])
         if len(ent) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.field = field
@@ -128,54 +129,71 @@ class DenseMatrix:
         return f"DenseMatrix({self.field}, {self.to_rows()})"
 
 
+def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
+    """Reduce rows of residues mod p in place to reduced row echelon form.
+
+    Pivots are sought in the first `width` columns, left to right: each
+    pivot row is moved up, scaled to 1 at its pivot, and subtracted from
+    every other row that is nonzero there, across the whole row.
+    Returns the pivot columns; the rows below the last pivot row are
+    zero in the first `width` columns.  rref reduces a whole matrix this
+    way, and inverse_entries the left half of [m | I].
+    """
+    pivots: list[int] = []
+    r = 0
+    count = len(rows)
+    for c in range(width):
+        if r == count:
+            break
+        for i in range(r, count):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        row = rows[i]
+        rows[i] = rows[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = [v * inv % p for v in row]
+        rows[r] = row
+        for i, other in enumerate(rows):
+            f = other[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form, by gauss_jordan.
 
     Returns (rank, reduced matrix, pivot columns).  The reduction is the
     unique RREF over GF(p); the row space is preserved.
     """
-    field = m.field
-    p = field.p
-    a = m.to_rows()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    reduced = DenseMatrix.from_rows(field, a) if m.rows else DenseMatrix(field, 0, m.cols, [])
-    return r, reduced, tuple(pivots)
+    rows = m.to_rows()
+    pivots = gauss_jordan(rows, m.field.p, m.cols)
+    reduced = DenseMatrix(m.field, m.rows, m.cols, [v for row in rows for v in row])
+    return len(pivots), reduced, tuple(pivots)
+
+
+def inverse_entries(entries: Sequence[int], n: int, p: int) -> tuple[int, ...]:
+    """Row-major inverse of an n x n matrix given by its row-major residues mod p.
+
+    gauss_jordan reduces [m | I] with its pivots in the left half, which
+    leaves [I | m^-1]; a singular matrix raises ValueError.
+    """
+    rows = [[*entries[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
+    if len(gauss_jordan(rows, p, n)) < n:
+        raise ValueError("matrix is singular")
+    return tuple([v for row in rows for v in row[n:]])
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:
-    """Inverse via Gauss-Jordan on the augmented matrix."""
+    """Inverse, by inverse_entries."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = DenseMatrix(
-        m.field, n, 2 * n,
-        [m.get(i, j) if j < n else (1 if j - n == i else 0)
-         for i in range(n) for j in range(2 * n)],
-    )
-    rank, red, piv = rref(aug)
-    if piv[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return DenseMatrix(m.field, n, n, [red.get(i, n + j) for i in range(n) for j in range(n)])
+    return DenseMatrix(m.field, m.rows, m.cols, inverse_entries(m.entries, m.rows, m.field.p))
 
 
 class SparseMatrix:

@@ -13,7 +13,7 @@ bilinear cross term of a product lands in a killed degree.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from operator import lshift, mul
 from typing import Iterator, NamedTuple
 
 from .building import (
@@ -26,7 +26,7 @@ from .building import (
     vertex_breaks,
 )
 from .errors import InvariantError
-from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, reduce_columns
+from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, inverse_entries, reduce_columns
 
 
 class WeightSlot(NamedTuple):
@@ -206,9 +206,37 @@ def block_index(z: ComplexZ) -> BlockIndex:
     return BlockIndex(vertex_blocks, edge_blocks, dim_c0, dim_c1)
 
 
-def _flag_product(inv_rows: tuple, cols: tuple, p: int) -> tuple[int, ...]:
-    """Row-major entries of W = s_v^-1 s_e, from the rows of s_v^-1 and the columns of s_e."""
-    return tuple([sum(map(mul, row, col)) % p for row in inv_rows for col in cols])
+def _slot_bits(n: int, p: int) -> int:
+    """Bits per packed entry: an entry of a product of two n x n residue matrices is <= n(p-1)^2."""
+    return (n * (p - 1) ** 2).bit_length()
+
+
+def _pack_columns(entries: tuple, n: int, bits: int) -> tuple[int, ...]:
+    """Each column of a row-major n x n matrix as one int, entry i in slot i of `bits` bits."""
+    shifts = range(0, bits * n, bits)
+    return tuple([sum(map(lshift, entries[k::n], shifts)) for k in range(n)])
+
+
+def _packed_product(packed: tuple, b: tuple, unpack: dict, bits: int, p: int
+                    ) -> tuple[int, ...]:
+    """Column-major entries of A B mod p, from A's columns packed by _pack_columns and B's entries.
+
+    Column j of A B, packed, is sum_k B[k][j] packed[k] (Kronecker
+    substitution): slot i holds sum_k A[i][k] B[k][j] <= n (p-1)^2,
+    which fits in `bits` bits, so no slot carries into the next.
+    `unpack` memoizes the residues of each packed column; few distinct
+    ones occur.
+    """
+    n = len(packed)
+    out: tuple = ()
+    for j in range(n):
+        x = sum(map(mul, b[j::n], packed))
+        col = unpack.get(x)
+        if col is None:
+            mask = (1 << bits) - 1
+            col = unpack[x] = tuple([(x >> shift & mask) % p for shift in range(0, bits * n, bits)])
+        out += col
+    return out
 
 
 def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]:
@@ -222,24 +250,28 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     orientation.
 
     W = s_v^-1 s_e is the identity when the two flags have equal entries,
-    and no product is formed.  Otherwise W's entries are memoized on the
-    flag pair (s_v entries, s_e entries) and formed by _flag_product from
-    the rows of s_v^-1 and the columns of s_e, each computed once per
-    flag; equal W values share one tuple.  The _inclusion entries are
-    memoized on (W entries, edge simplex, r_v), which fixes both bases,
-    so only the few distinct inclusions are computed, each with the
-    DenseMatrix W and W^-1 formed only then.  Every pair looks up its own
-    key, and a key whose inclusion raises is never stored, so every pair
-    passes the endpoint and support checks.  The entries are offset by
-    the endpoint's row and signed into the columns.
+    and no product is formed.  Otherwise W's column-major entries are
+    memoized on the flag pair (s_v entries, s_e entries) and formed by
+    _packed_product from the columns of s_v^-1 (gf.inverse_entries),
+    packed into one int each once per vertex flag, and the entries of
+    s_e; equal W values share one tuple.  The _inclusion entries are
+    memoized on (W, edge simplex, r_v), which fixes both bases, so only
+    the few distinct inclusions are computed, each with W^-1 from
+    gf.inverse_entries.  No DenseMatrix product, rref or inverse runs.
+    Every pair looks up its own key, and a key whose inclusion raises
+    is never stored, so every pair passes the endpoint and support
+    checks.  The entries are offset by the endpoint's row and signed
+    into the columns.
     """
     n = z.n
-    p = z.field.p
-    vertex_block = {key: (off, basis) for key, off, basis in index.vertex_blocks}
-    identity = DenseMatrix.identity(z.field, n).entries
-    inv_rows = {}    # s_v entries -> rows of s_v^-1
-    cols_of = {}     # s_e entries -> columns of s_e
-    w_of = {}        # (s_v entries, s_e entries) -> W entries
+    field = z.field
+    p = field.p
+    bits = _slot_bits(n, p)
+    vertex_of = {key: (z.vertices[key], off, basis) for key, off, basis in index.vertex_blocks}
+    identity = DenseMatrix.identity(field, n).entries  # equal to its transpose
+    inv_packed = {}  # s_v entries -> columns of s_v^-1, packed
+    unpack = {}      # packed column of W -> its residues
+    w_of = {}        # (s_v entries, s_e entries) -> W entries, column-major
     interned = {}    # W entries -> the one tuple that every equal W shares
     inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
     for pair, _, basis in index.edge_blocks:
@@ -249,29 +281,25 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
         se = erep.flag.entries
         columns = [{} for _ in range(basis.dim)]
         for key, sign in ((pair[0], 1), (pair[1], -1)):
-            vrep = z.vertices[key]
+            vrep, r0, vert_basis = vertex_of[key]
             sv = vrep.flag.entries
             if sv == se:
                 w = identity
             else:
                 w = w_of.get((sv, se))
                 if w is None:
-                    rows = inv_rows.get(sv)
-                    if rows is None:
-                        inv = gf_inverse(vrep.flag)
-                        rows = inv_rows[sv] = tuple(inv.row(i) for i in range(n))
-                    cols = cols_of.get(se)
-                    if cols is None:
-                        cols = cols_of[se] = tuple(erep.flag.col(j) for j in range(n))
-                    w = _flag_product(rows, cols, p)
+                    packed = inv_packed.get(sv)
+                    if packed is None:
+                        packed = inv_packed[sv] = _pack_columns(inverse_entries(sv, n, p), n, bits)
+                    w = _packed_product(packed, se, unpack, bits, p)
                     w = w_of[sv, se] = interned.setdefault(w, w)
-            r0, vert_basis = vertex_block[key]
             memo = (w, erep.simplex, vrep.vertex)
             entries = inclusions.get(memo)
             if entries is None:
-                w_mat = DenseMatrix(z.field, n, n, w)
+                w_mat = DenseMatrix(field, n, n, w).transpose()
                 entries = inclusions[memo] = _inclusion(
-                    w_mat, gf_inverse(w_mat), erep.simplex, basis, vrep.vertex, vert_basis)
+                    w_mat, DenseMatrix(field, n, n, inverse_entries(w_mat.entries, n, p)),
+                    erep.simplex, basis, vrep.vertex, vert_basis)
             for a, b, v in entries:
                 columns[b][r0 + a] = sign * v % p
         yield from columns

@@ -236,15 +236,18 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     """log_p of the abelianization order; requires an elementary quotient.
 
     G' comes from `commutator_subgroup`, the normal closure of the
-    generator commutators.  Checks that the p-th power of every element
-    lands in G'.  A violating element would disprove the graded model,
-    so it is raised with the witness attached.
+    generator commutators.  Checks that the p-th power of every
+    generator lands in G'.  That certifies it for every element: G/G'
+    is abelian, so x -> x^p is a homomorphism on it, and its kernel
+    holds all of G exactly when it holds the generators.  A violating
+    generator would disprove the graded model, so it is raised with the
+    witness attached.
     """
     p = tbl.p
     ring = _Packing(tbl.n, tbl.m, p)
     derived = commutator_subgroup(tbl)
     derived_elements = set(map(ring.from_bytes, derived.elements))
-    for raw in tbl.elements:
+    for raw in tbl.generators:
         if ring.power(ring.from_bytes(raw), p) not in derived_elements:
             raise InvariantError(
                 f"abelianization is not elementary abelian; witness {raw.hex()}"

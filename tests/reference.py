@@ -17,6 +17,8 @@ command line never runs it.  It holds
 - the determinant over GF(p), which checks the flag representatives;
 - the heap rank, a Markowitz elimination on the rows, which checks the
   column reduction of conghom.gf.sparse_rank;
+- the row-list RREF and the inverse read off the RREF of [m | I], which
+  check the Gauss-Jordan routine that conghom.gf.rref and inverse wrap;
 - the coefficient-by-coefficient product and Neumann-series inverse of
   truncated matrices, and their byte form in the group tables, which
   check the oracle's packed arithmetic;
@@ -325,6 +327,57 @@ def heap_rank(m: SparseMatrix) -> int:
                 del rows[r]
         rank += 1
     return rank
+
+
+def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
+    """Reduced row echelon form on a list of rows: (rank, reduced matrix, pivot columns).
+
+    Every pivot row is scaled by the inverse of its pivot, and every
+    column is scanned until the rank reaches the row count.  Checks
+    conghom.gf.gauss_jordan, which rref wraps.
+    """
+    field = m.field
+    p = field.p
+    a = m.to_rows()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, m.rows):
+            if a[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [(v * inv) % p for v in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    reduced = DenseMatrix.from_rows(field, a) if m.rows else DenseMatrix(field, 0, m.cols, [])
+    return r, reduced, tuple(pivots)
+
+
+def augmented_inverse(m: DenseMatrix) -> DenseMatrix:
+    """Inverse from row_rref of the whole augmented matrix [m | I]; ValueError when singular."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.rows
+    aug = DenseMatrix(
+        m.field, n, 2 * n,
+        [m.get(i, j) if j < n else (1 if j - n == i else 0)
+         for i in range(n) for j in range(2 * n)],
+    )
+    rank, red, piv = row_rref(aug)
+    if piv[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return DenseMatrix(m.field, n, n, [red.get(i, n + j) for i in range(n) for j in range(n)])
 
 
 def serialize(a: Trunc, p: int) -> bytes:

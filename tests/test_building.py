@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conghom import building, poly
+from conghom import building, gf, homology, poly
 from conghom.building import (
     BoundProfile,
     ComplexZ,
@@ -15,6 +15,7 @@ from conghom.building import (
     VertexRep,
     adjacency,
     bound_profile,
+    bruhat_cells,
     build_Z,
     enumerate_flag_reps,
     order_by_label,
@@ -287,16 +288,23 @@ def test_ascent_rule_picks_one_flag_per_partial_flag(n, q):
     types = {_vertex_of_type(n, b): b for size in range(n) for b in combinations(range(1, n), size)}
     chosen = {r: 0 for r in types}
     keys = {r: set() for r in types}
+    selected = {r: [] for r in types}
     spans = {}
     for s in _flag_reps(n, q):
         ascents = _ascents(s)
         mine = [r for r, breaks in types.items() if ascents <= set(breaks)]
+        for r in mine:
+            selected[r].append(s.entries)
         for r, key in partial_flag_keys(s, mine, spans).items():
             chosen[r] += 1
             keys[r].add(key)
     for r, breaks in types.items():
         assert vertex_breaks(r) == breaks
         assert len(keys[r]) == chosen[r] == partial_flag_count(n, q, breaks)
+        # the cells restricted to B yield exactly these flags, with their ascents
+        cells = list(bruhat_cells(n, GF(q), [breaks]))
+        assert all(_ascents(s) == ascents for ascents, flags in cells for s in flags)
+        assert sorted(s.entries for _, flags in cells for s in flags) == sorted(selected[r])
 
 
 def _full_flag_build_z(n, q, radius):
@@ -349,8 +357,10 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_compute_path_computes_no_labels(monkeypatch, capsys):
     calls = []
+    # nor a DenseMatrix Gauss-Jordan: the rref and inverse wrappers, under every name
     for module, name in ((building, "vertex_label"), (poly, "lattice_label"),
-                         (poly, "polymat_det"), (poly, "column_hnf")):
+                         (poly, "polymat_det"), (poly, "column_hnf"), (gf, "rref"),
+                         (gf, "inverse"), (building, "gf_inverse"), (homology, "gf_inverse")):
         _count_calls(monkeypatch, module, name, calls)
     want = {"n": 4, "q": 2, "radius": 1, "num_vertices": 65, "num_edges": 315, "dim_c0": 230,
             "dim_c1": 525, "rank_boundary": 215, "dim_h0": 15, "target": 15,

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, rref, sparse_rank
-from reference import det, heap_rank
+from reference import augmented_inverse, det, heap_rank, row_rref
 
 
 def test_field_examples():
@@ -108,6 +108,38 @@ def test_det_and_inverse():
                     inverse(m)
             else:
                 assert m @ inverse(m) == DenseMatrix.identity(f, n)
+
+
+@st.composite
+def _residue_matrix(draw, square=False):
+    """Up to 5 x 10 over GF(p), p in {2, 3, 5, 7, 257}, with 0 and p - 1 drawn often.
+
+    A square one has, half the time, a last row that combines the others,
+    so it is singular.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7, 257)))
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 10))
+    entry = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    dense = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if square and rows and draw(st.booleans()):
+        combo = draw(st.lists(entry, min_size=rows - 1, max_size=rows - 1))
+        dense[-1] = [sum(a * row[j] for a, row in zip(combo, dense)) % p for j in range(cols)]
+    return DenseMatrix.from_rows(GF(p), dense) if rows else DenseMatrix(GF(p), 0, cols, [])
+
+
+@given(_residue_matrix(), _residue_matrix(square=True))
+def test_gauss_jordan_matches_row_reference(m, square):
+    # rank, RREF entries and pivots of rref, and inverse or its refusal, as
+    # the row-list references compute them
+    assert rref(m) == row_rref(m)
+    try:
+        want = augmented_inverse(square)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(square)
+    else:
+        assert inverse(square) == want
 
 
 def test_product_column_and_transpose_match_entrywise_definitions():

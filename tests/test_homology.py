@@ -1,6 +1,9 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conghom import homology
 from conghom.building import (BoundProfile, EdgeRep, VertexRep, bound_profile, build_Z,
@@ -339,15 +342,46 @@ def test_boundary_columns_forms_each_flag_pair_product_once(monkeypatch, n, q, r
     assert sum(sv == se for sv, se in flag_pairs) == same_flag
     assert len({(sv, se) for sv, se in flag_pairs if sv != se}) == products
     calls = []
-    real = homology._flag_product
+    real = homology._packed_product
 
-    def recording(inv_rows, cols, p):
-        calls.append((inv_rows, cols))
-        return real(inv_rows, cols, p)
+    def recording(packed, b, unpack, bits, p):
+        calls.append((packed, b))
+        return real(packed, b, unpack, bits, p)
 
-    monkeypatch.setattr(homology, "_flag_product", recording)
+    monkeypatch.setattr(homology, "_packed_product", recording)
     entry(z)
     assert len(calls) == len(set(calls)) == products
+
+
+@given(st.data())
+def test_packed_product_is_the_flag_pair_product(data):
+    # W = s_v^-1 s_e from s_v^-1's packed columns, column-major, for random
+    # flag pairs, and the same product for matrices drawn with entries of
+    # p - 1, whose slot sums n (p-1)^2 are the largest a slot must hold;
+    # one unpack memo serves every product of a field and size
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 257]))
+    field = GF(q)
+    bits = homology._slot_bits(n, q)
+    unpack = {}
+    if q ** n <= 81 and data.draw(st.booleans()):
+        reps = _flag_reps(n, q)
+        a, b = inverse(data.draw(st.sampled_from(reps))), data.draw(st.sampled_from(reps))
+    else:
+        entry = st.one_of(st.just(q - 1), st.integers(0, q - 1))
+        a, b = (DenseMatrix(field, n, n, data.draw(st.lists(entry, min_size=n * n,
+                                                             max_size=n * n)))
+                for _ in range(2))
+    full = DenseMatrix(field, n, n, [q - 1] * (n * n))
+    for x, y in ((a, b), (full, full), (full, b)):
+        packed = homology._pack_columns(x.entries, n, bits)
+        assert homology._packed_product(packed, y.entries, unpack, bits, q) == (
+            (x @ y).transpose().entries)
+
+
+@cache
+def _flag_reps(n, q):
+    return enumerate_flag_reps(n, GF(q))
 
 
 @pytest.mark.parametrize("n,q,radius,entry", _through_both_entry_points([(3, 2, 2), (3, 3, 1)]))

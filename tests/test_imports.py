@@ -23,7 +23,7 @@ MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "reduce_at_zero", "polymat_adjugate", "membership", "class_vector",
                     "phi_check", "det", "_serialize", "serialize", "_trunc_mul", "trunc_mul",
                     "_trunc_inverse", "trunc_inverse", "_trunc_identity", "trunc_identity",
-                    "_trunc_sub_identity", "trunc_sub_identity")
+                    "_trunc_sub_identity", "trunc_sub_identity", "_flag_product")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),

@@ -10,17 +10,17 @@ the modules it runs.
 from importlib import import_module
 
 _EXPORTS = {
-    "building": ("BoundProfile", "ComplexZ", "adjacency", "bound_profile", "build_Z",
-                 "enumerate_flag_reps", "standard_ball", "vertex_label"),
-    "congruence": ("GroupElement", "elementary"),
+    "building": ("ComplexZ", "build_Z", "enumerate_flag_reps", "vertex_label"),
     "errors": ("InvariantError", "OracleLimitError"),
-    "gf": ("GF", "DenseMatrix", "SparseMatrix", "inverse", "rref", "sparse_rank"),
-    "homology": ("H1Basis", "HomologyReport", "WeightSlot", "assemble_boundary",
-                 "edge_inclusion", "h0_dimension", "h1_basis", "surviving_degrees"),
+    "field": ("GF",),
+    "gf": ("DenseMatrix", "SparseMatrix", "inverse", "rref", "sparse_rank"),
+    "homology": ("HomologyReport", "assemble_boundary", "edge_inclusion", "h0_dimension"),
     "oracle": ("FiniteGroupTable", "abelianization_dim", "adjacency_oracle",
                "commutator_subgroup", "generate_group", "verify_h1_formula"),
     "poly": ("CanonicalLabel", "Poly", "PolyMatrix", "column_hnf", "lattice_contains",
              "lattice_label", "poly_divmod", "polymat_det"),
+    "wedge": ("BoundProfile", "H1Basis", "WeightSlot", "adjacency", "bound_profile",
+              "h1_basis", "standard_ball", "surviving_degrees"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,15 +1,15 @@
-"""The standard wedge, flag translates, and the complex Z_R.
+"""Flag translates of the standard wedge, and the complex Z_R.
 
-Standard vertices are weakly decreasing exponent tuples (r_1, ...,
-r_{n-1}) with an implicit trailing 0.  The radius-R slice of the
-fundamental domain is the union of the translates of the truncated
-wedge by one constant matrix per full flag of F_q^n.  The translate of
-a wedge vertex r by a flag matrix s depends only on r and on the
-partial flag of F_q^n that s cuts out at the breaks of r, so Z_R takes
-one canonical flag per partial flag, and keys and orders translates by
-that partial flag, written as RREF column spans.  Canonical HNF lattice
-labels are computed only on export (order_by_label), to name the
-vertices of Z_R and fix the published order.
+The standard vertices and the radius-R ball of the wedge are in
+conghom.wedge.  The radius-R slice of the fundamental domain is the
+union of the translates of the truncated wedge by one constant matrix
+per full flag of F_q^n.  The translate of a wedge vertex r by a flag
+matrix s depends only on r and on the partial flag of F_q^n that s
+cuts out at the breaks of r, so Z_R takes one canonical flag per
+partial flag, and keys and orders translates by that partial flag,
+written as RREF column spans.  Canonical HNF lattice labels are
+computed only on export (order_by_label), to name the vertices of Z_R
+and fix the published order.
 """
 
 from __future__ import annotations
@@ -18,135 +18,12 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import InvariantError
-from .gf import GF, DenseMatrix, gauss_jordan, inverse as gf_inverse
+from .field import GF
+from .gf import DenseMatrix, gauss_jordan, inverse as gf_inverse
+from .wedge import Vertex, is_standard_vertex, standard_ball
 
 if TYPE_CHECKING:
     from .poly import CanonicalLabel
-
-Vertex = tuple[int, ...]
-Edge = tuple[Vertex, Vertex]
-
-
-def is_standard_vertex(r: Vertex) -> bool:
-    padded = tuple(r) + (0,)
-    return all(a >= b for a, b in zip(padded, padded[1:])) and padded[-1] == 0 and min(padded) >= 0
-
-
-def adjacency(r: Vertex, rp: Vertex) -> bool:
-    """Whether two standard vertices are joined by an edge.
-
-    With the implicit final 0 appended, the componentwise difference
-    must lie in {0,1}^n or {-1,0}^n and be nonzero; this matches the
-    chain characterization checked by the lattice oracle.
-    """
-    if len(r) != len(rp):
-        raise ValueError("vertices of different dimension")
-    diff = [a - b for a, b in zip(tuple(r) + (0,), tuple(rp) + (0,))]
-    if all(d == 0 for d in diff):
-        return False
-    return all(d in (0, 1) for d in diff) or all(d in (-1, 0) for d in diff)
-
-
-def standard_ball(n: int, radius: int) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
-    """All standard vertices with r_1 <= radius, and the edges among them."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    verts: list[Vertex] = []
-
-    def grow(prefix: tuple[int, ...], cap: int) -> None:
-        if len(prefix) == n - 1:
-            verts.append(prefix)
-            return
-        for v in range(cap + 1):
-            grow(prefix + (v,), v)
-
-    grow((), radius)
-    verts.sort()
-    edges = tuple(
-        (a, b)
-        for idx, a in enumerate(verts)
-        for b in verts[idx + 1:]
-        if adjacency(a, b)
-    )
-    return tuple(verts), edges
-
-
-class BoundProfile(NamedTuple):
-    """Degree caps b_ij for the entries of a simplex stabilizer.
-
-    Keys are 1-based ordered pairs (i, j), i != j.  For standard
-    simplices b_ij = min over vertices of r_i - r_j (r_n = 0), which is
-    superadditive: b_ij >= b_ik + b_kj whenever i < k < j.
-    """
-
-    n: int
-    b: dict[tuple[int, int], int]
-
-    def upper_pairs(self):
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield (i, j)
-
-    def is_superadditive(self) -> bool:
-        for i in range(1, self.n + 1):
-            for j in range(i + 2, self.n + 1):
-                for k in range(i + 1, j):
-                    if self.b[(i, j)] < self.b[(i, k)] + self.b[(k, j)]:
-                        return False
-        return True
-
-    def max_bound(self) -> int:
-        return max([self.b[p] for p in self.upper_pairs()] + [0])
-
-    @classmethod
-    def from_upper_bounds(cls, n: int, values: list[int]) -> "BoundProfile":
-        """Build from explicit upper-triangle caps.
-
-        Values are in root_order: (1,2), (2,3), ..., (n-1,n), (1,3),
-        ..., (1,n).  Below-diagonal caps are zero.
-        Upper caps of standard simplices are minima of r_i - r_j >= 0, so a
-        negative value is rejected.
-        """
-        pairs = root_order(n)
-        if len(values) != len(pairs):
-            raise ValueError(f"expected {len(pairs)} bounds for n={n}")
-        if any(v < 0 for v in values):
-            raise ValueError("bounds must be non-negative")
-        b = {}
-        for (i, j), v in zip(pairs, values):
-            b[(i, j)] = v
-            b[(j, i)] = 0
-        return cls(n, b)
-
-
-def root_order(n: int) -> list[tuple[int, int]]:
-    """Upper pairs ordered by column distance then row; matches from_upper_bounds."""
-    return [(i, i + d) for d in range(1, n) for i in range(1, n - d + 1)]
-
-
-def bound_profile(simplex) -> BoundProfile:
-    """Profile of a standard simplex given as its vertex set."""
-    verts = [tuple(v) for v in simplex]
-    if not verts:
-        raise ValueError("empty simplex")
-    n = len(verts[0]) + 1
-    for v in verts:
-        if len(v) != n - 1 or not is_standard_vertex(v):
-            raise ValueError("vertices do not lie in the standard wedge")
-    for idx, a in enumerate(verts):
-        for b in verts[idx + 1:]:
-            if a == b or not adjacency(a, b):
-                raise ValueError("vertices do not span a simplex")
-    b = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            padded = [tuple(v) + (0,) for v in verts]
-            b[(i, j)] = min(v[i - 1] - v[j - 1] for v in padded)
-    return BoundProfile(n, b)
 
 
 def bruhat_cells(n: int, field: GF, break_types=None

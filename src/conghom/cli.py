@@ -4,31 +4,30 @@ Exit codes: 0 success (and expected cokernel dimension), 2 usage error,
 3 cokernel dimension above the expected value (a finding), 4 internal
 invariant violation.
 
-The module level imports only what compute, survive and export run;
-oracle imports the brute-force module when it starts, so no other
-command loads the polynomial group code.
+Each command imports the modules it runs when it starts, so the module
+level loads only conghom.field (the prime check) and conghom.errors:
+
+- compute: wedge, gf, building and homology (with json);
+- export: the same, and poly for the vertex labels;
+- survive: wedge;
+- oracle: wedge, poly and oracle.  It loads neither the Z_R
+  construction (building), nor the boundary (homology), nor the matrix
+  code (gf).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .building import (BoundProfile, ComplexZ, adjacency, bound_profile, build_Z,
-                       order_by_label, root_order, standard_ball)
 from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
-from .gf import GF, SparseMatrix
-from .homology import assemble_boundary, h0_dimension, h1_basis, surviving_degrees
+from .field import GF, _is_prime
 
-
-def _is_prime_q(q: int) -> bool:
-    try:
-        GF(q)
-    except ValueError:
-        return False
-    return True
+if TYPE_CHECKING:
+    from .building import ComplexZ
+    from .gf import SparseMatrix
 
 
 def _usage_error(msg: str) -> int:
@@ -59,7 +58,12 @@ def _matrix_text(m: SparseMatrix) -> str:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    if not _is_prime_q(args.q):
+    import json
+
+    from .building import build_Z
+    from .homology import h0_dimension
+
+    if not _is_prime(args.q):
         return _usage_error("q must be prime")
     t0 = time.monotonic()
     z = build_Z(args.n, args.q, args.radius)
@@ -79,6 +83,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_survive(args: argparse.Namespace) -> int:
+    from .wedge import BoundProfile, root_order, surviving_degrees
+
     try:
         values = [int(v) for v in args.bounds.split(",")]
     except ValueError:
@@ -104,8 +110,9 @@ def cmd_survive(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import adjacency_oracle, expected_order_exponent, verify_h1_formula
+    from .wedge import adjacency, bound_profile, h1_basis, standard_ball
 
-    if not _is_prime_q(args.q):
+    if not _is_prime(args.q):
         return _usage_error("q must be prime")
     if args.limit < 1:
         return _usage_error("limit must be at least 1")
@@ -145,7 +152,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    if not _is_prime_q(args.q):
+    from .building import build_Z, order_by_label
+    from .homology import assemble_boundary
+
+    if not _is_prime(args.q):
         return _usage_error("q must be prime")
     z, labels = order_by_label(build_Z(args.n, args.q, args.radius))
     boundary, _ = assemble_boundary(z)

@@ -1,9 +1,7 @@
-"""Exact arithmetic and linear algebra over the prime field GF(p).
+"""Exact linear algebra over the prime field GF(p).
 
-Scalars are plain Python ints in [0, p); the modulus lives in a shared
-GF context object that every compound value carries.  Mixing values
-from different contexts raises immediately rather than producing
-garbage residues.
+Scalars are plain Python ints in [0, p); the modulus lives in the
+shared GF context of conghom.field that every matrix carries.
 """
 
 from __future__ import annotations
@@ -11,46 +9,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-class GF:
-    """Prime-field context.  All operations reduce into [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int) -> None:
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("GF", self.p))
-
-    def __repr__(self) -> str:
-        return f"GF({self.p})"
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-
-def _check_same_field(a: "GF", b: "GF") -> None:
-    if a != b:
-        raise ValueError(f"mixed field contexts: {a} vs {b}")
+from .field import GF, _check_same_field
 
 
 class DenseMatrix:

@@ -1,13 +1,9 @@
-"""Graded model of H1 of simplex stabilizers and the H0 cokernel report.
+"""The boundary of the H1 coefficient system on Z_R and the H0 cokernel report.
 
-For a bound profile, the stabilizer kernel is the group of strictly
-upper unipotent matrices with t-divisible entries obeying the caps.
-Its abelianization splits into one-dimensional graded pieces indexed by
-(i, j, degree): a degree survives unless it can be written as l + m
-with an in-cap pair through some intermediate index, in which case the
-commutator of two in-bounds elementaries kills it.  Coefficient
-extraction at the surviving slots is a homomorphism because every
-bilinear cross term of a product lands in a killed degree.
+Each simplex of Z_R carries the graded H1 basis of its stabilizer
+(conghom.wedge.h1_basis); an edge slot maps into its endpoints' slots
+by the inclusion of stabilizers, conjugated by the constant matrix
+W = s_v^-1 s_e that relates the two translates.
 """
 
 from __future__ import annotations
@@ -16,77 +12,10 @@ from functools import cache
 from operator import lshift, mul
 from typing import Iterator, NamedTuple
 
-from .building import (
-    BoundProfile,
-    ComplexZ,
-    Vertex,
-    bound_profile,
-    partial_flag_count,
-    standard_ball,
-    vertex_breaks,
-)
+from .building import ComplexZ, partial_flag_count, vertex_breaks
 from .errors import InvariantError
 from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, inverse_entries, reduce_columns
-
-
-class WeightSlot(NamedTuple):
-    i: int
-    j: int
-    degree: int
-
-
-def surviving_degrees(profile: BoundProfile) -> dict[tuple[int, int], list[int]]:
-    """Degrees at each root that a single commutator cannot kill.
-
-    For i < j with cap >= 1, degree r in [1, cap] survives when no
-    intermediate index k admits a split r = l + m with 1 <= l <= b_ik
-    and 1 <= m <= b_kj.  Degree one always survives.  Raises on
-    profiles violating superadditivity, which no simplex realizes.
-    """
-    if not profile.is_superadditive():
-        raise ValueError("unrealizable profile")
-    out: dict[tuple[int, int], list[int]] = {}
-    for (i, j) in profile.upper_pairs():
-        cap = profile.b[(i, j)]
-        if cap < 1:
-            continue
-        degs = []
-        for r in range(1, cap + 1):
-            killed = False
-            for k in range(1, profile.n + 1):
-                if k == i or k == j:
-                    continue
-                bik = profile.b[(i, k)]
-                bkj = profile.b[(k, j)]
-                if bik >= 1 and bkj >= 1 and max(1, r - bkj) <= min(bik, r - 1):
-                    killed = True
-                    break
-            if not killed:
-                degs.append(r)
-        if degs:
-            out[(i, j)] = degs
-    return out
-
-
-class H1Basis(NamedTuple):
-    """Ordered basis of the abelianization attached to a profile."""
-
-    profile: BoundProfile
-    slots: tuple[WeightSlot, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.slots)
-
-
-def h1_basis(profile: BoundProfile) -> H1Basis:
-    surv = surviving_degrees(profile)
-    slots = tuple(
-        WeightSlot(i, j, r)
-        for (i, j) in sorted(surv)
-        for r in surv[(i, j)]
-    )
-    return H1Basis(profile=profile, slots=slots)
+from .wedge import H1Basis, Vertex, bound_profile, h1_basis, standard_ball
 
 
 def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],

@@ -3,10 +3,17 @@
 Stabilizer groups have entries of bounded degree, so reducing modulo
 t^m with m = 1 + max cap embeds them in a finite matrix group.  One
 breadth-first closure enumerates both the group and its derived
-subgroup, the normal closure of the generator commutators.  The
+subgroup, the normal closure of the generator commutators (Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005).  The
 abelianization orders certify the surviving-slot count; lattice
 containment certifies the arithmetic adjacency rule.  Nothing here
-shares code paths with the graded model it is checking.
+shares code paths with the graded model it is checking, and nothing
+here loads the construction of Z_R or its boundary.
+
+Generators are written directly as truncated matrices
+(profile_generators): each in-cap elementary I + t^r E_ij is the
+identity's entries with the coefficient of t^r set at (i, j).
+generate_group checks that each generator is the identity mod t.
 
 The closures and the p-th power check multiply packed matrices
 (Kronecker substitution): an entry c_0 + c_1 t + ... + c_{m-1} t^{m-1}
@@ -15,35 +22,38 @@ its n*n entry ints.  A slot of B = (n*m*(p-1)^2).bit_length() bits
 holds any coefficient of an unreduced product entry, a sum of at most
 n*m terms each at most (p-1)^2, so no slot carries into the next.  A
 product is int products and sums, a mask that keeps slots 0..m-1, and
-one % p per slot.  Group tables store elements as bytes, one array item
-per coefficient in row-major entry order (`_Packing.to_bytes`).
+one % p per slot.  A closure multiplies every element on the right by
+the same generators and conjugator inverses, so it reads the column
+structure of each such fixed factor once (_Packing.mul_by).  Inverses
+sum the Neumann series only up to the first zero power, one product
+for an elementary.  Group tables store elements as bytes, one array
+item per coefficient in row-major entry order (_Packing.to_bytes), and
+the p-th powers of the generators are looked up in that form.
+
+adjacency_oracle compares t-power diagonal lattices, and the same few
+exponent tuples recur across the vertex pairs of a ball, so the
+diagonal bases and their column HNFs are cached on their exponent
+tuples (functools.cache; one entry per tuple that occurs).  The HNFs
+are still computed by the generic column_hnf, and every containment by
+the generic lattice_contains of conghom.poly.  Containments are not
+cached: no (outer, inner) pair recurs among the pairs of one ball.
 """
 
 from __future__ import annotations
 
 from array import array
-from operator import lshift
-from typing import NamedTuple
+from functools import cache
+from math import isqrt
+from operator import add, lshift
+from typing import Callable, NamedTuple, Sequence
 
-from .building import BoundProfile, Vertex, adjacency, is_standard_vertex
-from .congruence import GroupElement, elementary
 from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
-from .gf import GF
-from .homology import h1_basis
-from .poly import Poly, PolyMatrix, column_hnf, lattice_contains
+from .field import GF
+from .poly import PolyMatrix, column_hnf, lattice_contains
+from .wedge import BoundProfile, Vertex, h1_basis, is_standard_vertex
 
 Trunc = tuple[tuple[int, ...], ...]   # n*n entries, each m coefficients
 Packed = tuple[int, ...]              # n*n entries, each m slots of one int
-
-
-def _trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
-    n = g.n
-    out = []
-    for i in range(n):
-        for j in range(n):
-            cs = g.matrix.entries[i][j].coeffs
-            out.append(tuple(cs[k] if k < len(cs) else 0 for k in range(m)))
-    return tuple(out)
 
 
 def _typecode(p: int) -> str:
@@ -84,49 +94,67 @@ class _Packing:
     def from_bytes(self, raw: bytes) -> Packed:
         return self.pack(_deserialize(raw, self.n, self.m, self.p))
 
-    def mul(self, a: Packed, b: Packed) -> Packed:
-        """a*b mod (p, t^m), by Kronecker substitution on each entry.
+    def mul_by(self, b: Packed) -> Callable[[Packed], Packed]:
+        """x -> x*b mod (p, t^m), by Kronecker substitution on each entry.
 
-        Zero entries of b cost nothing, and wherever b's column j is the
-        unit vector e_k the product's column j is a's column k, copied.
+        b's column structure is read once, here.  Zero entries of b cost
+        nothing, and wherever b's column j is the unit vector e_k the
+        product's column j is x's column k, copied.
         """
         n, p, slot, keep, shifts = self.n, self.p, self.slot, self.keep, self.shifts
-        out = [0] * (n * n)
+        rows = range(0, n * n, n)
+        plan = []  # (j, k when column j of b is e_k else None, the nonzero (k, b_kj))
         for j in range(n):
             col = [(k, y) for k, y in enumerate(b[j::n]) if y]
-            if len(col) == 1 and col[0][1] == 1:
-                out[j::n] = a[col[0][0]::n]
-                continue
-            for i in range(0, n * n, n):
-                v = 0
-                for k, y in col:
-                    v += a[i + k] * y
-                v &= keep
-                if v >= p:  # any slot above 0 is at least 2^width > p
-                    v = sum([(v >> s & slot) % p << s for s in shifts])
-                out[i + j] = v
-        return tuple(out)
+            unit = col[0][0] if len(col) == 1 and col[0][1] == 1 else None
+            plan.append((j, unit, col))
 
-    def _plus_identity(self, x: Packed) -> Packed:
+        def times(x: Packed) -> Packed:
+            out = [0] * (n * n)
+            for j, unit, col in plan:
+                if unit is not None:
+                    out[j::n] = x[unit::n]
+                    continue
+                for i in rows:
+                    v = 0
+                    for k, y in col:
+                        v += x[i + k] * y
+                    v &= keep
+                    if v >= p:  # any slot above 0 is at least 2^width > p
+                        v = sum([(v >> s & slot) % p << s for s in shifts])
+                    out[i + j] = v
+            return tuple(out)
+
+        return times
+
+    def mul(self, a: Packed, b: Packed) -> Packed:
+        """a*b mod (p, t^m), for a b that is used once."""
+        return self.mul_by(b)(a)
+
+    def _reduce(self, v: int) -> int:
+        """v with every slot taken mod p; slots below 2^width, none above m-1."""
         p, slot = self.p, self.slot
-        out = list(x)
-        for e in range(0, len(out), self.n + 1):
-            c = out[e] & slot
-            out[e] += (c + 1) % p - c
-        return tuple(out)
+        return v if v < p else sum([(v >> s & slot) % p << s for s in self.shifts])
 
     def inverse(self, a: Packed) -> Packed:
-        """The Neumann series sum_{k<m} (I - a)^k, which inverts a = I mod t.
+        """The Neumann series I + d + d^2 + ..., d = I - a, which inverts a = I mod t.
 
-        Horner's rule: acc <- I + (I - a) acc, m - 1 times.
+        d is divisible by t, so d^m = 0 mod t^m, and the sum stops at the
+        first zero power of d: an elementary a, with d^2 = 0, costs one
+        product.  Raises ValueError when d^m is not zero, which happens
+        only when a is not the identity mod t.
         """
-        p, slot, shifts = self.p, self.slot, self.shifts
-        d = self._plus_identity(
-            tuple(sum(-(v >> s & slot) % p << s for s in shifts) for v in a))
-        acc = self.identity
-        for _ in range(1, self.m):
-            acc = self._plus_identity(self.mul(d, acc))
-        return acc
+        p, slot, shifts, reduce = self.p, self.slot, self.shifts, self._reduce
+        minus_a = (sum([-(v >> s & slot) % p << s for s in shifts]) if v else 0 for v in a)
+        d = tuple(map(reduce, map(add, minus_a, self.identity)))
+        times_d = self.mul_by(d)
+        acc, term = self.identity, d
+        for _ in range(self.m):
+            if not any(term):
+                return acc
+            acc = tuple(map(reduce, map(add, acc, term)))
+            term = times_d(term)
+        raise ValueError("matrix is not the identity mod t")
 
     def power(self, x: Packed, e: int) -> Packed:
         """x^e for e >= 1, by left-to-right square-and-multiply."""
@@ -152,23 +180,26 @@ class FiniteGroupTable(NamedTuple):
         return len(self.elements)
 
 
-def _closure(mults: list[Packed], conjugators: list[Packed], ring: _Packing,
+def _closure(mults: list[Packed], conjugators: list[tuple[Packed, Packed]], ring: _Packing,
              limit: int) -> set[Packed]:
     """Smallest set holding I, closed under x -> x*g and x -> c*x*c^-1.
 
-    g runs over `mults`, c over `conjugators`.  In a finite group this is
-    the normal closure of <mults> under the conjugators: each c^-1 is a
-    power of c, so x*y is reached by conjugating x past y's moves.
+    g runs over `mults`, (c, c^-1) over `conjugators`.  In a finite
+    group this is the normal closure of <mults> under the conjugators:
+    each c^-1 is a power of c, so x*y is reached by conjugating x past
+    y's moves.  Each g and each c^-1 is a fixed right factor
+    (_Packing.mul_by).
     """
     mul = ring.mul
-    inverses = [ring.inverse(c) for c in conjugators]
+    right = [ring.mul_by(g) for g in mults]
+    conjugate = [(c, ring.mul_by(c_inv)) for c, c_inv in conjugators]
     seen = {ring.identity}
     frontier = [ring.identity]
     while frontier:
         nxt = []
         for x in frontier:
-            images = [mul(x, g) for g in mults]
-            images += [mul(mul(c, x), ci) for c, ci in zip(conjugators, inverses)]
+            images = [times(x) for times in right]
+            images += [times_inverse(mul(c, x)) for c, times_inverse in conjugate]
             for y in images:
                 if y not in seen:
                     seen.add(y)
@@ -179,24 +210,25 @@ def _closure(mults: list[Packed], conjugators: list[Packed], ring: _Packing,
     return seen
 
 
-def generate_group(generators: list[GroupElement], m: int,
+def generate_group(generators: Sequence[Trunc], p: int,
                    limit: int = DEFAULT_LIMIT) -> FiniteGroupTable:
-    """Breadth-first closure of the generators modulo t^m."""
+    """Breadth-first closure modulo t^m of truncated generators over F_p.
+
+    Each generator is an n x n matrix over F_p[t]/(t^m): its n*n entries
+    in row-major order, each the tuple of its m coefficients in 0..p-1.
+    n and m are read off the first; every generator must have that
+    shape and be the identity mod t.
+    """
     if not generators:
         raise ValueError("at least one context element is required")
-    n = generators[0].n
-    p = generators[0].field.p
-    gens = []
-    for g in generators:
-        t = _trunc_from_group_element(g, m)
-        const = tuple(t[e][0] for e in range(n * n))
-        ident = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        if const != ident:
-            raise ValueError("generator is not congruent to the identity mod t")
-        gens.append(t)
-
+    n, m = isqrt(len(generators[0])), len(generators[0][0])
     ring = _Packing(n, m, p)
-    packed = [ring.pack(g) for g in gens]
+    for g in generators:
+        if len(g) != n * n or any(len(entry) != m for entry in g):
+            raise ValueError("generators must be n x n matrices of m coefficients each")
+        if tuple(entry[0] for entry in g) != ring.identity:
+            raise ValueError("generator is not congruent to the identity mod t")
+    packed = [ring.pack(g) for g in generators]
     seen = _closure(packed, [], ring, limit)
     order = len(seen)
     while order % p == 0:
@@ -226,7 +258,8 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
         mul(mul(gens[a], gens[b]), mul(inverses[a], inverses[b]))
         for a in range(len(gens)) for b in range(a + 1, len(gens))
     ]
-    seen = frozenset(map(ring.to_bytes, _closure(comms, gens, ring, tbl.order)))
+    seen = frozenset(map(ring.to_bytes,
+                         _closure(comms, list(zip(gens, inverses)), ring, tbl.order)))
     if not seen <= tbl.elements:
         raise InvariantError("commutator subgroup leaves the group")
     return tbl._replace(elements=seen, generators=tuple(map(ring.to_bytes, comms)))
@@ -239,16 +272,16 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     generator commutators.  Checks that the p-th power of every
     generator lands in G'.  That certifies it for every element: G/G'
     is abelian, so x -> x^p is a homomorphism on it, and its kernel
-    holds all of G exactly when it holds the generators.  A violating
-    generator would disprove the graded model, so it is raised with the
-    witness attached.
+    holds all of G exactly when it holds the generators.  Each power is
+    encoded to its table bytes and looked up among G''s elements.  A
+    violating generator would disprove the graded model, so it is
+    raised with the witness attached.
     """
     p = tbl.p
     ring = _Packing(tbl.n, tbl.m, p)
     derived = commutator_subgroup(tbl)
-    derived_elements = set(map(ring.from_bytes, derived.elements))
     for raw in tbl.generators:
-        if ring.power(ring.from_bytes(raw), p) not in derived_elements:
+        if ring.to_bytes(ring.power(ring.from_bytes(raw), p)) not in derived.elements:
             raise InvariantError(
                 f"abelianization is not elementary abelian; witness {raw.hex()}"
             )
@@ -262,12 +295,21 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     return d
 
 
-def profile_generators(profile: BoundProfile, field: GF) -> list[GroupElement]:
-    """In-cap elementaries I + E_ij(t^r), enough to generate the group."""
+def profile_generators(profile: BoundProfile) -> list[Trunc]:
+    """In-cap elementaries I + t^r E_ij mod t^m, m = 1 + max cap; they generate the group.
+
+    Each is written directly: the identity's entries, with the
+    coefficient of t^r set at entry (i, j).
+    """
+    n, m = profile.n, 1 + profile.max_bound()
+    zero = (0,) * m
+    identity = [(1,) + zero[1:] if i == j else zero for i in range(n) for j in range(n)]
     gens = []
     for (i, j) in profile.upper_pairs():
         for r in range(1, profile.b[(i, j)] + 1):
-            gens.append(elementary(i, j, Poly.monomial(field, r), profile.n))
+            g = identity[:]
+            g[(i - 1) * n + j - 1] = zero[:r] + (1,) + zero[r + 1:]
+            gens.append(tuple(g))
     return gens
 
 
@@ -279,14 +321,28 @@ def expected_order_exponent(profile: BoundProfile) -> int:
 def verify_h1_formula(profile: BoundProfile, field: GF,
                       limit: int = DEFAULT_LIMIT) -> bool:
     """Brute-force abelianization dimension versus the surviving-slot count."""
-    gens = profile_generators(profile, field)
-    m = 1 + profile.max_bound()
+    gens = profile_generators(profile)
     if not gens:
         return h1_basis(profile).dim == 0
-    tbl = generate_group(gens, m, limit)
+    tbl = generate_group(gens, field.p, limit)
     if tbl.order != field.p ** expected_order_exponent(profile):
         raise InvariantError("enumerated order disagrees with the coefficient count")
     return abelianization_dim(tbl) == h1_basis(profile).dim
+
+
+@cache
+def _diagonal(exps: tuple[int, ...]) -> PolyMatrix:
+    """diag(t^e1, ..., t^en) over F_2.
+
+    Containment and equality of t-power diagonal lattices do not depend
+    on the field.
+    """
+    return PolyMatrix.diagonal_powers(GF(2), exps)
+
+
+@cache
+def _hnf(exps: tuple[int, ...]) -> PolyMatrix:
+    return column_hnf(_diagonal(exps))
 
 
 def adjacency_oracle(r: Vertex, rp: Vertex) -> bool:
@@ -294,13 +350,12 @@ def adjacency_oracle(r: Vertex, rp: Vertex) -> bool:
 
     Two vertex classes are adjacent when some power-of-t scaling of one
     diagonal lattice sits properly between the other and t times it.
+    The lattices and their HNFs are cached on their exponent tuples.
     """
     if len(r) != len(rp):
         raise ValueError("vertices of different dimension")
     if not (is_standard_vertex(r) and is_standard_vertex(rp)):
         raise ValueError("not standard vertices")
-    field = GF(2)  # containment of t-power diagonal lattices is field-independent
-    n = len(r) + 1
     exps_a = tuple(r) + (0,)
     exps_b = tuple(rp) + (0,)
     span = max(exps_a + exps_b) + 1
@@ -308,12 +363,13 @@ def adjacency_oracle(r: Vertex, rp: Vertex) -> bool:
         c = max(0, -k)
         if min(e + k + c for e in exps_b) < 0:
             continue
-        a1 = PolyMatrix.diagonal_powers(field, [e + 1 + c for e in exps_a])   # t^{c+1} A
-        mid = PolyMatrix.diagonal_powers(field, [e + k + c for e in exps_b])  # t^{c+k} B
-        a0 = PolyMatrix.diagonal_powers(field, [e + c for e in exps_a])       # t^c A
-        if not (lattice_contains(a0, mid) and lattice_contains(mid, a1)):
+        a1 = tuple(e + 1 + c for e in exps_a)   # t^{c+1} A
+        mid = tuple(e + k + c for e in exps_b)  # t^{c+k} B
+        a0 = tuple(e + c for e in exps_a)       # t^c A
+        if not (lattice_contains(_diagonal(a0), _diagonal(mid))
+                and lattice_contains(_diagonal(mid), _diagonal(a1))):
             continue
-        if column_hnf(mid) == column_hnf(a0) or column_hnf(mid) == column_hnf(a1):
+        if _hnf(mid) == _hnf(a0) or _hnf(mid) == _hnf(a1):
             continue
         return True
     return False

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .gf import GF, _check_same_field
+from .field import GF, _check_same_field
 
 
 class Poly:

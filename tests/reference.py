@@ -7,9 +7,11 @@ command line never runs it.  It holds
   the level of an element, its depth-i coefficient matrix rho, the Lie
   bracket and the group commutator, with the traceless matrices they
   produce;
-- the group arithmetic that only the tests run: the identity, the
-  product and the adjugate inverse of GroupElements, and the constant
-  polynomial;
+- the elements of SL_n(F_q[t]) that only the tests build: the
+  determinant-checked GroupElement, the elementary matrices I + E_ij(a),
+  their identity, product and adjugate inverse, the constant
+  polynomial, and the truncation of an element mod t^m that the
+  oracle's generate_group takes;
 - the polynomial routes that the constant-matrix code is checked
   against: conjugation by a constant flag,
   membership in a bounded unipotent group and the class vector read
@@ -22,6 +24,8 @@ command line never runs it.  It holds
 - the coefficient-by-coefficient product and Neumann-series inverse of
   truncated matrices, and their byte form in the group tables, which
   check the oracle's packed arithmetic;
+- the uncached lattice route to adjacency, which checks the oracle's
+  cached adjacency_oracle;
 - the depth-one witness Phi: C0 -> gl_n, whose kernel contains the
   image of the boundary and whose rank is n^2 - 1, which is why dim H0
   can never fall below n^2 - 1.
@@ -35,13 +39,66 @@ import math
 import operator
 from array import array
 
-from conghom.building import BoundProfile, ComplexZ
-from conghom.congruence import GroupElement
+from conghom.building import ComplexZ
 from conghom.errors import InvariantError
-from conghom.gf import GF, DenseMatrix, SparseMatrix, _check_same_field, inverse as gf_inverse
-from conghom.homology import BlockIndex, H1Basis
+from conghom.field import GF, _check_same_field
+from conghom.gf import DenseMatrix, SparseMatrix, inverse as gf_inverse
+from conghom.homology import BlockIndex
 from conghom.oracle import Trunc, _typecode
-from conghom.poly import Poly, PolyMatrix, polymat_det
+from conghom.poly import Poly, PolyMatrix, column_hnf, lattice_contains, polymat_det
+from conghom.wedge import BoundProfile, H1Basis, Vertex, is_standard_vertex
+
+
+class GroupElement:
+    """Member of SL_n(F_q[t]); determinant one is checked at construction."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: PolyMatrix) -> None:
+        if polymat_det(matrix) != Poly.one(matrix.field):
+            raise ValueError("matrix does not have determinant one")
+        self.matrix = matrix
+
+    @property
+    def field(self) -> GF:
+        return self.matrix.field
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupElement) and self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"GroupElement({self.matrix!r})"
+
+
+def elementary(i: int, j: int, a: Poly, n: int) -> GroupElement:
+    """The element I + E_ij(a), 1-based indices, i != j."""
+    if i == j:
+        raise ValueError("elementary matrices require distinct indices")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("index out of range")
+    field = a.field
+    rows = [[Poly.one(field) if r == c else Poly.zero(field) for c in range(n)]
+            for r in range(n)]
+    rows[i - 1][j - 1] = a
+    return GroupElement(PolyMatrix(field, rows))
+
+
+def trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
+    """g mod t^m as the oracle's truncated matrix: row-major entries, m coefficients each."""
+    n = g.n
+    out = []
+    for i in range(n):
+        for j in range(n):
+            cs = g.matrix.entries[i][j].coeffs
+            out.append(tuple(cs[k] if k < len(cs) else 0 for k in range(m)))
+    return tuple(out)
 
 
 def add(x: DenseMatrix, y: DenseMatrix) -> DenseMatrix:
@@ -436,3 +493,33 @@ def trunc_inverse(a: Trunc, n: int, m: int, p: int) -> Trunc:
             for e in range(n * n)
         )
     return acc
+
+
+def adjacency_lattice(r: Vertex, rp: Vertex) -> bool:
+    """Adjacency by lattice chains, every lattice, HNF and containment computed afresh.
+
+    Two vertex classes are adjacent when some power-of-t scaling of one
+    diagonal lattice sits properly between the other and t times it.
+    Checks the cached conghom.oracle.adjacency_oracle.
+    """
+    if len(r) != len(rp):
+        raise ValueError("vertices of different dimension")
+    if not (is_standard_vertex(r) and is_standard_vertex(rp)):
+        raise ValueError("not standard vertices")
+    field = GF(2)  # containment of t-power diagonal lattices is field-independent
+    exps_a = tuple(r) + (0,)
+    exps_b = tuple(rp) + (0,)
+    span = max(exps_a + exps_b) + 1
+    for k in range(-span, span + 1):
+        c = max(0, -k)
+        if min(e + k + c for e in exps_b) < 0:
+            continue
+        a1 = PolyMatrix.diagonal_powers(field, [e + 1 + c for e in exps_a])   # t^{c+1} A
+        mid = PolyMatrix.diagonal_powers(field, [e + k + c for e in exps_b])  # t^{c+k} B
+        a0 = PolyMatrix.diagonal_powers(field, [e + c for e in exps_a])       # t^c A
+        if not (lattice_contains(a0, mid) and lattice_contains(mid, a1)):
+            continue
+        if column_hnf(mid) == column_hnf(a0) or column_hnf(mid) == column_hnf(a1):
+            continue
+        return True
+    return False

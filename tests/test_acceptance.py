@@ -9,12 +9,10 @@ import math
 import random
 import time
 
-from conghom.building import (EdgeRep, bound_profile, build_Z, enumerate_flag_reps,
-                              standard_ball)
+from conghom.building import EdgeRep, build_Z, enumerate_flag_reps
 from conghom.cli import main as cli_main
-from conghom.congruence import elementary
 from conghom.gf import GF, DenseMatrix, rref
-from conghom.homology import assemble_boundary, h0_dimension, h1_basis
+from conghom.homology import assemble_boundary, h0_dimension
 from conghom.oracle import (
     abelianization_dim,
     expected_order_exponent,
@@ -22,8 +20,9 @@ from conghom.oracle import (
     profile_generators,
 )
 from conghom.poly import Poly
-from reference import (add, bracket, commutator, conjugate_by, group_identity, group_mul, level,
-                       rho, trace)
+from conghom.wedge import bound_profile, h1_basis, standard_ball
+from reference import (add, bracket, commutator, conjugate_by, elementary, group_identity,
+                       group_mul, level, rho, trace)
 
 
 def _report(num, text):
@@ -104,12 +103,13 @@ def test_criterion_05_oracle_certification_sweep():
         verts, edges = standard_ball(n, radius)
         for simplex in [[v] for v in verts] + [list(e) for e in edges]:
             prof = bound_profile(simplex)
-            gens = profile_generators(prof, field)
+            gens = profile_generators(prof)
             expected_dim = h1_basis(prof).dim
             if not gens:
                 assert expected_dim == 0
                 continue
-            tbl = generate_group(gens, 1 + prof.max_bound())
+            assert all(len(entry) == 1 + prof.max_bound() for g in gens for entry in g)
+            tbl = generate_group(gens, q)
             assert tbl.order == q ** expected_order_exponent(prof)
             # abelianization_dim raises unless the quotient is elementary abelian
             assert abelianization_dim(tbl) == expected_dim

@@ -9,19 +9,15 @@ from hypothesis import strategies as st
 
 from conghom import building, gf, homology, poly
 from conghom.building import (
-    BoundProfile,
     ComplexZ,
     EdgeRep,
     VertexRep,
-    adjacency,
-    bound_profile,
     bruhat_cells,
     build_Z,
     enumerate_flag_reps,
     order_by_label,
     partial_flag_count,
     partial_flag_keys,
-    standard_ball,
     vertex_breaks,
     vertex_label,
 )
@@ -29,6 +25,7 @@ from conghom.cli import main
 from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, rref
 from conghom.homology import h0_dimension
+from conghom.wedge import BoundProfile, adjacency, bound_profile, standard_ball
 from reference import det
 
 F2 = GF(2)

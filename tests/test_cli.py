@@ -179,6 +179,19 @@ def test_oracle_pinned_stdout(capsys):
     assert out == ORACLE_3_2_3
 
 
+@pytest.mark.parametrize("n, q, radius, sha", [
+    (3, 3, 2, "163adfbdfa00fe33f78f9c9c2a7917873504bb582ef507390be51fbbabf64499"),
+    (2, 5, 3, "53d1fc76f04c02ef719d19da95278d6ba87a060df9180afd9759805d19995b0d"),
+    (4, 2, 1, "ed276598ba6153568dcea243c32872c31352e82b57aa8eb7829dbecd88dc69b8"),
+])
+def test_oracle_pinned_stdout_sha256(n, q, radius, sha, capsys):
+    # with (3, 2, 3) above, every configuration of the certify benchmark
+    code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--q", str(q),
+                           "--radius", str(radius))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_export_golden(tmp_path, capsys):
     dot = tmp_path / "z.dot"
     mat = tmp_path / "boundary.txt"

@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from conghom.congruence import GroupElement, elementary
 from conghom.gf import GF, DenseMatrix
 from conghom.poly import Poly, PolyMatrix
-from reference import (add, bracket, commutator, conjugate_by, group_identity, group_inverse,
-                       group_mul, level, rho, trace)
+from reference import (GroupElement, add, bracket, commutator, conjugate_by, elementary,
+                       group_identity, group_inverse, group_mul, level, rho, trace)
 
 F2 = GF(2)
 F3 = GF(3)

@@ -6,9 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conghom import homology
-from conghom.building import (BoundProfile, EdgeRep, VertexRep, bound_profile, build_Z,
-                              enumerate_flag_reps, standard_ball, vertex_label)
-from conghom.congruence import GroupElement, elementary
+from conghom.building import EdgeRep, VertexRep, build_Z, enumerate_flag_reps, vertex_label
 from conghom.errors import InvariantError
 from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, reduce_columns, rref, sparse_rank
 from conghom.homology import (
@@ -18,12 +16,11 @@ from conghom.homology import (
     closed_form_dims,
     edge_inclusion,
     h0_dimension,
-    h1_basis,
-    surviving_degrees,
 )
 from conghom.poly import Poly, PolyMatrix, lattice_label
-from reference import (class_vector, conjugate_by, depth_one_witness, group_mul, membership,
-                       witness_defects)
+from conghom.wedge import BoundProfile, bound_profile, h1_basis, standard_ball, surviving_degrees
+from reference import (GroupElement, class_vector, conjugate_by, depth_one_witness, elementary,
+                       group_mul, membership, witness_defects)
 
 F2 = GF(2)
 F3 = GF(3)

@@ -1,10 +1,12 @@
 """The package holds only what its commands run.
 
-The compute path stays free of the polynomial group code, both in its
-import graph and in the modules a fresh interpreter loads, boundary_columns
-forms no general matrix product, and the slow references and the
-filtration identities live in tests/reference.py, not in the package or
-its exports.
+Each command loads only the modules it runs, both in the import graph
+and in a fresh interpreter: the compute path stays free of the
+polynomial group code, and the oracle and survive paths free of the
+construction of Z_R, its boundary and the matrix code.
+boundary_columns forms no general matrix product, and the slow
+references, the filtration identities and the polynomial group
+elements live in tests/reference.py, not in the package or its exports.
 """
 
 import ast
@@ -15,15 +17,17 @@ from pathlib import Path
 import pytest
 
 import conghom
-from conghom.congruence import GroupElement
 from conghom.gf import DenseMatrix
 from conghom.poly import CanonicalLabel, Poly, PolyMatrix
+from reference import GroupElement
 
 MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "reduce_at_zero", "polymat_adjugate", "membership", "class_vector",
                     "phi_check", "det", "_serialize", "serialize", "_trunc_mul", "trunc_mul",
                     "_trunc_inverse", "trunc_inverse", "_trunc_identity", "trunc_identity",
-                    "_trunc_sub_identity", "trunc_sub_identity", "_flag_product")
+                    "_trunc_sub_identity", "trunc_sub_identity", "_flag_product",
+                    "GroupElement", "elementary", "_trunc_from_group_element",
+                    "trunc_from_group_element")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
@@ -56,12 +60,16 @@ def _package_imports(module: str) -> set[str]:
 
 def test_compute_path_imports_no_group_code():
     # the parser sees the imports that are there
-    assert {"building", "gf"} <= _package_imports("homology")
-    assert "poly" in _package_imports("congruence")
+    assert {"building", "gf", "wedge"} <= _package_imports("homology")
+    assert {"poly", "wedge", "field"} <= _package_imports("oracle")
+    # the group elements are test references now
+    assert not (Path(conghom.__file__).parent / "congruence.py").exists()
     for module in ("gf", "homology"):
-        assert not _package_imports(module) & {"congruence", "poly"}, module
-    for module in ("cli", "building"):
-        assert "congruence" not in _package_imports(module), module
+        assert not _package_imports(module) & {"oracle", "poly"}, module
+    # the oracle path holds no Z_R, boundary or matrix code
+    for module in ("oracle", "poly", "wedge", "field"):
+        assert not _package_imports(module) & {"building", "homology", "gf"}, module
+    assert not _package_imports("wedge") | _package_imports("field")
 
 
 def test_exports_resolve_and_omit_test_references():
@@ -88,9 +96,19 @@ def test_lazy_exports_bind_on_star_import_and_dir():
 
 
 def _loaded_modules(run_python, statement: str) -> set[str]:
-    """sys.modules of a fresh interpreter after running the statement."""
-    proc = run_python("-c", f"import sys\n{statement}\nprint(*sys.modules)", check=True)
-    return set(proc.stdout.split())
+    """sys.modules of a fresh interpreter after running the statement.
+
+    The names go to stderr, so a command run by the statement may print.
+    """
+    proc = run_python("-c", f"import sys\n{statement}\nprint(*sys.modules, file=sys.stderr)",
+                      check=True)
+    return set(proc.stderr.split())
+
+
+def _command_modules(run_python, *argv: str) -> set[str]:
+    """The conghom modules that a fresh interpreter loads to run one command."""
+    loaded = _loaded_modules(run_python, f"from conghom.cli import main\nmain({list(argv)!r})")
+    return {m for m in loaded if m.split(".")[0] == "conghom"}
 
 
 def test_startup_loads_only_what_compute_runs(run_python):
@@ -99,9 +117,20 @@ def test_startup_loads_only_what_compute_runs(run_python):
     assert "conghom" in package
     assert not {m for m in package if m.startswith("conghom.")}
     cli = _loaded_modules(run_python, "import conghom.cli") - bare
-    assert {"conghom.cli", "conghom.building", "conghom.homology", "conghom.gf"} <= cli
-    assert not cli & {"conghom.poly", "conghom.congruence", "conghom.oracle", "dataclasses",
-                      "inspect"}
+    assert {m for m in cli if m.startswith("conghom")} == {
+        "conghom", "conghom.cli", "conghom.field", "conghom.errors"}
+    assert not cli & {"json", "dataclasses", "inspect"}
+
+    size = ("--n", "3", "--q", "2", "--radius", "1")
+    oracle = _command_modules(run_python, "oracle", *size)
+    assert {"conghom.oracle", "conghom.poly", "conghom.wedge"} <= oracle
+    assert not oracle & {"conghom.building", "conghom.homology", "conghom.gf"}
+    compute = _command_modules(run_python, "compute", *size)
+    assert {"conghom.building", "conghom.homology", "conghom.gf"} <= compute
+    assert not compute & {"conghom.poly", "conghom.oracle", "conghom.congruence"}
+    survive = _command_modules(run_python, "survive", "--n", "3", "--bounds", "1,1,3")
+    assert survive == {"conghom", "conghom.cli", "conghom.wedge", "conghom.field",
+                       "conghom.errors"}
 
 
 def test_boundary_columns_forms_no_general_product():

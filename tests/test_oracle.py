@@ -2,11 +2,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conghom.building import BoundProfile, adjacency, bound_profile, standard_ball
-from conghom.congruence import elementary
 from conghom.errors import InvariantError, OracleLimitError
-from conghom.gf import GF
-from conghom.homology import h1_basis
+from conghom.field import GF
 from conghom.oracle import (
     FiniteGroupTable,
     _closure,
@@ -21,7 +18,9 @@ from conghom.oracle import (
     verify_h1_formula,
 )
 from conghom.poly import Poly
-from reference import serialize, trunc_identity, trunc_inverse, trunc_mul
+from conghom.wedge import BoundProfile, adjacency, bound_profile, h1_basis, standard_ball
+from reference import (adjacency_lattice, elementary, serialize, trunc_from_group_element,
+                       trunc_identity, trunc_inverse, trunc_mul)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -32,13 +31,28 @@ def profile(n, upper):
 
 
 def _group_for(prof, field, limit=2 ** 20):
-    gens = profile_generators(prof, field)
-    return generate_group(gens, 1 + prof.max_bound(), limit)
+    gens = profile_generators(prof)
+    return generate_group(gens, field.p, limit)
+
+
+def _group_of(elements, m, limit=2 ** 20):
+    """generate_group on GroupElements, each truncated mod t^m."""
+    gens = [trunc_from_group_element(g, m) for g in elements]
+    return generate_group(gens, elements[0].field.p, limit)
 
 
 def test_generate_group_single_involution():
-    tbl = generate_group([elementary(1, 2, Poly.monomial(F2, 1), 3)], m=2)
+    tbl = _group_of([elementary(1, 2, Poly.monomial(F2, 1), 3)], m=2)
     assert tbl.order == 2
+
+
+def test_profile_generators_are_the_truncated_elementaries():
+    prof = profile(3, [2, 1, 3])
+    m = 1 + prof.max_bound()
+    want = [trunc_from_group_element(elementary(i, j, Poly.monomial(F2, r), 3), m)
+            for (i, j) in prof.upper_pairs() for r in range(1, prof.b[(i, j)] + 1)]
+    assert profile_generators(prof) == want
+    assert len(want) == 6 and all(len(entry) == m == 4 for g in want for entry in g)
 
 
 def test_generate_group_orders():
@@ -47,14 +61,23 @@ def test_generate_group_orders():
 
 
 def test_generate_group_limit():
-    gens = profile_generators(profile(3, [2, 1, 3]), F2)
+    gens = profile_generators(profile(3, [2, 1, 3]))
+    assert {len(entry) for g in gens for entry in g} == {4}  # m = 4
     with pytest.raises(OracleLimitError):
-        generate_group(gens, m=4, limit=4)
+        generate_group(gens, 2, limit=4)
 
 
 def test_generate_group_rejects_constant_part():
     with pytest.raises(ValueError):
-        generate_group([elementary(1, 2, Poly.one(F2), 3)], m=2)
+        _group_of([elementary(1, 2, Poly.one(F2), 3)], m=2)
+
+
+def test_generate_group_rejects_mixed_shapes():
+    g = trunc_from_group_element(elementary(1, 2, Poly.monomial(F2, 1), 3), 2)
+    deeper = trunc_from_group_element(elementary(2, 3, Poly.monomial(F2, 1), 3), 3)
+    for gens in ([g, deeper], [g, g[:4]]):
+        with pytest.raises(ValueError, match="m coefficients"):
+            generate_group(gens, 2)
 
 
 def test_commutator_subgroup_abelian():
@@ -68,9 +91,7 @@ def test_commutator_subgroup_112():
     assert derived.order == 2
     # generated by the corner element of degree two
     corner = elementary(1, 3, Poly.monomial(F2, 2), 3)
-    from conghom.oracle import _trunc_from_group_element
-
-    assert serialize(_trunc_from_group_element(corner, tbl.m), tbl.p) in derived.elements
+    assert serialize(trunc_from_group_element(corner, tbl.m), tbl.p) in derived.elements
 
 
 def test_serialize_width_round_trips():
@@ -146,6 +167,72 @@ def test_packed_arithmetic_matches_reference(case, e):
     for _ in range(e - 1):
         power = trunc_mul(power, u, n, m, p)
     assert unpack(ring.power(pu, e)) == power
+
+
+@given(_packed_case())
+@example((4, 4, 257, ((256,) * 4,) * 16, ((256,) * 4,) * 16,
+          tuple((int(e % 5 == 0), 256, 256, 256) for e in range(16))))
+def test_fixed_factor_product_matches_mul(case):
+    n, m, p, a, b, u = case
+    ring = _Packing(n, m, p)
+    pa, pb, pu = ring.pack(a), ring.pack(b), ring.pack(u)
+    times_b = ring.mul_by(pb)
+    # one fixed factor serves every left factor
+    for x, tx in ((pa, a), (pu, u), (pb, b), (ring.identity, trunc_identity(n, m))):
+        assert times_b(x) == ring.mul(x, pb) == ring.pack(trunc_mul(tx, b, n, m, p))
+
+
+@st.composite
+def _elementary_case(draw):
+    """(n, m, p, i, j, c, r): the elementary I + c t^r E_ij mod t^m, i != j, 1 <= r < m."""
+    p = draw(st.sampled_from([2, 3, 5, 257]))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 4))
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    c = draw(st.one_of(st.just(p - 1), st.integers(1, p - 1)))
+    return n, m, p, i, j, c, draw(st.integers(1, m - 1))
+
+
+def _counting_products(monkeypatch):
+    """Counts every product formed through _Packing.mul_by, mul included."""
+    real = _Packing.mul_by
+    count = [0]
+
+    def mul_by(self, b):
+        times = real(self, b)
+
+        def counted(x):
+            count[0] += 1
+            return times(x)
+        return counted
+
+    monkeypatch.setattr(_Packing, "mul_by", mul_by)
+    return count
+
+
+@given(_packed_case(), _elementary_case())
+def test_early_stopping_inverse(case, elem):
+    n, m, p, _, _, u = case
+    ring = _Packing(n, m, p)
+    pu = ring.pack(u)
+    inv = ring.inverse(pu)
+    assert ring.mul(pu, inv) == ring.mul(inv, pu) == ring.identity
+    assert inv == ring.pack(trunc_inverse(u, n, m, p))
+
+    n, m, p, i, j, c, r = elem
+    ring = _Packing(n, m, p)
+    g = ring.pack(trunc_from_group_element(elementary(i, j, Poly.monomial(GF(p), r, c), n), m))
+    with pytest.MonkeyPatch.context() as mp:
+        products = _counting_products(mp)
+        inv = ring.inverse(g)
+    assert products[0] == 1  # d^2 = 0 for d = -c t^r E_ij
+    assert ring.mul(g, inv) == ring.mul(inv, g) == ring.identity
+
+
+def test_inverse_rejects_a_matrix_that_is_not_unipotent_mod_t():
+    ring = _Packing(2, 2, 3)
+    with pytest.raises(ValueError, match="identity mod t"):
+        ring.inverse(ring.pack(((2, 0), (0, 0), (0, 0), (2, 0))))  # -I
 
 
 def test_power_check_squares_and_multiplies(monkeypatch):
@@ -230,7 +317,7 @@ def test_commutator_subgroup_matches_all_pairs_reference():
         verts, edges = standard_ball(n, radius)
         for simplex in [[v] for v in verts] + [list(e) for e in edges]:
             prof = bound_profile(simplex)
-            if not profile_generators(prof, field):
+            if not profile_generators(prof):
                 continue
             tbl = _group_for(prof, field)
             derived = commutator_subgroup(tbl)
@@ -249,7 +336,7 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
     # not normal; conjugating by g3 or g1 adds the corner I+t^3E14.
     field = GF(q)
     gens = [elementary(i, i + 1, Poly.monomial(field, 1), 4) for i in (1, 2, 3)]
-    tbl = generate_group(gens, m=4)
+    tbl = _group_of(gens, m=4)
     assert tbl.order == order
     derived = commutator_subgroup(tbl)
     assert derived.order == derived_order
@@ -263,8 +350,19 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
 def test_abelianization_dims():
     assert abelianization_dim(_group_for(profile(3, [1, 1, 3]), F2)) == 4
     assert abelianization_dim(_group_for(profile(3, [1, 1, 2]), F2)) == 3
-    trivial = generate_group([elementary(1, 2, Poly.monomial(F2, 1), 3)], m=1)
+    trivial = _group_of([elementary(1, 2, Poly.monomial(F2, 1), 3)], m=1)
     assert abelianization_dim(trivial) == 0
+
+
+def test_abelianization_rejects_a_generator_whose_square_is_not_in_g_prime():
+    # g = I + tE12 + tE23 over F_2 mod t^3: <g> is cyclic of order 4, so
+    # G' = {I}, but g^2 = I + t^2 E13
+    one, t, zero = (1, 0, 0), (0, 1, 0), (0, 0, 0)
+    g = (one, t, zero, zero, one, t, zero, zero, one)
+    tbl = generate_group([g], 2)
+    assert tbl.order == 4
+    with pytest.raises(InvariantError, match="not elementary abelian"):
+        abelianization_dim(tbl)
 
 
 def test_verify_h1_formula_examples():
@@ -283,7 +381,7 @@ def test_order_formula_and_slot_agreement_sweep():
     for field in (F2, F3):
         for simplex in simplices:
             prof = bound_profile(simplex)
-            tbl = _group_for(prof, field) if profile_generators(prof, field) else None
+            tbl = _group_for(prof, field) if profile_generators(prof) else None
             if tbl is not None:
                 assert tbl.order == field.p ** expected_order_exponent(prof)
                 assert abelianization_dim(tbl) == h1_basis(prof).dim
@@ -296,6 +394,18 @@ def test_adjacency_oracle_examples():
     assert adjacency_oracle((1, 0), (1, 1))
     assert not adjacency_oracle((2, 1), (0, 0))
     assert not adjacency_oracle((1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("n, radius, adjacent", [(2, 5, 5), (3, 3, 18), (4, 2, 25)])
+def test_cached_adjacency_oracle_matches_lattice_route(n, radius, adjacent):
+    verts, _ = standard_ball(n, radius)
+    found = 0
+    for a in verts:
+        for b in verts:
+            got = adjacency_oracle(a, b)
+            assert got == adjacency_lattice(a, b), (a, b)
+            found += got
+    assert found == 2 * adjacent
 
 
 def test_adjacency_oracle_agrees_with_rule():

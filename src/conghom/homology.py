@@ -42,34 +42,37 @@ def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
     w = gf_inverse(s_v) @ s_e
     edge_basis = h1_basis(bound_profile(list(simplex)))
     vert_basis = h1_basis(bound_profile([rv]))
-    entries = _inclusion(w, gf_inverse(w), simplex, edge_basis, rv, vert_basis)
+    entries = _inclusion(w.transpose().entries, w.rows, w.field.p, simplex, edge_basis, rv,
+                         vert_basis)
     return SparseMatrix(w.field, vert_basis.dim, edge_basis.dim, entries).densify()
 
 
-def _inclusion(w: DenseMatrix, w_inv: DenseMatrix, simplex: tuple[Vertex, Vertex],
+def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex],
                edge_basis: H1Basis, rv: Vertex, vert_basis: H1Basis
                ) -> list[tuple[int, int, int]]:
     """Nonzero entries (vertex slot, edge slot, value) of edge_inclusion.
 
-    Takes W = s_v^-1 s_e, its inverse and both bases.  The value at
-    vertex slot (a, b, d) and edge slot (i, j, d) is M[a][b] of
-    M = W E_ij W^-1; slots of different degrees are not listed.  The
-    result, and whether the endpoint and support checks raise, depend
-    only on (W, simplex, r_v): the bases are those of the simplex and
-    of r_v.  boundary_columns memoizes it on that key.
+    Takes the column-major entries of W = s_v^-1 s_e over GF(p) and both
+    bases.  The value at vertex slot (a, b, d) and edge slot (i, j, d)
+    is M[a][b] of M = W E_ij W^-1; slots of different degrees are not
+    listed.  The result, and whether the endpoint and support checks
+    raise, depend only on (W, simplex, r_v): the bases are those of the
+    simplex and of r_v.  boundary_columns memoizes it on that key.
+    W^-1 comes from gf.inverse_entries: read row-major, the column-major
+    entries of W are W^T, whose inverse is W^-1 column-major, so row j
+    of W^-1 is every n-th entry from j.
     """
-    n = w.rows
-    p = w.field.p
     exps = tuple(rv) + (0,)
     if rv not in simplex or any(
-        w.get(a, b) for a in range(n) for b in range(n) if exps[a] < exps[b]
+        w[b * n + a] for a in range(n) for b in range(n) if exps[a] < exps[b]
     ):
         raise ValueError("vertex is not an endpoint of the edge")
+    w_inv = inverse_entries(w, n, p)  # column-major
     caps = vert_basis.profile.b
     entries = []
     for col, s in enumerate(edge_basis.slots):
-        wcol = w.col(s.i - 1)
-        wrow = w_inv.row(s.j - 1)
+        wcol = w[(s.i - 1) * n:s.i * n]
+        wrow = w_inv[s.j - 1::n]
         for a in range(n):
             for b in range(n):
                 if wcol[a] and wrow[b] and (a >= b or caps[(a + 1, b + 1)] < s.degree):
@@ -225,10 +228,8 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
             memo = (w, erep.simplex, vrep.vertex)
             entries = inclusions.get(memo)
             if entries is None:
-                w_mat = DenseMatrix(field, n, n, w).transpose()
                 entries = inclusions[memo] = _inclusion(
-                    w_mat, DenseMatrix(field, n, n, inverse_entries(w_mat.entries, n, p)),
-                    erep.simplex, basis, vrep.vertex, vert_basis)
+                    w, n, p, erep.simplex, basis, vrep.vertex, vert_basis)
             for a, b, v in entries:
                 columns[b][r0 + a] = sign * v % p
         yield from columns

@@ -26,9 +26,9 @@ one % p per slot.  A closure multiplies every element on the right by
 the same generators and conjugator inverses, so it reads the column
 structure of each such fixed factor once (_Packing.mul_by).  Inverses
 sum the Neumann series only up to the first zero power, one product
-for an elementary.  Group tables store elements as bytes, one array
-item per coefficient in row-major entry order (_Packing.to_bytes), and
-the p-th powers of the generators are looked up in that form.
+for an elementary.  Group tables hold these packed matrices too, and
+the p-th power of each generator is looked up among them as it is
+computed.  The only decoder, _Packing.unpack, names a witness.
 
 adjacency_oracle compares t-power diagonal lattices, and the same few
 exponent tuples recur across the vertex pairs of a ball, so the
@@ -41,7 +41,6 @@ cached: no (outer, inner) pair recurs among the pairs of one ball.
 
 from __future__ import annotations
 
-from array import array
 from functools import cache
 from math import isqrt
 from operator import add, lshift
@@ -54,16 +53,6 @@ from .wedge import BoundProfile, Vertex, h1_basis, is_standard_vertex
 
 Trunc = tuple[tuple[int, ...], ...]   # n*n entries, each m coefficients
 Packed = tuple[int, ...]              # n*n entries, each m slots of one int
-
-
-def _typecode(p: int) -> str:
-    """array type code of a coefficient in 0..p-1: one byte for every p <= 256."""
-    return "B" if p <= 1 << 8 else "H" if p <= 1 << 16 else "Q"
-
-
-def _deserialize(raw: bytes, n: int, m: int, p: int) -> Trunc:
-    cs = array(_typecode(p), raw)
-    return tuple(tuple(cs[e * m:(e + 1) * m]) for e in range(n * n))
 
 
 class _Packing:
@@ -86,13 +75,9 @@ class _Packing:
         shifts = self.shifts
         return tuple(sum(map(lshift, entry, shifts)) for entry in a)
 
-    def to_bytes(self, x: Packed) -> bytes:
-        """The table form of x: its coefficients, entry by entry, as array items."""
+    def unpack(self, x: Packed) -> Trunc:
         slot, shifts = self.slot, self.shifts
-        return array(_typecode(self.p), [v >> s & slot for v in x for s in shifts]).tobytes()
-
-    def from_bytes(self, raw: bytes) -> Packed:
-        return self.pack(_deserialize(raw, self.n, self.m, self.p))
+        return tuple(tuple(v >> s & slot for s in shifts) for v in x)
 
     def mul_by(self, b: Packed) -> Callable[[Packed], Packed]:
         """x -> x*b mod (p, t^m), by Kronecker substitution on each entry.
@@ -167,13 +152,19 @@ class _Packing:
 
 
 class FiniteGroupTable(NamedTuple):
-    """Closure of a generating set inside SL_n(F_q[t]/(t^m))."""
+    """Closure of a generating set inside SL_n(F_q[t]/(t^m)), as packed matrices.
+
+    Packed matrices are canonical (_Packing): every slot is reduced into
+    0..p-1 and nothing sits above slot m-1, so two tuples are equal
+    exactly when their matrices are, and set equality, <= and membership
+    compare the matrices.
+    """
 
     n: int
     m: int
     p: int
-    elements: frozenset[bytes]
-    generators: tuple[bytes, ...]
+    elements: frozenset[Packed]
+    generators: tuple[Packed, ...]
 
     @property
     def order(self) -> int:
@@ -235,11 +226,7 @@ def generate_group(generators: Sequence[Trunc], p: int,
         order //= p
     if order != 1:
         raise InvariantError("closure order is not a power of the characteristic")
-    return FiniteGroupTable(
-        n=n, m=m, p=p,
-        elements=frozenset(map(ring.to_bytes, seen)),
-        generators=tuple(map(ring.to_bytes, packed)),
-    )
+    return FiniteGroupTable(n=n, m=m, p=p, elements=frozenset(seen), generators=tuple(packed))
 
 
 def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
@@ -252,17 +239,16 @@ def commutator_subgroup(tbl: FiniteGroupTable) -> FiniteGroupTable:
     """
     ring = _Packing(tbl.n, tbl.m, tbl.p)
     mul = ring.mul
-    gens = [ring.from_bytes(raw) for raw in tbl.generators]
+    gens = tbl.generators
     inverses = [ring.inverse(g) for g in gens]
     comms = [
         mul(mul(gens[a], gens[b]), mul(inverses[a], inverses[b]))
         for a in range(len(gens)) for b in range(a + 1, len(gens))
     ]
-    seen = frozenset(map(ring.to_bytes,
-                         _closure(comms, list(zip(gens, inverses)), ring, tbl.order)))
+    seen = frozenset(_closure(comms, list(zip(gens, inverses)), ring, tbl.order))
     if not seen <= tbl.elements:
         raise InvariantError("commutator subgroup leaves the group")
-    return tbl._replace(elements=seen, generators=tuple(map(ring.to_bytes, comms)))
+    return tbl._replace(elements=seen, generators=tuple(comms))
 
 
 def abelianization_dim(tbl: FiniteGroupTable) -> int:
@@ -273,17 +259,17 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
     generator lands in G'.  That certifies it for every element: G/G'
     is abelian, so x -> x^p is a homomorphism on it, and its kernel
     holds all of G exactly when it holds the generators.  Each power is
-    encoded to its table bytes and looked up among G''s elements.  A
-    violating generator would disprove the graded model, so it is
-    raised with the witness attached.
+    looked up among G''s packed elements.  A violating generator would
+    disprove the graded model, so it is raised with its coefficients
+    attached as the witness.
     """
     p = tbl.p
     ring = _Packing(tbl.n, tbl.m, p)
     derived = commutator_subgroup(tbl)
-    for raw in tbl.generators:
-        if ring.to_bytes(ring.power(ring.from_bytes(raw), p)) not in derived.elements:
+    for g in tbl.generators:
+        if ring.power(g, p) not in derived.elements:
             raise InvariantError(
-                f"abelianization is not elementary abelian; witness {raw.hex()}"
+                f"abelianization is not elementary abelian; witness {ring.unpack(g)}"
             )
     quotient = tbl.order // derived.order
     d = 0

@@ -142,6 +142,8 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     field = a.field
+    if a.degree < b.degree:
+        return Poly.zero(field), a
     p = field.p
     inv_lead = field.inv(b.leading())
     rem = list(a.coeffs)
@@ -322,12 +324,18 @@ class CanonicalLabel:
         return tuple(tuple(e.coeffs for e in row) for row in self.hnf.entries)
 
     def hex(self) -> str:
-        """Compact hex name: per entry a length byte then coefficient bytes."""
+        """Compact hex name: per entry a length byte then its coefficients.
+
+        Each coefficient takes the fewest big-endian bytes that hold p - 1,
+        so one byte for every p <= 256.
+        """
+        width = max(1, ((self.hnf.field.p - 1).bit_length() + 7) // 8)
         out = bytearray()
         for row in self.hnf.entries:
             for e in row:
                 out.append(len(e.coeffs))
-                out.extend(e.coeffs)
+                for c in e.coeffs:
+                    out += c.to_bytes(width, "big")
         return out.hex()
 
     def __eq__(self, other: object) -> bool:

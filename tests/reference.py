@@ -22,8 +22,7 @@ command line never runs it.  It holds
 - the row-list RREF and the inverse read off the RREF of [m | I], which
   check the Gauss-Jordan routine that conghom.gf.rref and inverse wrap;
 - the coefficient-by-coefficient product and Neumann-series inverse of
-  truncated matrices, and their byte form in the group tables, which
-  check the oracle's packed arithmetic;
+  truncated matrices, which check the oracle's packed arithmetic;
 - the uncached lattice route to adjacency, which checks the oracle's
   cached adjacency_oracle;
 - the depth-one witness Phi: C0 -> gl_n, whose kernel contains the
@@ -37,14 +36,13 @@ import functools
 import heapq
 import math
 import operator
-from array import array
 
 from conghom.building import ComplexZ
 from conghom.errors import InvariantError
 from conghom.field import GF, _check_same_field
 from conghom.gf import DenseMatrix, SparseMatrix, inverse as gf_inverse
 from conghom.homology import BlockIndex
-from conghom.oracle import Trunc, _typecode
+from conghom.oracle import Trunc
 from conghom.poly import Poly, PolyMatrix, column_hnf, lattice_contains, polymat_det
 from conghom.wedge import BoundProfile, H1Basis, Vertex, is_standard_vertex
 
@@ -435,11 +433,6 @@ def augmented_inverse(m: DenseMatrix) -> DenseMatrix:
     if piv[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return DenseMatrix(m.field, n, n, [red.get(i, n + j) for i in range(n) for j in range(n)])
-
-
-def serialize(a: Trunc, p: int) -> bytes:
-    """The group tables' byte form of a, one array item per coefficient."""
-    return array(_typecode(p), [c for entry in a for c in entry]).tobytes()
 
 
 def trunc_identity(n: int, m: int) -> Trunc:

@@ -234,6 +234,17 @@ def test_export_pinned_bytes(n, q, radius, dot_sha, matrix_sha, tmp_path, capsys
     assert hashlib.sha256(mat.read_bytes()).hexdigest() == matrix_sha
 
 
+def test_export_names_vertices_above_one_byte_fields(tmp_path, capsys):
+    # q = 257 has coefficients up to 256, two bytes each in a vertex name
+    dot = tmp_path / "z.dot"
+    code, _, _ = run_cli(capsys, "export", "--n", "2", "--q", "257", "--radius", "1",
+                         "--dot", str(dot), "--matrix", str(tmp_path / "m.txt"))
+    assert code == 0
+    names = [l.split('"')[1] for l in dot.read_text().splitlines()
+             if l.strip().startswith('"') and "--" not in l]
+    assert len(names) == len(set(names)) == 259  # the origin and its q + 1 tree neighbours
+
+
 def test_export_unwritable(tmp_path, capsys):
     code, _, err = run_cli(capsys, "export", "--n", "2", "--q", "2", "--radius", "1",
                            "--dot", str(tmp_path / "no" / "dir" / "z.dot"),

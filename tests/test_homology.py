@@ -298,9 +298,9 @@ def _record_inclusions(monkeypatch):
     calls = []
     real = homology._inclusion
 
-    def recording(w, w_inv, simplex, edge_basis, rv, vert_basis):
-        calls.append((w.entries, simplex, rv))
-        return real(w, w_inv, simplex, edge_basis, rv, vert_basis)
+    def recording(w, n, p, simplex, edge_basis, rv, vert_basis):
+        calls.append((w, simplex, rv))
+        return real(w, n, p, simplex, edge_basis, rv, vert_basis)
 
     monkeypatch.setattr(homology, "_inclusion", recording)
     return calls

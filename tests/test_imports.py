@@ -18,6 +18,7 @@ import pytest
 
 import conghom
 from conghom.gf import DenseMatrix
+from conghom.oracle import _Packing
 from conghom.poly import CanonicalLabel, Poly, PolyMatrix
 from reference import GroupElement
 
@@ -27,18 +28,23 @@ MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "_trunc_inverse", "trunc_inverse", "_trunc_identity", "trunc_identity",
                     "_trunc_sub_identity", "trunc_sub_identity", "_flag_product",
                     "GroupElement", "elementary", "_trunc_from_group_element",
-                    "trunc_from_group_element")
+                    "trunc_from_group_element", "_typecode", "_deserialize")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
                             (DenseMatrix, "is_zero"), (CanonicalLabel, "pivot_exponents"),
                             (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
-                            (GroupElement, "__matmul__"), (Poly, "const"))
+                            (GroupElement, "__matmul__"), (Poly, "const"),
+                            (_Packing, "to_bytes"), (_Packing, "from_bytes"))
+
+
+def _module_tree(module: str) -> ast.Module:
+    return ast.parse((Path(conghom.__file__).parent / f"{module}.py").read_text())
 
 
 def _package_imports(module: str) -> set[str]:
     """Names of the conghom modules that src/conghom/<module>.py imports from."""
-    tree = ast.parse((Path(conghom.__file__).parent / f"{module}.py").read_text())
+    tree = _module_tree(module)
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -70,6 +76,18 @@ def test_compute_path_imports_no_group_code():
     for module in ("oracle", "poly", "wedge", "field"):
         assert not _package_imports(module) & {"building", "homology", "gf"}, module
     assert not _package_imports("wedge") | _package_imports("field")
+
+
+def test_oracle_tables_need_no_byte_codec():
+    # group tables hold packed matrices, so the oracle imports no array module
+    imported = set()
+    for node in ast.walk(_module_tree("oracle")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add((node.module or "").split(".")[0])
+    assert "functools" in imported  # the walk sees the imports that are there
+    assert "array" not in imported
 
 
 def test_exports_resolve_and_omit_test_references():
@@ -136,7 +154,7 @@ def test_startup_loads_only_what_compute_runs(run_python):
 def test_boundary_columns_forms_no_general_product():
     # W comes from the identity shortcut or the flag-pair memo, never from
     # a DenseMatrix product on the hot path
-    tree = ast.parse((Path(conghom.__file__).parent / "homology.py").read_text())
+    tree = _module_tree("homology")
     func = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "boundary_columns")
     nodes = list(ast.walk(func))

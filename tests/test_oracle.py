@@ -7,7 +7,6 @@ from conghom.field import GF
 from conghom.oracle import (
     FiniteGroupTable,
     _closure,
-    _deserialize,
     _Packing,
     abelianization_dim,
     adjacency_oracle,
@@ -19,8 +18,8 @@ from conghom.oracle import (
 )
 from conghom.poly import Poly
 from conghom.wedge import BoundProfile, adjacency, bound_profile, h1_basis, standard_ball
-from reference import (adjacency_lattice, elementary, serialize, trunc_from_group_element,
-                       trunc_identity, trunc_inverse, trunc_mul)
+from reference import (adjacency_lattice, elementary, trunc_from_group_element, trunc_identity,
+                       trunc_inverse, trunc_mul)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -91,23 +90,21 @@ def test_commutator_subgroup_112():
     assert derived.order == 2
     # generated by the corner element of degree two
     corner = elementary(1, 3, Poly.monomial(F2, 2), 3)
-    assert serialize(trunc_from_group_element(corner, tbl.m), tbl.p) in derived.elements
+    ring = _Packing(tbl.n, tbl.m, tbl.p)
+    assert ring.pack(trunc_from_group_element(corner, tbl.m)) in derived.elements
 
 
-def test_serialize_width_round_trips():
-    small = ((1, 2), (0, 1), (2, 0), (1, 0))
-    ring = _Packing(2, 2, 3)
-    raw = ring.to_bytes(ring.pack(small))
-    assert raw == serialize(small, 3) == bytes([1, 2, 0, 1, 2, 0, 1, 0])
-    assert _deserialize(serialize(small, 3), 2, 2, 3) == small
-    a = ((1, 256), (0, 255), (256, 0), (1, 0))
-    for p, width in ((257, 2), (65537, 8)):
+def test_pack_unpack_round_trips_at_every_slot_width():
+    # width = (n*m*(p-1)^2).bit_length(): 5 bits at p = 3, 19 at 257, 35 at 65537
+    for p, width in ((3, 5), (257, 19), (65537, 35)):
+        top = p - 1
+        a = ((1, top), (0, top - 1), (top, 0), (1, 0))
         ring = _Packing(2, 2, p)
-        raw = ring.to_bytes(ring.pack(a))
-        assert raw == serialize(a, p)
-        assert len(raw) == 8 * width
-        assert _deserialize(raw, 2, 2, p) == a
-        assert ring.from_bytes(raw) == ring.pack(a)
+        assert ring.width == width
+        x = ring.pack(a)
+        assert x[0] == 1 | top << width and x[2] == top
+        assert ring.unpack(x) == a
+        assert ring.pack(ring.unpack(x)) == x
 
 
 @st.composite
@@ -152,12 +149,8 @@ def _packed_case(draw):
 def test_packed_arithmetic_matches_reference(case, e):
     n, m, p, a, b, u = case
     ring = _Packing(n, m, p)
-
-    def unpack(x):
-        return _deserialize(ring.to_bytes(x), n, m, p)
-
+    unpack = ring.unpack
     pa, pb, pu = ring.pack(a), ring.pack(b), ring.pack(u)
-    assert ring.from_bytes(serialize(a, p)) == pa
     assert unpack(pa) == a
     assert unpack(ring.mul(pa, pb)) == trunc_mul(a, b, n, m, p)
     inv = ring.inverse(pu)
@@ -266,47 +259,44 @@ def test_commutator_subgroup_213():
 
 
 def _reference_commutator_subgroup(tbl):
-    """Closure of all pairwise commutators; normality is asserted."""
+    """Closure of all pairwise commutators; normality is asserted.
+
+    Works on coefficient tuples throughout and packs only the table it returns.
+    """
     n, m, p = tbl.n, tbl.m, tbl.p
-    elems = [_deserialize(raw, n, m, p) for raw in sorted(tbl.elements)]
-    inv = {serialize(x, p): trunc_inverse(x, n, m, p) for x in elems}
+    ring = _Packing(n, m, p)
+    elems = sorted(map(ring.unpack, tbl.elements))
+    inv = {x: trunc_inverse(x, n, m, p) for x in elems}
 
     comms = set()
     for x in elems:
-        xi = inv[serialize(x, p)]
         for y in elems:
-            yi = inv[serialize(y, p)]
-            c = trunc_mul(trunc_mul(x, y, n, m, p),
-                          trunc_mul(xi, yi, n, m, p), n, m, p)
-            comms.add(serialize(c, p))
+            comms.add(trunc_mul(trunc_mul(x, y, n, m, p),
+                                trunc_mul(inv[x], inv[y], n, m, p), n, m, p))
 
-    gens = [_deserialize(raw, n, m, p) for raw in sorted(comms)]
-    seen = {serialize(trunc_identity(n, m), p)}
+    gens = sorted(comms)
+    seen = {trunc_identity(n, m)}
     frontier = [trunc_identity(n, m)]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
                 y = trunc_mul(x, g, n, m, p)
-                raw = serialize(y, p)
-                if raw not in seen:
-                    seen.add(raw)
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
         frontier = nxt
 
-    for raw in tbl.elements:
-        g = _deserialize(raw, n, m, p)
-        gi = inv.get(raw) or trunc_inverse(g, n, m, p)
-        for hraw in seen:
-            h = _deserialize(hraw, n, m, p)
-            conj = trunc_mul(trunc_mul(g, h, n, m, p), gi, n, m, p)
-            if serialize(conj, p) not in seen:
+    for g in elems:
+        for h in seen:
+            conj = trunc_mul(trunc_mul(g, h, n, m, p), inv[g], n, m, p)
+            if conj not in seen:
                 raise InvariantError("commutator subgroup is not normal")
 
     return FiniteGroupTable(
         n=n, m=m, p=p,
-        elements=frozenset(seen),
-        generators=tuple(sorted(comms)),
+        elements=frozenset(map(ring.pack, seen)),
+        generators=tuple(map(ring.pack, gens)),
     )
 
 
@@ -343,8 +333,7 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
     if q == 2:  # the all-pairs reference needs |G|^2 products: minutes at 729
         assert derived.elements == _reference_commutator_subgroup(tbl).elements
     ring = _Packing(4, 4, q)
-    comms = [ring.from_bytes(raw) for raw in derived.generators]
-    assert len(_closure(comms, [], ring, tbl.order)) == unconjugated_order
+    assert len(_closure(list(derived.generators), [], ring, tbl.order)) == unconjugated_order
 
 
 def test_abelianization_dims():
@@ -361,8 +350,10 @@ def test_abelianization_rejects_a_generator_whose_square_is_not_in_g_prime():
     g = (one, t, zero, zero, one, t, zero, zero, one)
     tbl = generate_group([g], 2)
     assert tbl.order == 4
-    with pytest.raises(InvariantError, match="not elementary abelian"):
+    with pytest.raises(InvariantError, match="not elementary abelian") as err:
         abelianization_dim(tbl)
+    # the witness is the offending generator, written as its coefficients
+    assert f"witness {g}" in str(err.value)
 
 
 def test_verify_h1_formula_examples():

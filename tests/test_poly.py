@@ -65,6 +65,21 @@ def test_divmod_random():
             assert r.is_zero() or r.degree < b.degree
 
 
+def test_divmod_of_a_lower_degree_dividend_is_zero_remainder_a(monkeypatch):
+    # deg a < deg b: (0, a) at once, with no inverse of b's leading coefficient
+    b = P(F3, 1, 0, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(GF, "inv", lambda self, c: pytest.fail("inverted a leading coefficient"))
+        for a in (Poly.zero(F3), P(F3, 2), P(F3, 1, 2)):
+            q, r = poly_divmod(a, b)
+            assert q.is_zero() and r == a
+    # the field and zero-divisor checks still come first
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(Poly.zero(F3), Poly.zero(F3))
+    with pytest.raises(ValueError, match="mixed field"):
+        poly_divmod(Poly.zero(F2), b)
+
+
 def test_polymat_mul_examples():
     a = E_plus_I(F2, 3, 1, 2, P(F2, 0, 1))
     b = E_plus_I(F2, 3, 2, 3, P(F2, 0, 1))

@@ -13,8 +13,8 @@ _EXPORTS = {
     "building": ("ComplexZ", "build_Z", "enumerate_flag_reps", "vertex_label"),
     "errors": ("InvariantError", "OracleLimitError"),
     "field": ("GF",),
-    "gf": ("DenseMatrix", "SparseMatrix", "inverse", "rref", "sparse_rank"),
-    "homology": ("HomologyReport", "assemble_boundary", "edge_inclusion", "h0_dimension"),
+    "gf": ("SparseMatrix", "sparse_rank"),
+    "homology": ("HomologyReport", "assemble_boundary", "h0_dimension"),
     "oracle": ("FiniteGroupTable", "abelianization_dim", "adjacency_oracle",
                "commutator_subgroup", "generate_group", "verify_h1_formula"),
     "poly": ("CanonicalLabel", "Poly", "PolyMatrix", "column_hnf", "lattice_contains",

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import InvariantError
 from .field import GF
-from .gf import DenseMatrix, gauss_jordan, inverse as gf_inverse
+from .gf import gauss_jordan, inverse_entries
 from .wedge import Vertex, is_standard_vertex, standard_ball
 
 if TYPE_CHECKING:
@@ -27,22 +27,22 @@ if TYPE_CHECKING:
 
 
 def bruhat_cells(n: int, field: GF, break_types=None
-                 ) -> Iterator[tuple[frozenset[int], list[DenseMatrix]]]:
+                 ) -> Iterator[tuple[frozenset[int], list[tuple[int, ...]]]]:
     """Each Bruhat cell of complete flags of F_q^n, with its ascent set.
 
     For each row permutation w, in lexicographic order, the cell holds
-    one determinant-one matrix per flag: column k < n-1 is e_w(k) plus
-    free entries at the rows r > w(k) not already used by w(0), ...,
-    w(k-1), and the last column is e_w(n-1), signed so that the
-    determinant is 1.  So w(k) is the first nonzero row of column k,
-    and the cell's ascent set is {k in 1..n-1 : w(k-1) < w(k)}.  The
-    cells together hold [n]_q! = (1)(1+q)...(1+q+...+q^(n-1)) flags,
-    each exactly once.  The coset w W_B of the Young subgroup of a break
-    set B has a unique longest element, the one decreasing inside every
-    block of B (Bjorner-Brenti, GTM 231, 2.4), so the flags whose
-    ascents lie in B are one per partial flag of type B.  With
-    break_types given, only the cells whose ascent set lies in one of
-    them are enumerated.
+    one determinant-one matrix per flag, as its n^2 row-major residues
+    mod p: column k < n-1 is e_w(k) plus free entries at the rows
+    r > w(k) not already used by w(0), ..., w(k-1), and the last column
+    is e_w(n-1) times 1 or p - 1, so that the determinant is 1.  So
+    w(k) is the first nonzero row of column k, and the cell's ascent set
+    is {k in 1..n-1 : w(k-1) < w(k)}.  The cells together hold
+    [n]_q! = (1)(1+q)...(1+q+...+q^(n-1)) flags, each exactly once.  The
+    coset w W_B of the Young subgroup of a break set B has a unique
+    longest element, the one decreasing inside every block of B
+    (Bjorner-Brenti, GTM 231, 2.4), so the flags whose ascents lie in B
+    are one per partial flag of type B.  With break_types given, only
+    the cells whose ascent set lies in one of them are enumerated.
     """
     p = field.p
     types = None if break_types is None else [frozenset(b) for b in break_types]
@@ -55,18 +55,18 @@ def bruhat_cells(n: int, field: GF, break_types=None
         base = [0] * (n * n)
         for k in range(n):
             base[w[k] * n + k] = 1
-        # permuting rows makes the matrix unitriangular, so det = sign(w)
-        base[w[n - 1] * n + n - 1] = (-1) ** inversions
+        # permuting rows makes the matrix unitriangular, so det = sign(w), as a residue
+        base[w[n - 1] * n + n - 1] = p - 1 if inversions % 2 else 1
         flags = []
         for values in product(range(p), repeat=len(free)):
             ent = base[:]
             for at, v in zip(free, values):
                 ent[at] = v
-            flags.append(DenseMatrix(field, n, n, ent))
+            flags.append(tuple(ent))
         yield ascents, flags
 
 
-def enumerate_flag_reps(n: int, field: GF) -> list[DenseMatrix]:
+def enumerate_flag_reps(n: int, field: GF) -> list[tuple[int, ...]]:
     """One determinant-one matrix per complete flag of F_q^n: every bruhat_cells flag.
 
     Column j of a representative spans the j-th step of its flag over
@@ -75,36 +75,37 @@ def enumerate_flag_reps(n: int, field: GF) -> list[DenseMatrix]:
     just the cells whose ascents lie in a break type of its ball.
     """
     reps = [s for _, flags in bruhat_cells(n, field) for s in flags]
-    reps.sort(key=lambda s: [s.col(j) for j in range(n)])
+    reps.sort(key=lambda s: [s[j::n] for j in range(n)])
     return reps
 
 
-def vertex_label(s: DenseMatrix, r: Vertex) -> CanonicalLabel:
+def vertex_label(s: tuple[int, ...], field: GF, r: Vertex) -> CanonicalLabel:
     """Canonical label of the translate of a wedge vertex by the flag matrix s.
 
-    The flag matrix acts through its inverse transpose: with that
-    convention, two pairs (s, r) and (s', r) share a label exactly when
-    s^-1 s' lies in the parabolic subgroup of constant matrices
-    supported where r_i >= r_j, which is precisely the group that
-    normalizes the stabilizer attached to r.  Labels therefore identify
-    translated vertices exactly when their stabilizers in the
-    congruence kernel agree.  The label costs an n! cofactor
-    determinant and a polynomial HNF, so build_Z keys the translates of
-    one canonical flag per partial flag by partial_flag_keys instead,
-    and only order_by_label calls this, once per vertex, to name the
-    vertices on export.
+    s is given by its row-major residues mod field.p, and is n x n for
+    the n - 1 coordinates of r.  The flag matrix acts through its
+    inverse transpose: with that convention, two pairs (s, r) and
+    (s', r) share a label exactly when s^-1 s' lies in the parabolic
+    subgroup of constant matrices supported where r_i >= r_j, which is
+    precisely the group that normalizes the stabilizer attached to r.
+    Labels therefore identify translated vertices exactly when their
+    stabilizers in the congruence kernel agree.  The label costs an n!
+    cofactor determinant and a polynomial HNF, so build_Z keys the
+    translates of one canonical flag per partial flag by
+    partial_flag_keys instead, and only order_by_label calls this, once
+    per vertex, to name the vertices on export.
     """
     from .poly import Poly, PolyMatrix, lattice_label  # export only: keeps compute off poly
 
-    field = s.field
-    n = s.rows
-    if len(r) != n - 1 or not is_standard_vertex(r):
+    n = len(r) + 1
+    if len(s) != n * n or not is_standard_vertex(r):
         raise ValueError("not a standard vertex")
-    st_inv = gf_inverse(s.transpose())
+    s_inv = inverse_entries(s, n, field.p)
     exps = tuple(r) + (0,)
+    # row i of (s^T)^-1 = (s^-1)^T is column i of s^-1
     entries = [
-        [Poly.monomial(field, exps[j], st_inv.get(i, j)) if st_inv.get(i, j) else Poly.zero(field)
-         for j in range(n)]
+        [Poly.monomial(field, exps[j], v) if v else Poly.zero(field)
+         for j, v in enumerate(s_inv[i::n])]
         for i in range(n)
     ]
     return lattice_label(PolyMatrix(field, entries))
@@ -116,19 +117,21 @@ def vertex_breaks(r: Vertex) -> tuple[int, ...]:
     return tuple(k for k in range(1, len(exps)) if exps[k - 1] > exps[k])
 
 
-def partial_flag_keys(s: DenseMatrix, vertices, spans: dict | None = None) -> dict:
+def partial_flag_keys(s: tuple[int, ...], n: int, p: int, vertices,
+                      spans: dict | None = None) -> dict:
     """Partial-flag key of the translate of each wedge vertex r by s.
 
-    The key is (r, the RREF of the span of the first k columns of s for
-    each break k of r).  (s, r) and (s', r) share a vertex_label exactly
-    when s^-1 s' lies in the parabolic of r, that is, block upper
-    triangular with blocks ending at the breaks, which holds exactly
-    when the leading column spans agree at every break.  `spans`
-    carries the last RREF computed at each k from one call to the next
-    (see _flag_keys); pass one dict to calls on flags that share
-    leading columns.
+    s is an n x n flag matrix given by its row-major residues mod p.
+    The key is (r, the RREF entries of the span of the first k columns
+    of s for each break k of r).  (s, r) and (s', r) share a
+    vertex_label exactly when s^-1 s' lies in the parabolic of r, that
+    is, block upper triangular with blocks ending at the breaks, which
+    holds exactly when the leading column spans agree at every break.
+    `spans` carries the last RREF computed at each k from one call to
+    the next (see _flag_keys); pass one dict to calls on flags that
+    share leading columns.
     """
-    return _flag_keys(s, _with_top({r: vertex_breaks(r) for r in vertices}),
+    return _flag_keys(s, n, p, _with_top({r: vertex_breaks(r) for r in vertices}),
                       {} if spans is None else spans)
 
 
@@ -137,7 +140,7 @@ def _with_top(breaks: dict) -> tuple:
     return list(breaks.items()), max((b[-1] for b in breaks.values() if b), default=0)
 
 
-def _flag_keys(s: DenseMatrix, vertices: tuple, spans: dict) -> dict:
+def _flag_keys(s: tuple[int, ...], n: int, p: int, vertices: tuple, spans: dict) -> dict:
     """partial_flag_keys for vertices given by _with_top.
 
     The span at k, of the first k columns, is the span at k - 1 plus
@@ -149,19 +152,17 @@ def _flag_keys(s: DenseMatrix, vertices: tuple, spans: dict) -> dict:
     reuses that RREF.  Flags in cell order share many leading columns.
     """
     pairs, top = vertices
-    n = s.rows
-    ent = s.entries
     span = ()
     at = [span]  # at[k]: RREF entries of the span at k
     for k in range(1, top + 1):
-        col = ent[k - 1::n]
+        col = s[k - 1::n]
         last = spans.get(k)
         if last is not None and last[0] is span and last[1] == col:
             span = last[2]
         else:
             rows = [list(span[i:i + n]) for i in range(0, len(span), n)]
             rows.append(list(col))
-            gauss_jordan(rows, s.field.p, n)
+            gauss_jordan(rows, p, n)
             spans[k] = (span, col, tuple([v for row in rows for v in row]))
             span = spans[k][2]
         at.append(span)
@@ -188,12 +189,12 @@ def partial_flag_count(n: int, q: int, breaks) -> int:
 
 
 class VertexRep(NamedTuple):
-    flag: DenseMatrix
+    flag: tuple[int, ...]  # row-major residues of the flag matrix
     vertex: Vertex
 
 
 class EdgeRep(NamedTuple):
-    flag: DenseMatrix
+    flag: tuple[int, ...]
     simplex: tuple[Vertex, Vertex]  # aligned with the edge's key pair
 
 
@@ -213,7 +214,7 @@ class ComplexZ(NamedTuple):
 
 
 def build_Z(n: int, q: int, radius: int,
-            flag_reps: list[DenseMatrix] | None = None) -> ComplexZ:
+            flag_reps: list[tuple[int, ...]] | None = None) -> ComplexZ:
     """Union of the flag translates of the radius-R wedge, one per partial flag.
 
     A ball vertex or edge of break type B, for an edge the union of its
@@ -246,7 +247,7 @@ def build_Z(n: int, q: int, radius: int,
     else:
         by_ascents: dict = {}  # ascent set of a flag's Bruhat permutation -> flags
         for s in flag_reps:
-            w = [next(r for r in range(n) if s.entries[r * n + k]) for k in range(n)]
+            w = [next(r for r in range(n) if s[r * n + k]) for k in range(n)]
             by_ascents.setdefault(frozenset(k for k in range(1, n) if w[k - 1] < w[k]),
                                   []).append(s)
         cells = list(by_ascents.items())
@@ -260,7 +261,7 @@ def build_Z(n: int, q: int, radius: int,
             if mine:
                 verts = _with_top({r: breaks[r] for simplex in mine for r in simplex})
                 for s in flags:
-                    yield s, mine, _flag_keys(s, verts, spans)
+                    yield s, mine, _flag_keys(s, n, q, verts, spans)
 
     found_v: dict = {}
     for s, mine, keys in canonical(vertex_types):
@@ -303,7 +304,7 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, dict]:
     and representatives are kept, sorted by label key, and each edge is
     oriented from its label-smaller endpoint, its simplex reversed with it.
     """
-    labels = {key: vertex_label(rep.flag, rep.vertex) for key, rep in z.vertices.items()}
+    labels = {key: vertex_label(rep.flag, z.field, rep.vertex) for key, rep in z.vertices.items()}
     label_key = {key: label.key() for key, label in labels.items()}
     if len(set(label_key.values())) != len(label_key):
         raise InvariantError("vertex label does not match its wedge coordinates")

@@ -1,91 +1,15 @@
 """Exact linear algebra over the prime field GF(p).
 
-Scalars are plain Python ints in [0, p); the modulus lives in the
-shared GF context of conghom.field that every matrix carries.
+Scalars are plain Python ints in [0, p).  A dense matrix is a list of
+rows or a row-major tuple of residues, and the routines on it take p;
+a sparse matrix carries the GF context of conghom.field.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
 
-from .field import GF, _check_same_field
-
-
-class DenseMatrix:
-    """Immutable row-major matrix of GF(p) residues."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: GF, rows: int, cols: int, entries: Iterable[int]) -> None:
-        p = field.p
-        ent = tuple([v % p for v in entries])
-        if len(ent) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = ent
-
-    @classmethod
-    def from_rows(cls, field: GF, rows: Sequence[Sequence[int]]) -> "DenseMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(field, r, c, [v for row in rows for v in row])
-
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "DenseMatrix":
-        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return self.entries[j::self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            self.field, self.cols, self.rows,
-            [v for j in range(self.cols) for v in self.col(j)],
-        )
-
-    def mul(self, other: "DenseMatrix") -> "DenseMatrix":
-        _check_same_field(self.field, other.field)
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        rows = [self.row(i) for i in range(self.rows)]
-        cols = [other.col(j) for j in range(other.cols)]
-        # __init__ reduces each sum mod p
-        return DenseMatrix(
-            self.field, self.rows, other.cols,
-            [sum(map(operator.mul, r, c)) for r in rows for c in cols],
-        )
-
-    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
-        return self.mul(other)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DenseMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"DenseMatrix({self.field}, {self.to_rows()})"
+from .field import GF
 
 
 def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
@@ -95,8 +19,9 @@ def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
     pivot row is moved up, scaled to 1 at its pivot, and subtracted from
     every other row that is nonzero there, across the whole row.
     Returns the pivot columns; the rows below the last pivot row are
-    zero in the first `width` columns.  rref reduces a whole matrix this
-    way, and inverse_entries the left half of [m | I].
+    zero in the first `width` columns.  building reduces the leading
+    column spans of a flag this way, and inverse_entries the left half
+    of [m | I].
     """
     pivots: list[int] = []
     r = 0
@@ -124,18 +49,6 @@ def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
     return pivots
 
 
-def rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form, by gauss_jordan.
-
-    Returns (rank, reduced matrix, pivot columns).  The reduction is the
-    unique RREF over GF(p); the row space is preserved.
-    """
-    rows = m.to_rows()
-    pivots = gauss_jordan(rows, m.field.p, m.cols)
-    reduced = DenseMatrix(m.field, m.rows, m.cols, [v for row in rows for v in row])
-    return len(pivots), reduced, tuple(pivots)
-
-
 def inverse_entries(entries: Sequence[int], n: int, p: int) -> tuple[int, ...]:
     """Row-major inverse of an n x n matrix given by its row-major residues mod p.
 
@@ -146,13 +59,6 @@ def inverse_entries(entries: Sequence[int], n: int, p: int) -> tuple[int, ...]:
     if len(gauss_jordan(rows, p, n)) < n:
         raise ValueError("matrix is singular")
     return tuple([v for row in rows for v in row[n:]])
-
-
-def inverse(m: DenseMatrix) -> DenseMatrix:
-    """Inverse, by inverse_entries."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    return DenseMatrix(m.field, m.rows, m.cols, inverse_entries(m.entries, m.rows, m.field.p))
 
 
 class SparseMatrix:
@@ -191,13 +97,6 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.by_row.values())
-
-    def densify(self) -> DenseMatrix:
-        ent = [0] * (self.rows * self.cols)
-        for r, row in self.by_row.items():
-            for c, v in row.items():
-                ent[r * self.cols + c] = v
-        return DenseMatrix(self.field, self.rows, self.cols, ent)
 
 
 def reduce_columns(field: GF, columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:

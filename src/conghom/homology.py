@@ -14,53 +14,33 @@ from typing import Iterator, NamedTuple
 
 from .building import ComplexZ, partial_flag_count, vertex_breaks
 from .errors import InvariantError
-from .gf import DenseMatrix, SparseMatrix, inverse as gf_inverse, inverse_entries, reduce_columns
+from .gf import SparseMatrix, inverse_entries, reduce_columns
 from .wedge import H1Basis, Vertex, bound_profile, h1_basis, standard_ball
-
-
-def edge_inclusion(edge_rep: tuple[DenseMatrix, tuple[Vertex, Vertex]],
-                   vertex_rep: tuple[DenseMatrix, Vertex]) -> DenseMatrix:
-    """Matrix of the inclusion-induced map on H1, edge into endpoint vertex.
-
-    With W = s_v^-1 s_e, conjugation by W carries the generator
-    I + E_ij(t^d) of edge slot (i, j, d) to I + t^d M with the constant
-    matrix M = W E_ij W^-1, so the column of that slot holds M[a][b] at
-    the vertex slots (a, b, d) and 0 at the slots of other degrees.
-    The vertex is an endpoint when its wedge coordinates r_v lie in the
-    simplex and W lies in the parabolic subgroup of r_v (W[a][b] = 0
-    wherever r_a < r_b, r padded with 0), which is exactly when the two
-    translates share a label; otherwise ValueError.  M must be supported
-    on {a < b, b_ab >= d} of the vertex profile; failure means the
-    representatives do not name the same simplices and is reported as
-    an invariant violation.  This is the uncached per-pair route to the
-    _inclusion entries that boundary_columns memoizes, so the tests
-    hold the boundary to these blocks and these blocks to the
-    polynomial conjugation route of tests/reference.py.
-    """
-    s_e, simplex = edge_rep
-    s_v, rv = vertex_rep
-    w = gf_inverse(s_v) @ s_e
-    edge_basis = h1_basis(bound_profile(list(simplex)))
-    vert_basis = h1_basis(bound_profile([rv]))
-    entries = _inclusion(w.transpose().entries, w.rows, w.field.p, simplex, edge_basis, rv,
-                         vert_basis)
-    return SparseMatrix(w.field, vert_basis.dim, edge_basis.dim, entries).densify()
 
 
 def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex],
                edge_basis: H1Basis, rv: Vertex, vert_basis: H1Basis
                ) -> list[tuple[int, int, int]]:
-    """Nonzero entries (vertex slot, edge slot, value) of edge_inclusion.
+    """Nonzero entries (vertex slot, edge slot, value) of H1 of an edge into an endpoint.
 
     Takes the column-major entries of W = s_v^-1 s_e over GF(p) and both
-    bases.  The value at vertex slot (a, b, d) and edge slot (i, j, d)
-    is M[a][b] of M = W E_ij W^-1; slots of different degrees are not
-    listed.  The result, and whether the endpoint and support checks
-    raise, depend only on (W, simplex, r_v): the bases are those of the
-    simplex and of r_v.  boundary_columns memoizes it on that key.
+    bases.  Conjugation by W carries the generator I + E_ij(t^d) of edge
+    slot (i, j, d) to I + t^d M with the constant matrix M = W E_ij W^-1,
+    so the value at vertex slot (a, b, d) is M[a][b]; slots of different
+    degrees are not listed.  The vertex is an endpoint when its wedge
+    coordinates r_v lie in the simplex and W lies in the parabolic
+    subgroup of r_v (W[a][b] = 0 wherever r_a < r_b, r padded with 0),
+    which is exactly when the two translates share a label; otherwise
+    ValueError.  M must be supported on {a < b, b_ab >= d} of the vertex
+    profile; failure means the representatives do not name the same
+    simplices and raises InvariantError.  The result, and whether these
+    checks raise, depend only on (W, simplex, r_v): the bases are those
+    of the simplex and of r_v.  boundary_columns memoizes it on that key.
     W^-1 comes from gf.inverse_entries: read row-major, the column-major
     entries of W are W^T, whose inverse is W^-1 column-major, so row j
-    of W^-1 is every n-th entry from j.
+    of W^-1 is every n-th entry from j.  The tests read these entries
+    as a dense block, per (edge, endpoint) pair and uncached, and hold
+    them to the polynomial conjugation route.
     """
     exps = tuple(rv) + (0,)
     if rv not in simplex or any(
@@ -181,26 +161,25 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     the inclusion into the second, so the key-pair order is the edge's
     orientation.
 
-    W = s_v^-1 s_e is the identity when the two flags have equal entries,
-    and no product is formed.  Otherwise W's column-major entries are
-    memoized on the flag pair (s_v entries, s_e entries) and formed by
-    _packed_product from the columns of s_v^-1 (gf.inverse_entries),
-    packed into one int each once per vertex flag, and the entries of
-    s_e; equal W values share one tuple.  The _inclusion entries are
-    memoized on (W, edge simplex, r_v), which fixes both bases, so only
-    the few distinct inclusions are computed, each with W^-1 from
-    gf.inverse_entries.  No DenseMatrix product, rref or inverse runs.
-    Every pair looks up its own key, and a key whose inclusion raises
-    is never stored, so every pair passes the endpoint and support
-    checks.  The entries are offset by the endpoint's row and signed
-    into the columns.
+    Flags are entry tuples.  W = s_v^-1 s_e is the identity when the two
+    flags are equal, and no product is formed.  Otherwise W's
+    column-major entries are memoized on the flag pair (s_v, s_e) and
+    formed by _packed_product from the columns of s_v^-1
+    (gf.inverse_entries), packed into one int each once per vertex
+    flag, and the entries of s_e; equal W values share one tuple.  The
+    _inclusion entries are memoized on (W, edge simplex, r_v), which
+    fixes both bases, so only the few distinct inclusions are computed,
+    each with W^-1 from gf.inverse_entries.  No general matrix product
+    runs.  Every pair looks up its own key, and a key whose inclusion
+    raises is never stored, so every pair passes the endpoint and
+    support checks.  The entries are offset by the endpoint's row and
+    signed into the columns.
     """
     n = z.n
-    field = z.field
-    p = field.p
+    p = z.field.p
     bits = _slot_bits(n, p)
     vertex_of = {key: (z.vertices[key], off, basis) for key, off, basis in index.vertex_blocks}
-    identity = DenseMatrix.identity(field, n).entries  # equal to its transpose
+    identity = tuple([int(i == j) for i in range(n) for j in range(n)])  # equal to its transpose
     inv_packed = {}  # s_v entries -> columns of s_v^-1, packed
     unpack = {}      # packed column of W -> its residues
     w_of = {}        # (s_v entries, s_e entries) -> W entries, column-major
@@ -210,11 +189,11 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
         if not basis.dim:
             continue
         erep = z.edges[pair]
-        se = erep.flag.entries
+        se = erep.flag
         columns = [{} for _ in range(basis.dim)]
         for key, sign in ((pair[0], 1), (pair[1], -1)):
             vrep, r0, vert_basis = vertex_of[key]
-            sv = vrep.flag.entries
+            sv = vrep.flag
             if sv == se:
                 w = identity
             else:

@@ -16,11 +16,17 @@ command line never runs it.  It holds
   against: conjugation by a constant flag,
   membership in a bounded unipotent group and the class vector read
   off its coefficients;
+- the dense GF(p) matrix that the tests compute with, its product and
+  transpose, rref and inverse as thin wrappers over conghom.gf's
+  gauss_jordan and inverse_entries, and densify of a sparse matrix;
 - the determinant over GF(p), which checks the flag representatives;
 - the heap rank, a Markowitz elimination on the rows, which checks the
   column reduction of conghom.gf.sparse_rank;
 - the row-list RREF and the inverse read off the RREF of [m | I], which
-  check the Gauss-Jordan routine that conghom.gf.rref and inverse wrap;
+  check gauss_jordan and inverse_entries through rref and inverse;
+- edge_inclusion, the uncached dense block of one edge into one
+  endpoint, with W = s_v^-1 s_e from a dense product, which the
+  assembled boundary is held to;
 - the coefficient-by-coefficient product and Neumann-series inverse of
   truncated matrices, which check the oracle's packed arithmetic;
 - the uncached lattice route to adjacency, which checks the oracle's
@@ -40,11 +46,12 @@ import operator
 from conghom.building import ComplexZ
 from conghom.errors import InvariantError
 from conghom.field import GF, _check_same_field
-from conghom.gf import DenseMatrix, SparseMatrix, inverse as gf_inverse
-from conghom.homology import BlockIndex
+from conghom.gf import SparseMatrix, gauss_jordan, inverse_entries
+from conghom.homology import BlockIndex, _inclusion
 from conghom.oracle import Trunc
 from conghom.poly import Poly, PolyMatrix, column_hnf, lattice_contains, polymat_det
-from conghom.wedge import BoundProfile, H1Basis, Vertex, is_standard_vertex
+from conghom.wedge import (BoundProfile, H1Basis, Vertex, bound_profile, h1_basis,
+                           is_standard_vertex)
 
 
 class GroupElement:
@@ -97,6 +104,117 @@ def trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
             cs = g.matrix.entries[i][j].coeffs
             out.append(tuple(cs[k] if k < len(cs) else 0 for k in range(m)))
     return tuple(out)
+
+
+class DenseMatrix:
+    """Immutable row-major matrix of GF(p) residues; entries are reduced mod p."""
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: GF, rows: int, cols: int, entries) -> None:
+        p = field.p
+        ent = tuple([v % p for v in entries])
+        if len(ent) != rows * cols:
+            raise ValueError("entry count does not match shape")
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = ent
+
+    @classmethod
+    def from_rows(cls, field: GF, rows) -> "DenseMatrix":
+        r = len(rows)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls(field, r, c, [v for row in rows for v in row])
+
+    @classmethod
+    def identity(cls, field: GF, n: int) -> "DenseMatrix":
+        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+    def get(self, i: int, j: int) -> int:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple[int, ...]:
+        return self.entries[j::self.cols]
+
+    def to_rows(self) -> list[list[int]]:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix(self.field, self.cols, self.rows,
+                           [v for j in range(self.cols) for v in self.col(j)])
+
+    def mul(self, other: "DenseMatrix") -> "DenseMatrix":
+        _check_same_field(self.field, other.field)
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        rows = [self.row(i) for i in range(self.rows)]
+        cols = [other.col(j) for j in range(other.cols)]
+        # __init__ reduces each sum mod p
+        return DenseMatrix(self.field, self.rows, other.cols,
+                           [sum(map(operator.mul, r, c)) for r in rows for c in cols])
+
+    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
+        return self.mul(other)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, DenseMatrix) and self.field == other.field
+                and self.rows == other.rows and self.cols == other.cols
+                and self.entries == other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.field.p, self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"DenseMatrix({self.field}, {self.to_rows()})"
+
+
+def rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
+    """(rank, reduced row echelon form, pivot columns), by conghom.gf.gauss_jordan."""
+    rows = m.to_rows()
+    pivots = gauss_jordan(rows, m.field.p, m.cols)
+    reduced = DenseMatrix(m.field, m.rows, m.cols, [v for row in rows for v in row])
+    return len(pivots), reduced, tuple(pivots)
+
+
+def inverse(m: DenseMatrix) -> DenseMatrix:
+    """Inverse, by conghom.gf.inverse_entries; ValueError when singular."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    return DenseMatrix(m.field, m.rows, m.cols, inverse_entries(m.entries, m.rows, m.field.p))
+
+
+def densify(m: SparseMatrix) -> DenseMatrix:
+    """The sparse matrix m with its zeros written out."""
+    ent = [0] * (m.rows * m.cols)
+    for r, row in m.by_row.items():
+        for c, v in row.items():
+            ent[r * m.cols + c] = v
+    return DenseMatrix(m.field, m.rows, m.cols, ent)
+
+
+def edge_inclusion(field: GF, edge_rep: tuple[tuple[int, ...], tuple[Vertex, Vertex]],
+                   vertex_rep: tuple[tuple[int, ...], Vertex]) -> DenseMatrix:
+    """Dense block of H1 of an edge into an endpoint: conghom.homology._inclusion, uncached.
+
+    The representatives are (flag entries, simplex) and (flag entries,
+    r_v).  W = s_v^-1 s_e comes from a dense product, not from the
+    packed products and memos of boundary_columns; ValueError when the
+    vertex is not an endpoint, InvariantError on a support violation.
+    """
+    s_e, simplex = edge_rep
+    s_v, rv = vertex_rep
+    n = len(rv) + 1
+    w = inverse(DenseMatrix(field, n, n, s_v)) @ DenseMatrix(field, n, n, s_e)
+    edge_basis = h1_basis(bound_profile(list(simplex)))
+    vert_basis = h1_basis(bound_profile([rv]))
+    entries = _inclusion(w.transpose().entries, n, field.p, simplex, edge_basis, rv, vert_basis)
+    return densify(SparseMatrix(field, vert_basis.dim, edge_basis.dim, entries))
 
 
 def add(x: DenseMatrix, y: DenseMatrix) -> DenseMatrix:
@@ -210,7 +328,7 @@ def group_inverse(g: GroupElement) -> GroupElement:
 
 def conjugate_by(g: GroupElement, s: DenseMatrix) -> GroupElement:
     """s * g * s^-1 for a constant determinant-one matrix s."""
-    return GroupElement(from_constant(s) @ g.matrix @ from_constant(gf_inverse(s)))
+    return GroupElement(from_constant(s) @ g.matrix @ from_constant(inverse(s)))
 
 
 def level(g: GroupElement) -> float:
@@ -302,8 +420,8 @@ def depth_one_witness(z: ComplexZ, index: BlockIndex) -> DenseMatrix:
     n = z.n
     cols = [(0,) * (n * n)] * index.dim_c0
     for key, off, basis in index.vertex_blocks:
-        s = z.vertices[key].flag
-        s_inv = gf_inverse(s)
+        s = DenseMatrix(z.field, n, n, z.vertices[key].flag)
+        s_inv = inverse(s)
         for k, slot in enumerate(basis.slots):
             if slot.degree == 1:
                 cols[off + k] = tuple(x * y for x in s.col(slot.i - 1)
@@ -389,7 +507,7 @@ def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
 
     Every pivot row is scaled by the inverse of its pivot, and every
     column is scanned until the rank reaches the row count.  Checks
-    conghom.gf.gauss_jordan, which rref wraps.
+    conghom.gf.gauss_jordan through rref.
     """
     field = m.field
     p = field.p
@@ -420,7 +538,10 @@ def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
 
 
 def augmented_inverse(m: DenseMatrix) -> DenseMatrix:
-    """Inverse from row_rref of the whole augmented matrix [m | I]; ValueError when singular."""
+    """Inverse from row_rref of the whole augmented matrix [m | I]; ValueError when singular.
+
+    Checks conghom.gf.inverse_entries through inverse.
+    """
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows

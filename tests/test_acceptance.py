@@ -11,7 +11,7 @@ import time
 
 from conghom.building import EdgeRep, build_Z, enumerate_flag_reps
 from conghom.cli import main as cli_main
-from conghom.gf import GF, DenseMatrix, rref
+from conghom.field import GF
 from conghom.homology import assemble_boundary, h0_dimension
 from conghom.oracle import (
     abelianization_dim,
@@ -21,8 +21,8 @@ from conghom.oracle import (
 )
 from conghom.poly import Poly
 from conghom.wedge import bound_profile, h1_basis, standard_ball
-from reference import (add, bracket, commutator, conjugate_by, elementary, group_identity,
-                       group_mul, level, rho, trace)
+from reference import (DenseMatrix, add, bracket, commutator, conjugate_by, elementary,
+                       group_identity, group_mul, level, rho, rref, trace)
 
 
 def _report(num, text):

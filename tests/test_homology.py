@@ -8,22 +8,24 @@ from hypothesis import strategies as st
 from conghom import homology
 from conghom.building import EdgeRep, VertexRep, build_Z, enumerate_flag_reps, vertex_label
 from conghom.errors import InvariantError
-from conghom.gf import GF, DenseMatrix, SparseMatrix, inverse, reduce_columns, rref, sparse_rank
+from conghom.field import GF
+from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
 from conghom.homology import (
     assemble_boundary,
     block_index,
     boundary_columns,
     closed_form_dims,
-    edge_inclusion,
     h0_dimension,
 )
 from conghom.poly import Poly, PolyMatrix, lattice_label
 from conghom.wedge import BoundProfile, bound_profile, h1_basis, standard_ball, surviving_degrees
-from reference import (GroupElement, class_vector, conjugate_by, depth_one_witness, elementary,
-                       group_mul, membership, witness_defects)
+from reference import (DenseMatrix, GroupElement, class_vector, conjugate_by, densify,
+                       depth_one_witness, edge_inclusion, elementary, group_mul, inverse,
+                       membership, rref, witness_defects)
 
 F2 = GF(2)
 F3 = GF(3)
+IDENT3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
 def profile(n, upper):
@@ -134,32 +136,32 @@ def test_class_vector_is_homomorphism():
 
 
 def test_edge_inclusion_identity_flags():
-    ident = DenseMatrix.identity(F2, 3)
-    mat = edge_inclusion((ident, ((1, 0), (1, 1))), (ident, (1, 0)))
+    ident = IDENT3
+    mat = edge_inclusion(F2, (ident, ((1, 0), (1, 1))), (ident, (1, 0)))
     # edge slot (1,3,1) lands on vertex slot (1,3,1) with coefficient one
     assert (mat.rows, mat.cols) == (2, 1)
     assert mat.col(0) == (0, 1)
-    mat = edge_inclusion((ident, ((1, 0), (1, 1))), (ident, (1, 1)))
+    mat = edge_inclusion(F2, (ident, ((1, 0), (1, 1))), (ident, (1, 1)))
     assert (mat.rows, mat.cols) == (2, 1)
     assert mat.col(0) == (1, 0)
 
 
 def test_edge_inclusion_deeper_slot_killed():
     # edge {(2,1),(2,2)}: slots (1,3,1),(1,3,2),(2,3,1)
-    ident = DenseMatrix.identity(F2, 3)
+    ident = IDENT3
     edge = (ident, ((2, 1), (2, 2)))
     basis_e = h1_basis(bound_profile([(2, 1), (2, 2)]))
     assert [(s.i, s.j, s.degree) for s in basis_e.slots] == [
         (1, 3, 1), (1, 3, 2), (2, 3, 1)]
 
-    into_22 = edge_inclusion(edge, (ident, (2, 2)))
+    into_22 = edge_inclusion(F2, edge, (ident, (2, 2)))
     # vertex (2,2) keeps all three identically inside its four slots
     basis_v = h1_basis(bound_profile([(2, 2)]))
     assert [(s.i, s.j, s.degree) for s in basis_v.slots] == [
         (1, 3, 1), (1, 3, 2), (2, 3, 1), (2, 3, 2)]
     assert into_22.to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
-    into_21 = edge_inclusion(edge, (ident, (2, 1)))
+    into_21 = edge_inclusion(F2, edge, (ident, (2, 1)))
     # vertex (2,1) kills the degree-two class at the corner
     basis_v = h1_basis(bound_profile([(2, 1)]))
     assert [(s.i, s.j, s.degree) for s in basis_v.slots] == [
@@ -170,36 +172,34 @@ def test_edge_inclusion_deeper_slot_killed():
 def test_edge_inclusion_permuted_vertex_labels():
     # the swap of the last two coordinates carries the standard (2,2) and
     # (2,1) vertices to the lattices [t^2 e1, e2, t^2 e3] and [t^2 e1, e2, t e3]
-    w = DenseMatrix.from_rows(F2, [(1, 0, 0), (0, 0, 1), (0, 1, 0)])  # det = 1 over GF(2)
-    lbl_v = vertex_label(w, (2, 2))
+    w = (1, 0, 0, 0, 0, 1, 0, 1, 0)  # det = 1 over GF(2)
+    lbl_v = vertex_label(w, F2, (2, 2))
     direct = lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 2]))
     assert lbl_v == direct
-    lbl_vp = vertex_label(w, (2, 1))
+    lbl_vp = vertex_label(w, F2, (2, 1))
     direct = lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 1]))
     assert lbl_vp == direct
-    mat = edge_inclusion((w, ((2, 1), (2, 2))), (w, (2, 2)))
+    mat = edge_inclusion(F2, (w, ((2, 1), (2, 2))), (w, (2, 2)))
     assert mat.to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
 
 def test_edge_inclusion_requires_endpoint():
-    ident = DenseMatrix.identity(F2, 3)
     with pytest.raises(ValueError):
-        edge_inclusion((ident, ((1, 0), (1, 1))), (ident, (2, 2)))
+        edge_inclusion(F2, (IDENT3, ((1, 0), (1, 1))), (IDENT3, (2, 2)))
 
 
 def test_edge_inclusion_into_origin_is_empty():
-    ident = DenseMatrix.identity(F2, 3)
-    mat = edge_inclusion((ident, ((0, 0), (1, 0))), (ident, (0, 0)))
+    mat = edge_inclusion(F2, (IDENT3, ((0, 0), (1, 0))), (IDENT3, (0, 0)))
     assert (mat.rows, mat.cols) == (0, 0)
 
 
-def _reference_inclusion(edge_rep, vertex_rep):
+def _reference_inclusion(field, edge_rep, vertex_rep):
     # the polynomial route: conjugate each edge generator by W = s_v^-1 s_e,
     # check membership and read the class vector in the vertex basis
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep
-    field, n = s_e.field, s_e.rows
-    w = inverse(s_v) @ s_e
+    n = len(rv) + 1
+    w = inverse(DenseMatrix(field, n, n, s_v)) @ DenseMatrix(field, n, n, s_e)
     vert_basis = h1_basis(bound_profile([rv]))
     cols = []
     for s in h1_basis(bound_profile(list(simplex))).slots:
@@ -223,8 +223,8 @@ def test_assembled_column_weight_radius_two():
                 vrep = z.vertices[key]
                 edge_rep = (erep.flag, erep.simplex)
                 vertex_rep = (vrep.flag, vrep.vertex)
-                mat = edge_inclusion(edge_rep, vertex_rep)
-                assert mat.to_rows() == _reference_inclusion(edge_rep, vertex_rep)
+                mat = edge_inclusion(z.field, edge_rep, vertex_rep)
+                assert mat.to_rows() == _reference_inclusion(z.field, edge_rep, vertex_rep)
                 mats.append(mat)
             for b in range(basis.dim):
                 weight = sum(1 for m in mats for a in range(m.rows) if m.get(a, b))
@@ -236,9 +236,10 @@ def test_endpoint_criterion_matches_vertex_labels():
     # s^-1 s' lies in the parabolic of r, i.e. when the HNF labels agree
     rng = random.Random(2024)
     for n, q, radius in ((3, 2, 2), (3, 3, 2), (4, 2, 1)):
-        reps = enumerate_flag_reps(n, GF(q))
+        field = GF(q)
+        reps = enumerate_flag_reps(n, field)
         verts, edges = standard_ball(n, radius)
-        label = {(s, r): vertex_label(s, r).key() for s in reps for r in verts}
+        label = {(s, r): vertex_label(s, field, r).key() for s in reps for r in verts}
         outcomes = set()
         for _ in range(150):
             edge = rng.choice(edges)
@@ -249,7 +250,7 @@ def test_endpoint_criterion_matches_vertex_labels():
             sp = rng.choice(partners if rng.random() < 0.5 else reps)
             same = label[(s, r)] == label[(sp, r)]
             try:
-                edge_inclusion((s, edge), (sp, r))
+                edge_inclusion(field, (s, edge), (sp, r))
                 accepted = True
             except ValueError:
                 accepted = False
@@ -332,7 +333,7 @@ def test_boundary_columns_forms_each_flag_pair_product_once(monkeypatch, n, q, r
     # W = s_v^-1 s_e is formed once per distinct flag pair with s_v != s_e,
     # and never for a pair whose two flags are equal
     z = build_Z(n, q, radius)
-    flag_pairs = [(z.vertices[key].flag.entries, rep.flag.entries)
+    flag_pairs = [(z.vertices[key].flag, rep.flag)
                   for pair, rep in z.edges.items()
                   if h1_basis(bound_profile(list(rep.simplex))).dim for key in pair]
     assert len(flag_pairs) == pairs
@@ -363,7 +364,8 @@ def test_packed_product_is_the_flag_pair_product(data):
     unpack = {}
     if q ** n <= 81 and data.draw(st.booleans()):
         reps = _flag_reps(n, q)
-        a, b = inverse(data.draw(st.sampled_from(reps))), data.draw(st.sampled_from(reps))
+        s_v, s_e = (DenseMatrix(field, n, n, data.draw(st.sampled_from(reps))) for _ in range(2))
+        a, b = inverse(s_v), s_e
     else:
         entry = st.one_of(st.just(q - 1), st.integers(0, q - 1))
         a, b = (DenseMatrix(field, n, n, data.draw(st.lists(entry, min_size=n * n,
@@ -496,7 +498,7 @@ def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
         erep = z.edges[pair]
         for key, sign in ((pair[0], 1), (pair[1], -1)):
             vrep = z.vertices[key]
-            mat = edge_inclusion((erep.flag, erep.simplex), (vrep.flag, vrep.vertex))
+            mat = edge_inclusion(z.field, (erep.flag, erep.simplex), (vrep.flag, vrep.vertex))
             assert mat.cols == basis.dim
             expected += [(row_offset[key] + a, off + b, sign * mat.get(a, b) % q)
                          for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]
@@ -555,7 +557,7 @@ def test_degree_blocks_of_real_boundaries(n, q, radius, h0_by_degree):
                              [(rows[r], cols[c], v) for r, c, v in boundary.triples()
                               if r in rows])
         rank = sparse_rank(block)
-        assert rank == rref(block.densify())[0]
+        assert rank == rref(densify(block))[0]
         h0[d] = len(rows) - rank
     assert sum(h0.values()) == index.dim_c0 - sparse_rank(boundary)
     assert h0 == h0_by_degree

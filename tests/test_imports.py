@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import conghom
-from conghom.gf import DenseMatrix
+from conghom.gf import SparseMatrix
 from conghom.oracle import _Packing
 from conghom.poly import CanonicalLabel, Poly, PolyMatrix
-from reference import GroupElement
+from reference import DenseMatrix, GroupElement
 
 MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "reduce_at_zero", "polymat_adjugate", "membership", "class_vector",
@@ -28,14 +28,16 @@ MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "_trunc_inverse", "trunc_inverse", "_trunc_identity", "trunc_identity",
                     "_trunc_sub_identity", "trunc_sub_identity", "_flag_product",
                     "GroupElement", "elementary", "_trunc_from_group_element",
-                    "trunc_from_group_element", "_typecode", "_deserialize")
+                    "trunc_from_group_element", "_typecode", "_deserialize",
+                    "DenseMatrix", "rref", "inverse", "edge_inclusion")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
                             (DenseMatrix, "is_zero"), (CanonicalLabel, "pivot_exponents"),
                             (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
                             (GroupElement, "__matmul__"), (Poly, "const"),
-                            (_Packing, "to_bytes"), (_Packing, "from_bytes"))
+                            (_Packing, "to_bytes"), (_Packing, "from_bytes"),
+                            (SparseMatrix, "densify"))
 
 
 def _module_tree(module: str) -> ast.Module:
@@ -76,6 +78,19 @@ def test_compute_path_imports_no_group_code():
     for module in ("oracle", "poly", "wedge", "field"):
         assert not _package_imports(module) & {"building", "homology", "gf"}, module
     assert not _package_imports("wedge") | _package_imports("field")
+
+
+def test_building_and_homology_import_from_gf_only_the_hot_path():
+    # flags are entry tuples, so no dense matrix class, rref or inverse is imported
+    hot_path = {"gauss_jordan", "inverse_entries", "reduce_columns", "SparseMatrix"}
+    imported = set()
+    for module in ("building", "homology"):
+        names = {alias.name for node in ast.walk(_module_tree(module))
+                 if isinstance(node, ast.ImportFrom) and node.module == "gf" and node.level == 1
+                 for alias in node.names}
+        assert names <= hot_path, module
+        imported |= names
+    assert imported == hot_path  # the walk sees the imports that are there
 
 
 def test_oracle_tables_need_no_byte_codec():
@@ -153,7 +168,7 @@ def test_startup_loads_only_what_compute_runs(run_python):
 
 def test_boundary_columns_forms_no_general_product():
     # W comes from the identity shortcut or the flag-pair memo, never from
-    # a DenseMatrix product on the hot path
+    # a general matrix product on the hot path
     tree = _module_tree("homology")
     func = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "boundary_columns")

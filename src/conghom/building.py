@@ -6,10 +6,11 @@ union of the translates of the truncated wedge by one constant matrix
 per full flag of F_q^n.  The translate of a wedge vertex r by a flag
 matrix s depends only on r and on the partial flag of F_q^n that s
 cuts out at the breaks of r, so Z_R takes one canonical flag per
-partial flag, and keys and orders translates by that partial flag,
-written as RREF column spans.  Canonical HNF lattice labels are
-computed only on export (order_by_label), to name the vertices of Z_R
-and fix the published order.
+partial flag.  build_Z keys translates by that partial flag, written
+as RREF column spans, only to deduplicate and order them: a vertex of
+Z_R is its rank in key order, and an edge a pair of ranks.  Canonical
+HNF lattice labels are computed only on export (order_by_label), to
+name the vertices of Z_R and fix the published order.
 """
 
 from __future__ import annotations
@@ -195,22 +196,21 @@ class VertexRep(NamedTuple):
 
 class EdgeRep(NamedTuple):
     flag: tuple[int, ...]
-    simplex: tuple[Vertex, Vertex]  # aligned with the edge's key pair
+    simplex: tuple[Vertex, Vertex]  # aligned with the edge's rank pair (ia, ib)
 
 
 class ComplexZ(NamedTuple):
-    """1-skeleton of the radius-R fundamental-domain slice, one entry per partial flag."""
+    """1-skeleton of the radius-R fundamental-domain slice, one simplex per partial flag.
+
+    Vertex i is vertices[i]; edge (ia, ib) runs from vertex ia to vertex ib.
+    """
 
     n: int
     q: int
     radius: int
     field: GF
-    vertices: dict  # partial-flag key -> VertexRep of its canonical flag
-    edges: dict     # (key, key), the vertex dict's key objects -> EdgeRep
-
-    def origin_key(self):
-        """Key of the break-free vertex: the origin, fixed by every flag."""
-        return ((0,) * (self.n - 1), ())
+    vertices: tuple  # VertexRep of its canonical flag, by rank
+    edges: dict      # (ia, ib), ia < ib, sorted -> EdgeRep
 
 
 def build_Z(n: int, q: int, radius: int,
@@ -228,10 +228,9 @@ def build_Z(n: int, q: int, radius: int,
     the RREF of each leading column span extends the RREF of the
     shorter one by a column (_flag_keys).  A key reached twice, an edge
     endpoint that is not a vertex key, or counts other than the wedge's
-    closed-form partial_flag_count sums raise InvariantError.  Both
-    dicts are sorted by key: the vertex keys are sorted once, and the
-    edges by the ranks of their endpoints there, each edge oriented
-    from its key-smaller endpoint.
+    closed-form partial_flag_count sums raise InvariantError.  The keys
+    stay here: a vertex's rank is its place in key order, and each
+    edge is the rank pair (ia, ib) with ia < ib, the edges sorted.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
@@ -292,29 +291,31 @@ def build_Z(n: int, q: int, radius: int,
             f"{len(found_v)} vertices and {len(found_e)} edges, but the partial-flag "
             f"counts give {want_v} and {want_e}")
     return ComplexZ(n=n, q=q, radius=radius, field=field,
-                    vertices={key: found_v[key] for key in order},
-                    edges={(order[ia], order[ib]): found_e[ia, ib] for ia, ib in sorted(found_e)})
+                    vertices=tuple([found_v[key] for key in order]),
+                    edges=dict(sorted(found_e.items())))
 
 
-def order_by_label(z: ComplexZ) -> tuple[ComplexZ, dict]:
-    """Z_R in HNF label order, for export, and the label of each vertex key.
+def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:
+    """Z_R in HNF label order, for export, and the label of each vertex by its new rank.
 
     Calls vertex_label once per vertex; two vertices with one label raise
-    InvariantError, since a label determines the wedge coordinates.  Keys
-    and representatives are kept, sorted by label key, and each edge is
-    oriented from its label-smaller endpoint, its simplex reversed with it.
+    InvariantError, since a label determines the wedge coordinates.  The
+    ranks are permuted into label-key order, representatives kept, and
+    each edge is oriented from its label-smaller endpoint, its simplex
+    reversed with it.
     """
-    labels = {key: vertex_label(rep.flag, z.field, rep.vertex) for key, rep in z.vertices.items()}
-    label_key = {key: label.key() for key, label in labels.items()}
-    if len(set(label_key.values())) != len(label_key):
+    labels = [vertex_label(rep.flag, z.field, rep.vertex) for rep in z.vertices]
+    label_key = [label.key() for label in labels]
+    if len(set(label_key)) != len(label_key):
         raise InvariantError("vertex label does not match its wedge coordinates")
+    order = sorted(range(len(labels)), key=label_key.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
     edges = {}
-    for (ka, kb), rep in z.edges.items():
-        if label_key[kb] < label_key[ka]:
-            ka, kb, rep = kb, ka, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
-        edges[(ka, kb)] = rep
-    ordered = z._replace(
-        vertices=dict(sorted(z.vertices.items(), key=lambda item: label_key[item[0]])),
-        edges=dict(sorted(edges.items(),
-                          key=lambda item: (label_key[item[0][0]], label_key[item[0][1]]))))
-    return ordered, labels
+    for (ia, ib), rep in z.edges.items():
+        ia, ib = rank[ia], rank[ib]
+        if ib < ia:
+            ia, ib, rep = ib, ia, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+        edges[ia, ib] = rep
+    ordered = z._replace(vertices=tuple([z.vertices[i] for i in order]),
+                         edges=dict(sorted(edges.items())))
+    return ordered, [labels[i] for i in order]

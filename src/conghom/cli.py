@@ -35,17 +35,17 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _dot_text(z: ComplexZ, labels: dict) -> str:
-    origin = z.origin_key()
+def _dot_text(z: ComplexZ, labels: list) -> str:
+    """z as a DOT graph: vertex i is named by the CanonicalLabel labels[i], the origin is v0."""
+    names = [label.hex() for label in labels]
     lines = ["graph Z {"]
-    for key in z.vertices:
-        name = labels[key].hex()
-        if key == origin:
-            lines.append(f'  "{name}" [shape=doublecircle, label="v0"];')
-        else:
+    for rep, name in zip(z.vertices, names):
+        if any(rep.vertex):
             lines.append(f'  "{name}";')
-    for (ka, kb) in z.edges:
-        lines.append(f'  "{labels[ka].hex()}" -- "{labels[kb].hex()}";')
+        else:  # the origin, fixed by every flag
+            lines.append(f'  "{name}" [shape=doublecircle, label="v0"];')
+    for ia, ib in z.edges:
+        lines.append(f'  "{names[ia]}" -- "{names[ib]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

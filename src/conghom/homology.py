@@ -84,8 +84,8 @@ def closed_form_dims(n: int, q: int, radius: int) -> tuple[int, int]:
 class BlockIndex(NamedTuple):
     """Row and column layout of the boundary matrix."""
 
-    vertex_blocks: tuple  # (vertex key, row offset, H1Basis)
-    edge_blocks: tuple    # (vertex key pair, col offset, H1Basis)
+    vertex_blocks: tuple  # (vertex rank, row offset, H1Basis), by rank
+    edge_blocks: tuple    # (rank pair (ia, ib), col offset, H1Basis), in z.edges order
     dim_c0: int
     dim_c1: int
 
@@ -93,22 +93,22 @@ class BlockIndex(NamedTuple):
 def block_index(z: ComplexZ) -> BlockIndex:
     """Row and column layout of the boundary, from z and the H1 bases alone.
 
-    Rows are the concatenated vertex slot bases in the order of
-    z.vertices (the origin contributes none); columns the edge bases in
-    the order of z.edges.  No inclusion is computed, so dimensions other
-    than closed_form_dims raise InvariantError before any of them.
+    Rows are the concatenated vertex slot bases by rank (the origin
+    contributes none); columns the edge bases in the order of z.edges.
+    No inclusion is computed, so dimensions other than closed_form_dims
+    raise InvariantError before any of them.
     """
     basis_of = cache(lambda simplex: h1_basis(bound_profile(list(simplex))))
 
     def blocks(simplices) -> tuple[tuple, int]:
         out = []
         off = 0
-        for key, simplex in simplices:
-            out.append((key, off, basis_of(simplex)))
+        for at, simplex in simplices:
+            out.append((at, off, basis_of(simplex)))
             off += basis_of(simplex).dim
         return tuple(out), off
 
-    vertex_blocks, dim_c0 = blocks((key, (rep.vertex,)) for key, rep in z.vertices.items())
+    vertex_blocks, dim_c0 = blocks(enumerate((rep.vertex,) for rep in z.vertices))
     edge_blocks, dim_c1 = blocks((pair, rep.simplex) for pair, rep in z.edges.items())
     want = closed_form_dims(z.n, z.q, z.radius)
     if (dim_c0, dim_c1) != want:
@@ -157,8 +157,8 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     Columns come in the order of index.edge_blocks, which is z.edges
     order, and in slot order within each edge; edges without slots
     yield none.  Each edge column is the inclusion into the first
-    endpoint of its key pair, the key-smaller one for build_Z, minus
-    the inclusion into the second, so the key-pair order is the edge's
+    endpoint of its rank pair, the smaller rank for build_Z, minus the
+    inclusion into the second, so the rank-pair order is the edge's
     orientation.
 
     Flags are entry tuples.  W = s_v^-1 s_e is the identity when the two
@@ -178,21 +178,20 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     n = z.n
     p = z.field.p
     bits = _slot_bits(n, p)
-    vertex_of = {key: (z.vertices[key], off, basis) for key, off, basis in index.vertex_blocks}
     identity = tuple([int(i == j) for i in range(n) for j in range(n)])  # equal to its transpose
     inv_packed = {}  # s_v entries -> columns of s_v^-1, packed
     unpack = {}      # packed column of W -> its residues
     w_of = {}        # (s_v entries, s_e entries) -> W entries, column-major
     interned = {}    # W entries -> the one tuple that every equal W shares
     inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
-    for pair, _, basis in index.edge_blocks:
+    for (pair, erep), (_, _, basis) in zip(z.edges.items(), index.edge_blocks, strict=True):
         if not basis.dim:
             continue
-        erep = z.edges[pair]
         se = erep.flag
         columns = [{} for _ in range(basis.dim)]
-        for key, sign in ((pair[0], 1), (pair[1], -1)):
-            vrep, r0, vert_basis = vertex_of[key]
+        for at, sign in ((pair[0], 1), (pair[1], -1)):
+            vrep = z.vertices[at]
+            _, r0, vert_basis = index.vertex_blocks[at]
             sv = vrep.flag
             if sv == se:
                 w = identity

@@ -178,7 +178,7 @@ def test_criterion_07_determinism_and_invariance():
     rng.shuffle(shuffled)
     assert h0_dimension(build_Z(3, 2, 1, flag_reps=shuffled)).to_json() == base
 
-    # every edge reversed: key pair swapped and simplex reversed with it
+    # every edge reversed: rank pair swapped and simplex reversed with it
     z = build_Z(3, 2, 1)
     reversed_z = z._replace(edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
                                    for (ka, kb), rep in z.edges.items()})

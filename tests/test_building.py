@@ -162,29 +162,34 @@ def _label_subspace_mod_t(lbl):
     return red.entries
 
 
+def _origin(z):
+    """Rank of the origin, the one vertex whose wedge coordinates are all zero."""
+    (origin,) = [i for i, rep in enumerate(z.vertices) if not any(rep.vertex)]
+    return origin
+
+
 def test_build_z_golden_counts():
     z = build_Z(3, 2, 1)
     assert len(z.vertices) == 15
     assert len(z.edges) == 35
-    origin = z.origin_key()
-    assert origin in z.vertices
+    origin = _origin(z)
     v0_edges = [e for e in z.edges if origin in e]
     assert len(v0_edges) == 14
     # bipartite between the two distance-one types
-    for (ka, kb), rep in z.edges.items():
-        if origin in (ka, kb):
+    for (ia, ib), rep in z.edges.items():
+        if origin in (ia, ib):
             continue
-        types = {z.vertices[ka].vertex, z.vertices[kb].vertex}
+        types = {z.vertices[ia].vertex, z.vertices[ib].vertex}
         assert types == {(1, 0), (1, 1)}
-    planes = [k for k, r in z.vertices.items() if r.vertex == (1, 0)]
-    lines = [k for k, r in z.vertices.items() if r.vertex == (1, 1)]
+    planes = [i for i, r in enumerate(z.vertices) if r.vertex == (1, 0)]
+    lines = [i for i, r in enumerate(z.vertices) if r.vertex == (1, 1)]
     assert len(planes) == 7 and len(lines) == 7
 
 
 def test_build_z_f3_counts_vs_subspace_enumeration():
     z = build_Z(3, 3, 1)
-    origin = z.origin_key()
-    dist1 = [k for k in z.vertices if k != origin]
+    origin = _origin(z)
+    dist1 = [i for i in range(len(z.vertices)) if i != origin]
     coeff_edges = [e for e in z.edges if origin not in e]
     # independent oracle: proper nonzero subspaces of F_3^3 and their incidences
     n_subspaces = _count_proper_subspaces(3, 3)
@@ -241,12 +246,9 @@ def test_build_z_order_invariance():
     shuffled = reps[:]
     rng.shuffle(shuffled)
     other = build_Z(3, 2, 1, flag_reps=shuffled)
-    assert set(base.vertices) == set(other.vertices)
-    assert set(base.edges) == set(other.edges)
-    # canonical representatives are order independent too
-    for k in base.vertices:
-        assert base.vertices[k].flag == other.vertices[k].flag
-        assert base.vertices[k].vertex == other.vertices[k].vertex
+    # ranks, rank pairs and canonical representatives are order independent
+    assert base.vertices == other.vertices
+    assert base.edges == other.edges
 
 
 def test_build_z_pins_translate_counts_to_partial_flags():
@@ -309,7 +311,7 @@ def test_ascent_rule_picks_one_flag_per_partial_flag(n, q):
 
 def _full_flag_build_z(n, q, radius):
     """Z_R from every full flag times every ball simplex, keeping the lexicographically
-    first flag that reaches each partial-flag key."""
+    first flag that reaches each partial-flag key, and the sorted keys, one per rank."""
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
     best_v = {}
@@ -325,17 +327,20 @@ def _full_flag_build_z(n, q, radius):
             held = best_e.get(pair)
             if held is None or s < held:
                 best_e[pair] = s
-    vertices = {key: VertexRep(flag=best_v[key], vertex=key[0]) for key in sorted(best_v)}
-    edges = {(ka, kb): EdgeRep(flag=best_e[(ka, kb)], simplex=(ka[0], kb[0]))
+    order = sorted(best_v)
+    rank = {key: i for i, key in enumerate(order)}
+    vertices = tuple(VertexRep(flag=best_v[key], vertex=key[0]) for key in order)
+    edges = {(rank[ka], rank[kb]): EdgeRep(flag=best_e[(ka, kb)], simplex=(ka[0], kb[0]))
              for ka, kb in sorted(best_e)}
-    return ComplexZ(n=n, q=q, radius=radius, field=field, vertices=vertices, edges=edges)
+    return ComplexZ(n=n, q=q, radius=radius, field=field, vertices=vertices, edges=edges), order
 
 
 @pytest.mark.parametrize("n,q,radius", [(3, 2, 3), (3, 3, 4), (4, 2, 2), (4, 3, 1)])
 def test_build_z_matches_full_flag_reference(n, q, radius):
     z = build_Z(n, q, radius)
-    ref = _full_flag_build_z(n, q, radius)
-    assert list(z.vertices) == list(ref.vertices)
+    ref, keys = _full_flag_build_z(n, q, radius)
+    assert [partial_flag_keys(rep.flag, n, q, [rep.vertex])[rep.vertex]
+            for rep in z.vertices] == keys
     assert list(z.edges) == list(ref.edges)
     if q == 2:
         # over F_2 the canonical flag is the lexicographically first one, so the
@@ -438,23 +443,24 @@ REFERENCE_CONFIGS = [(3, 2, 1), (3, 2, 2), (3, 3, 1), (2, 5, 3), (2, 2, 4), (4, 
 def test_build_z_matches_per_pair_label_reference(n, q, radius):
     z, labels = order_by_label(build_Z(n, q, radius))
     vertices, edges = _reference_build_z(n, q, radius)
-    assert [(labels[k].key(), labels[k], rep.flag, rep.vertex)
-            for k, rep in z.vertices.items()] == [(k, *v) for k, v in vertices.items()]
-    assert [((labels[ka].key(), labels[kb].key()), rep.flag, rep.simplex)
-            for (ka, kb), rep in z.edges.items()] == [(k, *e) for k, e in edges.items()]
+    assert [(labels[i].key(), labels[i], rep.flag, rep.vertex)
+            for i, rep in enumerate(z.vertices)] == [(k, *v) for k, v in vertices.items()]
+    assert [((labels[ia].key(), labels[ib].key()), rep.flag, rep.simplex)
+            for (ia, ib), rep in z.edges.items()] == [(k, *e) for k, e in edges.items()]
 
 
 @pytest.mark.parametrize("n,q,radius", REFERENCE_CONFIGS)
 def test_build_z_keys_are_partial_flag_keys_of_their_reps(n, q, radius):
+    # a vertex's rank is its place in partial-flag key order, and an edge's
+    # rank pair names the keys of its simplex under its own flag
     z = build_Z(n, q, radius)
-    assert list(z.vertices) == sorted(z.vertices)
+    keys = [partial_flag_keys(rep.flag, n, q, [rep.vertex])[rep.vertex] for rep in z.vertices]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert list(z.edges) == sorted(z.edges)
-    for key, rep in z.vertices.items():
-        assert key == partial_flag_keys(rep.flag, n, q, [rep.vertex])[rep.vertex]
-    for (ka, kb), rep in z.edges.items():
-        keys = partial_flag_keys(rep.flag, n, q, rep.simplex)
-        assert (ka, kb) == (keys[rep.simplex[0]], keys[rep.simplex[1]])
-        assert ka < kb
+    for (ia, ib), rep in z.edges.items():
+        assert ia < ib < len(z.vertices)
+        edge_keys = partial_flag_keys(rep.flag, n, q, rep.simplex)
+        assert (keys[ia], keys[ib]) == (edge_keys[rep.simplex[0]], edge_keys[rep.simplex[1]])
 
 
 @cache
@@ -497,11 +503,11 @@ def test_partial_flag_key_partitions_like_vertex_label(data):
 
 def test_graph_distance_equals_r1():
     z = build_Z(3, 2, 2)
-    origin = z.origin_key()
-    adjacency_map = {k: set() for k in z.vertices}
-    for (ka, kb) in z.edges:
-        adjacency_map[ka].add(kb)
-        adjacency_map[kb].add(ka)
+    origin = _origin(z)
+    adjacency_map = [set() for _ in z.vertices]
+    for (ia, ib) in z.edges:
+        adjacency_map[ia].add(ib)
+        adjacency_map[ib].add(ia)
     dist = {origin: 0}
     frontier = [origin]
     while frontier:
@@ -512,9 +518,9 @@ def test_graph_distance_equals_r1():
                     dist[w] = dist[v] + 1
                     nxt.append(w)
         frontier = nxt
-    for k, rep in z.vertices.items():
+    for i, rep in enumerate(z.vertices):
         r1 = rep.vertex[0] if rep.vertex else 0
-        assert dist[k] == r1
+        assert dist[i] == r1
 
 
 def test_from_upper_bounds_layout():

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conghom import homology
-from conghom.building import EdgeRep, VertexRep, build_Z, enumerate_flag_reps, vertex_label
+from conghom.building import (EdgeRep, VertexRep, build_Z, enumerate_flag_reps, order_by_label,
+                              vertex_label)
 from conghom.errors import InvariantError
 from conghom.field import GF
 from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
@@ -219,8 +220,8 @@ def test_assembled_column_weight_radius_two():
             if basis.dim == 0:
                 continue
             mats = []
-            for key in pair:
-                vrep = z.vertices[key]
+            for at in pair:
+                vrep = z.vertices[at]
                 edge_rep = (erep.flag, erep.simplex)
                 vertex_rep = (vrep.flag, vrep.vertex)
                 mat = edge_inclusion(z.field, edge_rep, vertex_rep)
@@ -333,9 +334,9 @@ def test_boundary_columns_forms_each_flag_pair_product_once(monkeypatch, n, q, r
     # W = s_v^-1 s_e is formed once per distinct flag pair with s_v != s_e,
     # and never for a pair whose two flags are equal
     z = build_Z(n, q, radius)
-    flag_pairs = [(z.vertices[key].flag, rep.flag)
+    flag_pairs = [(z.vertices[at].flag, rep.flag)
                   for pair, rep in z.edges.items()
-                  if h1_basis(bound_profile(list(rep.simplex))).dim for key in pair]
+                  if h1_basis(bound_profile(list(rep.simplex))).dim for at in pair]
     assert len(flag_pairs) == pairs
     assert sum(sv == se for sv, se in flag_pairs) == same_flag
     assert len({(sv, se) for sv, se in flag_pairs if sv != se}) == products
@@ -393,18 +394,18 @@ def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch,
     first_edge = {}
     for idx, (pair, rep) in enumerate(z.edges.items()):
         if h1_basis(bound_profile(list(rep.simplex))).dim:
-            for key in pair:
-                first_edge.setdefault(key, idx)
+            for at in pair:
+                first_edge.setdefault(at, idx)
     target = max(first_edge, key=first_edge.get)
-    donor = next(key for key in z.vertices if key != target and key[0] == target[0])
-    swapped = z._replace(vertices={**z.vertices,
-                                   target: VertexRep(flag=z.vertices[donor].flag,
-                                                     vertex=target[0])})
+    r = z.vertices[target].vertex
+    donor = next(rep for i, rep in enumerate(z.vertices) if i != target and rep.vertex == r)
+    swapped = z._replace(vertices=z.vertices[:target] + (VertexRep(flag=donor.flag, vertex=r),)
+                         + z.vertices[target + 1:])
     calls = _record_inclusions(monkeypatch)
     with pytest.raises(ValueError, match="vertex is not an endpoint of the edge"):
         entry(swapped)
     failed = calls.pop()
-    assert failed[2] == target[0]
+    assert failed[2] == r
     assert failed[1:] in {call[1:] for call in calls}
 
 
@@ -470,7 +471,7 @@ def test_h0_dimension_f3_note():
 
 
 def _reversed_edges(z):
-    # every edge re-oriented: its key pair swapped and its simplex reversed with it
+    # every edge re-oriented: its rank pair swapped and its simplex reversed with it
     return z._replace(edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
                              for (ka, kb), rep in z.edges.items()})
 
@@ -485,22 +486,58 @@ def test_h0_dimension_invariances():
         assert h0_dimension(reversed_z).to_json() == h0_dimension(z).to_json()
 
 
+@pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1)])
+def test_h0_dimension_does_not_depend_on_label_order(n, q, radius):
+    # order_by_label moves every row block to its vertex's label rank
+    z = build_Z(n, q, radius)
+    ordered, _ = order_by_label(z)
+    assert ordered.vertices != z.vertices
+    assert h0_dimension(ordered).to_json() == h0_dimension(z).to_json()
+
+
+def _permuted_ranks(z, new):
+    # vertex i moved to rank new[i]; each edge remapped, oriented from its
+    # smaller new rank with its simplex reversed when that swaps its ends
+    vertices = [None] * len(new)
+    for i, rep in enumerate(z.vertices):
+        vertices[new[i]] = rep
+    edges = {}
+    for (ia, ib), rep in z.edges.items():
+        ja, jb = new[ia], new[ib]
+        if jb < ja:
+            ja, jb, rep = jb, ja, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
+        edges[ja, jb] = rep
+    return z._replace(vertices=tuple(vertices), edges=dict(sorted(edges.items())))
+
+
+def test_h0_dimension_does_not_depend_on_random_ranks():
+    z = build_Z(3, 2, 2)
+    base = h0_dimension(z).to_json()
+    rng = random.Random(22)
+    for _ in range(3):
+        new = list(range(len(z.vertices)))
+        rng.shuffle(new)
+        moved = _permuted_ranks(z, new)
+        assert sum(new[ia] > new[ib] for ia, ib in z.edges) > 0  # some edges were reoriented
+        assert h0_dimension(moved).to_json() == base
+
+
 @pytest.mark.parametrize("n,q,radius", [(3, 3, 2), (4, 2, 1), (3, 7, 1), (3, 3, 4), (4, 2, 2),
                                          (4, 3, 1)])
 def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
-    # every edge column is +edge_inclusion into the first endpoint of its key
+    # every edge column is +edge_inclusion into the first endpoint of its rank
     # pair and -edge_inclusion into the second, at the BlockIndex offsets
     z = build_Z(n, q, radius)
     boundary, index = assemble_boundary(z)
-    row_offset = {key: off for key, off, _ in index.vertex_blocks}
+    row_offset = {at: off for at, off, _ in index.vertex_blocks}
     expected = []
     for pair, off, basis in index.edge_blocks:
         erep = z.edges[pair]
-        for key, sign in ((pair[0], 1), (pair[1], -1)):
-            vrep = z.vertices[key]
+        for at, sign in ((pair[0], 1), (pair[1], -1)):
+            vrep = z.vertices[at]
             mat = edge_inclusion(z.field, (erep.flag, erep.simplex), (vrep.flag, vrep.vertex))
             assert mat.cols == basis.dim
-            expected += [(row_offset[key] + a, off + b, sign * mat.get(a, b) % q)
+            expected += [(row_offset[at] + a, off + b, sign * mat.get(a, b) % q)
                          for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]
     assert boundary.triples() == sorted(expected)
 

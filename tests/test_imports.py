@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import conghom
+from conghom.building import ComplexZ
 from conghom.gf import SparseMatrix
 from conghom.oracle import _Packing
 from conghom.poly import CanonicalLabel, Poly, PolyMatrix
@@ -37,7 +38,7 @@ METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate
                             (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
                             (GroupElement, "__matmul__"), (Poly, "const"),
                             (_Packing, "to_bytes"), (_Packing, "from_bytes"),
-                            (SparseMatrix, "densify"))
+                            (SparseMatrix, "densify"), (ComplexZ, "origin_key"))
 
 
 def _module_tree(module: str) -> ast.Module:

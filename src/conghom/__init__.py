@@ -17,8 +17,7 @@ _EXPORTS = {
     "homology": ("HomologyReport", "assemble_boundary", "h0_dimension"),
     "oracle": ("FiniteGroupTable", "abelianization_dim", "adjacency_oracle",
                "commutator_subgroup", "generate_group", "verify_h1_formula"),
-    "poly": ("CanonicalLabel", "Poly", "PolyMatrix", "column_hnf", "lattice_contains",
-             "lattice_label", "poly_divmod", "polymat_det"),
+    "poly": ("column_hnf", "label_hex", "lattice_contains", "lattice_label", "poly_divmod"),
     "wedge": ("BoundProfile", "H1Basis", "WeightSlot", "adjacency", "bound_profile",
               "h1_basis", "standard_ball", "surviving_degrees"),
 }

@@ -16,15 +16,12 @@ name the vertices of Z_R and fix the published order.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvariantError
 from .field import GF
 from .gf import gauss_jordan, inverse_entries
 from .wedge import Vertex, is_standard_vertex, standard_ball
-
-if TYPE_CHECKING:
-    from .poly import CanonicalLabel
 
 
 def bruhat_cells(n: int, field: GF, break_types=None
@@ -80,7 +77,7 @@ def enumerate_flag_reps(n: int, field: GF) -> list[tuple[int, ...]]:
     return reps
 
 
-def vertex_label(s: tuple[int, ...], field: GF, r: Vertex) -> CanonicalLabel:
+def vertex_label(s: tuple[int, ...], field: GF, r: Vertex) -> tuple:
     """Canonical label of the translate of a wedge vertex by the flag matrix s.
 
     s is given by its row-major residues mod field.p, and is n x n for
@@ -90,26 +87,24 @@ def vertex_label(s: tuple[int, ...], field: GF, r: Vertex) -> CanonicalLabel:
     subgroup of constant matrices supported where r_i >= r_j, which is
     precisely the group that normalizes the stabilizer attached to r.
     Labels therefore identify translated vertices exactly when their
-    stabilizers in the congruence kernel agree.  The label costs an n!
-    cofactor determinant and a polynomial HNF, so build_Z keys the
-    translates of one canonical flag per partial flag by
-    partial_flag_keys instead, and only order_by_label calls this, once
-    per vertex, to name the vertices on export.
+    stabilizers in the congruence kernel agree.  The label is
+    conghom.poly.lattice_label of that basis, its scale-normalized HNF
+    as rows of coefficient tuples.  It costs a polynomial HNF, so
+    build_Z keys the translates of one canonical flag per partial flag
+    by partial_flag_keys instead, and only order_by_label calls this,
+    once per vertex, to name the vertices on export.
     """
-    from .poly import Poly, PolyMatrix, lattice_label  # export only: keeps compute off poly
+    from .poly import lattice_label  # export only: keeps compute off poly
 
     n = len(r) + 1
     if len(s) != n * n or not is_standard_vertex(r):
         raise ValueError("not a standard vertex")
     s_inv = inverse_entries(s, n, field.p)
     exps = tuple(r) + (0,)
-    # row i of (s^T)^-1 = (s^-1)^T is column i of s^-1
-    entries = [
-        [Poly.monomial(field, exps[j], v) if v else Poly.zero(field)
-         for j, v in enumerate(s_inv[i::n])]
-        for i in range(n)
-    ]
-    return lattice_label(PolyMatrix(field, entries))
+    # row i of (s^T)^-1 = (s^-1)^T is column i of s^-1; its entries are v t^e
+    entries = tuple(tuple((0,) * exps[j] + (v,) if v else () for j, v in enumerate(s_inv[i::n]))
+                    for i in range(n))
+    return lattice_label(entries, field.p)
 
 
 def vertex_breaks(r: Vertex) -> tuple[int, ...]:
@@ -300,15 +295,14 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:
 
     Calls vertex_label once per vertex; two vertices with one label raise
     InvariantError, since a label determines the wedge coordinates.  The
-    ranks are permuted into label-key order, representatives kept, and
-    each edge is oriented from its label-smaller endpoint, its simplex
-    reversed with it.
+    labels are tuples, and the ranks are permuted into their order,
+    representatives kept; each edge is oriented from its label-smaller
+    endpoint, its simplex reversed with it.
     """
     labels = [vertex_label(rep.flag, z.field, rep.vertex) for rep in z.vertices]
-    label_key = [label.key() for label in labels]
-    if len(set(label_key)) != len(label_key):
+    if len(set(labels)) != len(labels):
         raise InvariantError("vertex label does not match its wedge coordinates")
-    order = sorted(range(len(labels)), key=label_key.__getitem__)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
     rank = {old: new for new, old in enumerate(order)}
     edges = {}
     for (ia, ib), rep in z.edges.items():

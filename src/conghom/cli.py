@@ -36,8 +36,14 @@ def _usage_error(msg: str) -> int:
 
 
 def _dot_text(z: ComplexZ, labels: list) -> str:
-    """z as a DOT graph: vertex i is named by the CanonicalLabel labels[i], the origin is v0."""
-    names = [label.hex() for label in labels]
+    """z as a DOT graph: vertex i is named label_hex(labels[i], q), the origin is v0.
+
+    Each label is the tuple of coefficient-tuple rows that
+    building.vertex_label returns.
+    """
+    from .poly import label_hex
+
+    names = [label_hex(label, z.q) for label in labels]
     lines = ["graph Z {"]
     for rep, name in zip(z.vertices, names):
         if any(rep.vertex):

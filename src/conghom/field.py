@@ -1,9 +1,9 @@
-"""The prime field context GF(p) that every compound value carries.
+"""The prime field context GF(p): a checked prime and its inverses.
 
-Scalars are plain Python ints in [0, p).  Mixing values from different
-contexts raises immediately rather than producing garbage residues.
-This module holds only the context, so the oracle and the polynomial
-code load it without the linear algebra of conghom.gf.
+Scalars are plain Python ints in [0, p).  A sparse matrix and the
+commands carry this context; polynomials and flags are plain tuples,
+and the routines on them take p.  This module holds only the context,
+so the oracle loads it without the linear algebra of conghom.gf.
 """
 
 
@@ -42,7 +42,3 @@ class GF:
             raise ZeroDivisionError("division by zero in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-
-def _check_same_field(a: GF, b: GF) -> None:
-    if a != b:
-        raise ValueError(f"mixed field contexts: {a} vs {b}")

@@ -30,13 +30,15 @@ for an elementary.  Group tables hold these packed matrices too, and
 the p-th power of each generator is looked up among them as it is
 computed.  The only decoder, _Packing.unpack, names a witness.
 
-adjacency_oracle compares t-power diagonal lattices, and the same few
-exponent tuples recur across the vertex pairs of a ball, so the
-diagonal bases and their column HNFs are cached on their exponent
-tuples (functools.cache; one entry per tuple that occurs).  The HNFs
-are still computed by the generic column_hnf, and every containment by
-the generic lattice_contains of conghom.poly.  Containments are not
-cached: no (outer, inner) pair recurs among the pairs of one ball.
+adjacency_oracle compares t-power diagonal lattices, written as rows of
+coefficient tuples over F_2.  The same few exponent tuples recur across
+the vertex pairs of a ball, so the diagonal bases and their column HNFs
+are cached on their exponent tuples (functools.cache; one entry per
+tuple that occurs).  The HNFs are still computed by the generic
+column_hnf, and every containment by the generic lattice_contains of
+conghom.poly, with no shortcut for diagonal lattices, so they stay
+independent of wedge.adjacency.  Containments are not cached: no
+(outer, inner) pair recurs among the pairs of one ball.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
 from .field import GF
-from .poly import PolyMatrix, column_hnf, lattice_contains
+from .poly import column_hnf, lattice_contains
 from .wedge import BoundProfile, Vertex, h1_basis, is_standard_vertex
 
 Trunc = tuple[tuple[int, ...], ...]   # n*n entries, each m coefficients
@@ -317,18 +319,19 @@ def verify_h1_formula(profile: BoundProfile, field: GF,
 
 
 @cache
-def _diagonal(exps: tuple[int, ...]) -> PolyMatrix:
+def _diagonal(exps: tuple[int, ...]) -> tuple:
     """diag(t^e1, ..., t^en) over F_2.
 
     Containment and equality of t-power diagonal lattices do not depend
     on the field.
     """
-    return PolyMatrix.diagonal_powers(GF(2), exps)
+    return tuple(tuple((0,) * e + (1,) if i == j else () for j in range(len(exps)))
+                 for i, e in enumerate(exps))
 
 
 @cache
-def _hnf(exps: tuple[int, ...]) -> PolyMatrix:
-    return column_hnf(_diagonal(exps))
+def _hnf(exps: tuple[int, ...]) -> tuple:
+    return column_hnf(_diagonal(exps), 2)
 
 
 def adjacency_oracle(r: Vertex, rp: Vertex) -> bool:
@@ -352,8 +355,8 @@ def adjacency_oracle(r: Vertex, rp: Vertex) -> bool:
         a1 = tuple(e + 1 + c for e in exps_a)   # t^{c+1} A
         mid = tuple(e + k + c for e in exps_b)  # t^{c+k} B
         a0 = tuple(e + c for e in exps_a)       # t^c A
-        if not (lattice_contains(_diagonal(a0), _diagonal(mid))
-                and lattice_contains(_diagonal(mid), _diagonal(a1))):
+        if not (lattice_contains(_diagonal(a0), _diagonal(mid), 2)
+                and lattice_contains(_diagonal(mid), _diagonal(a1), 2)):
             continue
         if _hnf(mid) == _hnf(a0) or _hnf(mid) == _hnf(a1):
             continue

@@ -19,9 +19,8 @@ from conghom.oracle import (
     generate_group,
     profile_generators,
 )
-from conghom.poly import Poly
 from conghom.wedge import bound_profile, h1_basis, standard_ball
-from reference import (DenseMatrix, add, bracket, commutator, conjugate_by, elementary,
+from reference import (DenseMatrix, Poly, add, bracket, commutator, conjugate_by, elementary,
                        group_identity, group_mul, level, rho, rref, trace)
 
 

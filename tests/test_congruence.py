@@ -4,9 +4,9 @@ import random
 import pytest
 
 from conghom.field import GF
-from conghom.poly import Poly, PolyMatrix
-from reference import (DenseMatrix, GroupElement, add, bracket, commutator, conjugate_by,
-                       elementary, group_identity, group_inverse, group_mul, level, rho, trace)
+from reference import (DenseMatrix, GroupElement, Poly, PolyMatrix, add, bracket, commutator,
+                       conjugate_by, elementary, group_identity, group_inverse, group_mul, level,
+                       rho, trace)
 
 F2 = GF(2)
 F3 = GF(3)

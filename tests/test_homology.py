@@ -18,11 +18,10 @@ from conghom.homology import (
     closed_form_dims,
     h0_dimension,
 )
-from conghom.poly import Poly, PolyMatrix, lattice_label
 from conghom.wedge import BoundProfile, bound_profile, h1_basis, standard_ball, surviving_degrees
-from reference import (DenseMatrix, GroupElement, class_vector, conjugate_by, densify,
-                       depth_one_witness, edge_inclusion, elementary, group_mul, inverse,
-                       membership, rref, witness_defects)
+from reference import (DenseMatrix, GroupElement, Poly, PolyMatrix, class_vector, conjugate_by,
+                       densify, depth_one_witness, edge_inclusion, elementary, group_mul, inverse,
+                       membership, ref_lattice_label, rref, witness_defects)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -175,10 +174,10 @@ def test_edge_inclusion_permuted_vertex_labels():
     # (2,1) vertices to the lattices [t^2 e1, e2, t^2 e3] and [t^2 e1, e2, t e3]
     w = (1, 0, 0, 0, 0, 1, 0, 1, 0)  # det = 1 over GF(2)
     lbl_v = vertex_label(w, F2, (2, 2))
-    direct = lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 2]))
+    direct = ref_lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 2]))
     assert lbl_v == direct
     lbl_vp = vertex_label(w, F2, (2, 1))
-    direct = lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 1]))
+    direct = ref_lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 1]))
     assert lbl_vp == direct
     mat = edge_inclusion(F2, (w, ((2, 1), (2, 2))), (w, (2, 2)))
     assert mat.to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
@@ -240,7 +239,7 @@ def test_endpoint_criterion_matches_vertex_labels():
         field = GF(q)
         reps = enumerate_flag_reps(n, field)
         verts, edges = standard_ball(n, radius)
-        label = {(s, r): vertex_label(s, field, r).key() for s in reps for r in verts}
+        label = {(s, r): vertex_label(s, field, r) for s in reps for r in verts}
         outcomes = set()
         for _ in range(150):
             edge = rng.choice(edges)

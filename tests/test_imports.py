@@ -4,8 +4,9 @@ Each command loads only the modules it runs, both in the import graph
 and in a fresh interpreter: the compute path stays free of the
 polynomial group code, and the oracle and survive paths free of the
 construction of Z_R, its boundary and the matrix code.
-boundary_columns forms no general matrix product, and the slow
-references, the filtration identities and the polynomial group
+boundary_columns forms no general matrix product, polynomials are
+coefficient tuples with no class, and the slow references, the
+filtration identities, the Poly route and the polynomial group
 elements live in tests/reference.py, not in the package or its exports.
 """
 
@@ -20,8 +21,7 @@ import conghom
 from conghom.building import ComplexZ
 from conghom.gf import SparseMatrix
 from conghom.oracle import _Packing
-from conghom.poly import CanonicalLabel, Poly, PolyMatrix
-from reference import DenseMatrix, GroupElement
+from reference import DenseMatrix, GroupElement, Poly, PolyMatrix
 
 MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "reduce_at_zero", "polymat_adjugate", "membership", "class_vector",
@@ -30,12 +30,12 @@ MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "_trunc_sub_identity", "trunc_sub_identity", "_flag_product",
                     "GroupElement", "elementary", "_trunc_from_group_element",
                     "trunc_from_group_element", "_typecode", "_deserialize",
-                    "DenseMatrix", "rref", "inverse", "edge_inclusion")
+                    "DenseMatrix", "rref", "inverse", "edge_inclusion", "Poly", "PolyMatrix",
+                    "CanonicalLabel", "polymat_det", "_check_same_field")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
-                            (DenseMatrix, "is_zero"), (CanonicalLabel, "pivot_exponents"),
-                            (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
+                            (DenseMatrix, "is_zero"), (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
                             (GroupElement, "__matmul__"), (Poly, "const"),
                             (_Packing, "to_bytes"), (_Packing, "from_bytes"),
                             (SparseMatrix, "densify"), (ComplexZ, "origin_key"))
@@ -104,6 +104,22 @@ def test_oracle_tables_need_no_byte_codec():
             imported.add((node.module or "").split(".")[0])
     assert "functools" in imported  # the walk sees the imports that are there
     assert "array" not in imported
+
+
+def test_polynomials_are_tuples_with_no_class():
+    # conghom.poly works on coefficient tuples, and commensurability comes from
+    # the HNF pivots, so no module defines the cofactor determinant or the
+    # mixed-context check; test_startup_loads_only_what_compute_runs pins that
+    # oracle loads conghom.poly and compute does not
+    assert not [node for node in ast.walk(_module_tree("poly"))
+                if isinstance(node, ast.ClassDef)]
+    assert {"column_hnf", "label_hex", "lattice_contains", "lattice_label", "poly_divmod"} <= {
+        node.name for node in ast.walk(_module_tree("poly")) if isinstance(node, ast.FunctionDef)}
+    for m in pkgutil.iter_modules(conghom.__path__):
+        defined = {node.name for node in ast.walk(_module_tree(m.name))
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & {"polymat_det", "_check_same_field", "Poly", "PolyMatrix",
+                              "CanonicalLabel"}, m.name
 
 
 def test_exports_resolve_and_omit_test_references():

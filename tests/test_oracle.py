@@ -16,10 +16,9 @@ from conghom.oracle import (
     profile_generators,
     verify_h1_formula,
 )
-from conghom.poly import Poly
 from conghom.wedge import BoundProfile, adjacency, bound_profile, h1_basis, standard_ball
-from reference import (adjacency_lattice, elementary, trunc_from_group_element, trunc_identity,
-                       trunc_inverse, trunc_mul)
+from reference import (Poly, adjacency_lattice, elementary, trunc_from_group_element,
+                       trunc_identity, trunc_inverse, trunc_mul)
 
 F2 = GF(2)
 F3 = GF(3)

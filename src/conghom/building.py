@@ -189,15 +189,12 @@ class VertexRep(NamedTuple):
     vertex: Vertex
 
 
-class EdgeRep(NamedTuple):
-    flag: tuple[int, ...]
-    simplex: tuple[Vertex, Vertex]  # aligned with the edge's rank pair (ia, ib)
-
-
 class ComplexZ(NamedTuple):
     """1-skeleton of the radius-R fundamental-domain slice, one simplex per partial flag.
 
-    Vertex i is vertices[i]; edge (ia, ib) runs from vertex ia to vertex ib.
+    Vertex i is vertices[i].  An edge is its rank pair (ia, ib), from
+    vertex ia to vertex ib, and its flag; Z_R is a flag complex, so its
+    simplex is read from its endpoints, vertices[ia] and vertices[ib].
     """
 
     n: int
@@ -205,7 +202,7 @@ class ComplexZ(NamedTuple):
     radius: int
     field: GF
     vertices: tuple  # VertexRep of its canonical flag, by rank
-    edges: dict      # (ia, ib), ia < ib, sorted -> EdgeRep
+    edges: dict      # (ia, ib), ia < ib, sorted -> row-major residues of its flag
 
 
 def build_Z(n: int, q: int, radius: int,
@@ -214,18 +211,19 @@ def build_Z(n: int, q: int, radius: int,
 
     A ball vertex or edge of break type B, for an edge the union of its
     vertices' breaks, is keyed (partial_flag_keys) only by the full
-    flags whose ascents lie in B, one per partial flag of type B, and
-    stores that flag with its standard simplex.  By default the flags
-    are those of the bruhat_cells whose ascents lie in some break type
-    of the ball, so no other cell is enumerated; given flag_reps, each
-    flag's ascents are read off its matrix instead.  Each flag is keyed
+    flags whose ascents lie in B, one per partial flag of type B.  By
+    default the flags are those of the bruhat_cells whose ascents lie in
+    some break type of the ball, so no other cell is enumerated; given
+    flag_reps, each flag's ascents are read off its matrix instead.  Each flag is keyed
     once per pass for all the break types that hold its ascents, and
     the RREF of each leading column span extends the RREF of the
     shorter one by a column (_flag_keys).  A key reached twice, an edge
     endpoint that is not a vertex key, or counts other than the wedge's
     closed-form partial_flag_count sums raise InvariantError.  The keys
     stay here: a vertex's rank is its place in key order, and each
-    edge is the rank pair (ia, ib) with ia < ib, the edges sorted.
+    edge is its sorted rank pair (ia, ib), mapped to its flag, the edges
+    sorted; a key starts with its wedge vertex, so the endpoints give
+    the edge's simplex.
     """
     field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
@@ -266,7 +264,7 @@ def build_Z(n: int, q: int, radius: int,
             found_v[key] = VertexRep(flag=s, vertex=r)
     order = sorted(found_v)
     rank = {key: i for i, key in enumerate(order)}
-    found_e: dict = {}  # (rank, rank) -> EdgeRep
+    found_e: dict = {}  # (rank, rank) -> flag
     for s, mine, keys in canonical(edge_types):
         for a, b in mine:
             try:
@@ -274,10 +272,10 @@ def build_Z(n: int, q: int, radius: int,
             except KeyError as missing:
                 raise InvariantError(f"edge endpoint {missing} is not a vertex") from None
             if ib < ia:
-                ia, ib, a, b = ib, ia, b, a
+                ia, ib = ib, ia
             if (ia, ib) in found_e:
                 raise InvariantError(f"{(order[ia], order[ib])} is reached by two flags")
-            found_e[ia, ib] = EdgeRep(flag=s, simplex=(a, b))
+            found_e[ia, ib] = s
 
     want_v = sum(partial_flag_count(n, q, breaks[r]) for r in ball_vertices)
     want_e = sum(partial_flag_count(n, q, set(breaks[a]) | set(breaks[b])) for a, b in ball_edges)
@@ -296,8 +294,8 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:
     Calls vertex_label once per vertex; two vertices with one label raise
     InvariantError, since a label determines the wedge coordinates.  The
     labels are tuples, and the ranks are permuted into their order,
-    representatives kept; each edge is oriented from its label-smaller
-    endpoint, its simplex reversed with it.
+    representatives kept; each edge keeps its flag under its new rank
+    pair, sorted, so it runs from its label-smaller endpoint.
     """
     labels = [vertex_label(rep.flag, z.field, rep.vertex) for rep in z.vertices]
     if len(set(labels)) != len(labels):
@@ -305,11 +303,9 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:
     order = sorted(range(len(labels)), key=labels.__getitem__)
     rank = {old: new for new, old in enumerate(order)}
     edges = {}
-    for (ia, ib), rep in z.edges.items():
+    for (ia, ib), s in z.edges.items():
         ia, ib = rank[ia], rank[ib]
-        if ib < ia:
-            ia, ib, rep = ib, ia, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
-        edges[ia, ib] = rep
+        edges[(ia, ib) if ia < ib else (ib, ia)] = s
     ordered = z._replace(vertices=tuple([z.vertices[i] for i in order]),
                          edges=dict(sorted(edges.items())))
     return ordered, [labels[i] for i in order]

@@ -182,13 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, radius_default=None):
+    def common(sp):
         sp.add_argument("--n", type=int, required=True, help="matrix dimension, at least 2")
         sp.add_argument("--q", type=int, required=True, help="prime field size")
-        if radius_default is None:
-            sp.add_argument("--radius", type=int, required=True, help="slice radius, at least 1")
-        else:
-            sp.add_argument("--radius", type=int, default=radius_default)
+        sp.add_argument("--radius", type=int, required=True, help="slice radius, at least 1")
 
     sp = sub.add_parser("compute", help="build Z_R and report the cokernel dimension")
     common(sp)

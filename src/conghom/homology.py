@@ -33,9 +33,12 @@ def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex
     which is exactly when the two translates share a label; otherwise
     ValueError.  M must be supported on {a < b, b_ab >= d} of the vertex
     profile; failure means the representatives do not name the same
-    simplices and raises InvariantError.  The result, and whether these
-    checks raise, depend only on (W, simplex, r_v): the bases are those
-    of the simplex and of r_v.  boundary_columns memoizes it on that key.
+    simplices and raises InvariantError.  On the compute path the
+    simplex is read from the edge's endpoints, so r_v lies in it by
+    construction, and the parabolic and support checks are what catch a
+    wrong flag.  The result, and whether these checks raise, depend only
+    on (W, simplex, r_v): the bases are those of the simplex and of r_v.
+    boundary_columns memoizes it on that key.
     W^-1 comes from gf.inverse_entries: read row-major, the column-major
     entries of W are W^T, whose inverse is W^-1 column-major, so row j
     of W^-1 is every n-th entry from j.  The tests read these entries
@@ -94,7 +97,8 @@ def block_index(z: ComplexZ) -> BlockIndex:
     """Row and column layout of the boundary, from z and the H1 bases alone.
 
     Rows are the concatenated vertex slot bases by rank (the origin
-    contributes none); columns the edge bases in the order of z.edges.
+    contributes none); columns the edge bases in the order of z.edges,
+    each edge's simplex read from its endpoints.
     No inclusion is computed, so dimensions other than closed_form_dims
     raise InvariantError before any of them.
     """
@@ -108,8 +112,9 @@ def block_index(z: ComplexZ) -> BlockIndex:
             off += basis_of(simplex).dim
         return tuple(out), off
 
-    vertex_blocks, dim_c0 = blocks(enumerate((rep.vertex,) for rep in z.vertices))
-    edge_blocks, dim_c1 = blocks((pair, rep.simplex) for pair, rep in z.edges.items())
+    vertex = [rep.vertex for rep in z.vertices]
+    vertex_blocks, dim_c0 = blocks(enumerate((r,) for r in vertex))
+    edge_blocks, dim_c1 = blocks(((ia, ib), (vertex[ia], vertex[ib])) for ia, ib in z.edges)
     want = closed_form_dims(z.n, z.q, z.radius)
     if (dim_c0, dim_c1) != want:
         raise InvariantError(
@@ -159,7 +164,8 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     yield none.  Each edge column is the inclusion into the first
     endpoint of its rank pair, the smaller rank for build_Z, minus the
     inclusion into the second, so the rank-pair order is the edge's
-    orientation.
+    orientation.  An edge is its rank pair and its flag s_e; its simplex
+    is read once from its endpoints.
 
     Flags are entry tuples.  W = s_v^-1 s_e is the identity when the two
     flags are equal, and no product is formed.  Otherwise W's
@@ -184,12 +190,12 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     w_of = {}        # (s_v entries, s_e entries) -> W entries, column-major
     interned = {}    # W entries -> the one tuple that every equal W shares
     inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
-    for (pair, erep), (_, _, basis) in zip(z.edges.items(), index.edge_blocks, strict=True):
+    for ((ia, ib), se), (_, _, basis) in zip(z.edges.items(), index.edge_blocks, strict=True):
         if not basis.dim:
             continue
-        se = erep.flag
+        simplex = (z.vertices[ia].vertex, z.vertices[ib].vertex)
         columns = [{} for _ in range(basis.dim)]
-        for at, sign in ((pair[0], 1), (pair[1], -1)):
+        for at, sign in ((ia, 1), (ib, -1)):
             vrep = z.vertices[at]
             _, r0, vert_basis = index.vertex_blocks[at]
             sv = vrep.flag
@@ -203,11 +209,11 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
                         packed = inv_packed[sv] = _pack_columns(inverse_entries(sv, n, p), n, bits)
                     w = _packed_product(packed, se, unpack, bits, p)
                     w = w_of[sv, se] = interned.setdefault(w, w)
-            memo = (w, erep.simplex, vrep.vertex)
+            memo = (w, simplex, vrep.vertex)
             entries = inclusions.get(memo)
             if entries is None:
                 entries = inclusions[memo] = _inclusion(
-                    w, n, p, erep.simplex, basis, vrep.vertex, vert_basis)
+                    w, n, p, simplex, basis, vrep.vertex, vert_basis)
             for a, b, v in entries:
                 columns[b][r0 + a] = sign * v % p
         yield from columns

@@ -139,12 +139,12 @@ def bound_profile(simplex) -> BoundProfile:
         for b in verts[idx + 1:]:
             if a == b or not adjacency(a, b):
                 raise ValueError("vertices do not span a simplex")
+    padded = [v + (0,) for v in verts]
     b = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
-            padded = [tuple(v) + (0,) for v in verts]
             b[(i, j)] = min(v[i - 1] - v[j - 1] for v in padded)
     return BoundProfile(n, b)
 

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from conghom.building import EdgeRep, build_Z, enumerate_flag_reps
+from conghom.building import build_Z, enumerate_flag_reps
 from conghom.cli import main as cli_main
 from conghom.field import GF
 from conghom.homology import assemble_boundary, h0_dimension
@@ -177,10 +177,10 @@ def test_criterion_07_determinism_and_invariance():
     rng.shuffle(shuffled)
     assert h0_dimension(build_Z(3, 2, 1, flag_reps=shuffled)).to_json() == base
 
-    # every edge reversed: rank pair swapped and simplex reversed with it
+    # every edge reversed: rank pair swapped, so the simplex read from its
+    # endpoints is reversed with it
     z = build_Z(3, 2, 1)
-    reversed_z = z._replace(edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
-                                   for (ka, kb), rep in z.edges.items()})
+    reversed_z = z._replace(edges={(kb, ka): se for (ka, kb), se in z.edges.items()})
     boundary, _ = assemble_boundary(z)
     reversed_boundary, _ = assemble_boundary(reversed_z)
     assert reversed_boundary.triples() == [(r, c, -v % 2) for r, c, v in boundary.triples()]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conghom import building, poly
 from conghom.building import (
     ComplexZ,
-    EdgeRep,
     VertexRep,
     bruhat_cells,
     build_Z,
@@ -329,8 +328,7 @@ def _full_flag_build_z(n, q, radius):
     order = sorted(best_v)
     rank = {key: i for i, key in enumerate(order)}
     vertices = tuple(VertexRep(flag=best_v[key], vertex=key[0]) for key in order)
-    edges = {(rank[ka], rank[kb]): EdgeRep(flag=best_e[(ka, kb)], simplex=(ka[0], kb[0]))
-             for ka, kb in sorted(best_e)}
+    edges = {(rank[ka], rank[kb]): best_e[(ka, kb)] for ka, kb in sorted(best_e)}
     return ComplexZ(n=n, q=q, radius=radius, field=field, vertices=vertices, edges=edges), order
 
 
@@ -441,22 +439,28 @@ def test_build_z_matches_per_pair_label_reference(n, q, radius):
     vertices, edges = _reference_build_z(n, q, radius)
     assert [(labels[i], rep.flag, rep.vertex)
             for i, rep in enumerate(z.vertices)] == [(k, *v) for k, v in vertices.items()]
-    assert [((labels[ia], labels[ib]), rep.flag, rep.simplex)
-            for (ia, ib), rep in z.edges.items()] == [(k, *e) for k, e in edges.items()]
+    # each edge's simplex is read from its endpoints, and matches the reference's
+    assert [((labels[ia], labels[ib]), s, (z.vertices[ia].vertex, z.vertices[ib].vertex))
+            for (ia, ib), s in z.edges.items()] == [(k, *e) for k, e in edges.items()]
 
 
 @pytest.mark.parametrize("n,q,radius", REFERENCE_CONFIGS)
 def test_build_z_keys_are_partial_flag_keys_of_their_reps(n, q, radius):
     # a vertex's rank is its place in partial-flag key order, and an edge's
-    # rank pair names the keys of its simplex under its own flag
+    # flag, keyed at its endpoints' wedge vertices, gives its endpoints' keys:
+    # so the edge's standard simplex is the one its endpoints span
     z = build_Z(n, q, radius)
+    ball_edges = set(standard_ball(n, radius)[1])
     keys = [partial_flag_keys(rep.flag, n, q, [rep.vertex])[rep.vertex] for rep in z.vertices]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert list(z.edges) == sorted(z.edges)
-    for (ia, ib), rep in z.edges.items():
+    for (ia, ib), s in z.edges.items():
         assert ia < ib < len(z.vertices)
-        edge_keys = partial_flag_keys(rep.flag, n, q, rep.simplex)
-        assert (keys[ia], keys[ib]) == (edge_keys[rep.simplex[0]], edge_keys[rep.simplex[1]])
+        assert len(s) == n * n and all(type(v) is int and 0 <= v < q for v in s)
+        simplex = (z.vertices[ia].vertex, z.vertices[ib].vertex)
+        assert simplex in ball_edges or simplex[::-1] in ball_edges
+        edge_keys = partial_flag_keys(s, n, q, simplex)
+        assert (keys[ia], keys[ib]) == (edge_keys[simplex[0]], edge_keys[simplex[1]])
 
 
 @cache

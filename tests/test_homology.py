@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conghom import homology
-from conghom.building import (EdgeRep, VertexRep, build_Z, enumerate_flag_reps, order_by_label,
-                              vertex_label)
+from conghom.building import VertexRep, build_Z, enumerate_flag_reps, order_by_label, vertex_label
 from conghom.errors import InvariantError
 from conghom.field import GF
 from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
@@ -30,6 +29,11 @@ IDENT3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 def profile(n, upper):
     return BoundProfile.from_upper_bounds(n, upper)
+
+
+def _simplex(z, pair):
+    # an edge's standard simplex, read from the endpoints of its rank pair
+    return z.vertices[pair[0]].vertex, z.vertices[pair[1]].vertex
 
 
 def test_surviving_degrees_skip_example():
@@ -214,14 +218,15 @@ def test_assembled_column_weight_radius_two():
     # every constant-matrix inclusion matches the polynomial reference
     for z in (build_Z(3, 2, 2), build_Z(3, 3, 1), build_Z(4, 2, 1), build_Z(3, 3, 2),
               build_Z(3, 7, 1)):
-        for pair, erep in z.edges.items():
-            basis = h1_basis(bound_profile(list(erep.simplex)))
+        for pair, se in z.edges.items():
+            simplex = _simplex(z, pair)
+            basis = h1_basis(bound_profile(list(simplex)))
             if basis.dim == 0:
                 continue
             mats = []
             for at in pair:
                 vrep = z.vertices[at]
-                edge_rep = (erep.flag, erep.simplex)
+                edge_rep = (se, simplex)
                 vertex_rep = (vrep.flag, vrep.vertex)
                 mat = edge_inclusion(z.field, edge_rep, vertex_rep)
                 assert mat.to_rows() == _reference_inclusion(z.field, edge_rep, vertex_rep)
@@ -285,12 +290,30 @@ def test_assemble_boundary_checks_closed_form_dims(monkeypatch):
     # both entry points raise on the layout, before any inclusion is computed
     z = build_Z(3, 2, 1)
     edges = dict(z.edges)
-    del edges[next(pair for pair, rep in z.edges.items()
-                   if h1_basis(bound_profile(list(rep.simplex))).dim)]
+    del edges[next(pair for pair in z.edges if h1_basis(bound_profile(_simplex(z, pair))).dim)]
     calls = _record_inclusions(monkeypatch)
     for entry in (assemble_boundary, h0_dimension):
         with pytest.raises(InvariantError, match="partial-flag counts give 28 and 21"):
             entry(z._replace(edges=edges))
+    assert calls == []
+
+
+def test_edge_whose_ranks_span_no_simplex_raises_before_any_inclusion(monkeypatch):
+    # an edge's simplex is read from its endpoints, so a rank pair naming two
+    # translates of one wedge vertex spans no simplex, and both entry points
+    # reject it while laying out the columns, before any inclusion
+    z = build_Z(3, 2, 1)
+    ia, ib = next((i, j) for i, a in enumerate(z.vertices) for j, b in enumerate(z.vertices)
+                  if i < j and a.vertex == b.vertex and any(a.vertex))
+    assert (ia, ib) not in z.edges
+    edges = dict(z.edges)
+    edges[ia, ib] = edges.pop(next(iter(z.edges)))
+    bad = z._replace(edges=dict(sorted(edges.items())))
+    assert len(bad.edges) == len(z.edges)
+    calls = _record_inclusions(monkeypatch)
+    for entry in (assemble_boundary, h0_dimension):
+        with pytest.raises(ValueError, match="vertices do not span a simplex"):
+            entry(bad)
     assert calls == []
 
 
@@ -333,9 +356,9 @@ def test_boundary_columns_forms_each_flag_pair_product_once(monkeypatch, n, q, r
     # W = s_v^-1 s_e is formed once per distinct flag pair with s_v != s_e,
     # and never for a pair whose two flags are equal
     z = build_Z(n, q, radius)
-    flag_pairs = [(z.vertices[at].flag, rep.flag)
-                  for pair, rep in z.edges.items()
-                  if h1_basis(bound_profile(list(rep.simplex))).dim for at in pair]
+    flag_pairs = [(z.vertices[at].flag, se)
+                  for pair, se in z.edges.items()
+                  if h1_basis(bound_profile(_simplex(z, pair))).dim for at in pair]
     assert len(flag_pairs) == pairs
     assert sum(sv == se for sv, se in flag_pairs) == same_flag
     assert len({(sv, se) for sv, se in flag_pairs if sv != se}) == products
@@ -391,8 +414,8 @@ def test_swapped_vertex_flag_fails_endpoint_check_past_filled_cache(monkeypatch,
     # endpoint check, although earlier edges cached that simplex and r_v
     z = build_Z(n, q, radius)
     first_edge = {}
-    for idx, (pair, rep) in enumerate(z.edges.items()):
-        if h1_basis(bound_profile(list(rep.simplex))).dim:
+    for idx, pair in enumerate(z.edges):
+        if h1_basis(bound_profile(_simplex(z, pair))).dim:
             for at in pair:
                 first_edge.setdefault(at, idx)
     target = max(first_edge, key=first_edge.get)
@@ -470,9 +493,9 @@ def test_h0_dimension_f3_note():
 
 
 def _reversed_edges(z):
-    # every edge re-oriented: its rank pair swapped and its simplex reversed with it
-    return z._replace(edges={(kb, ka): EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
-                             for (ka, kb), rep in z.edges.items()})
+    # every edge re-oriented: its rank pair swapped, so its simplex, read from
+    # its endpoints, is reversed with it
+    return z._replace(edges={(kb, ka): se for (ka, kb), se in z.edges.items()})
 
 
 def test_h0_dimension_invariances():
@@ -496,16 +519,14 @@ def test_h0_dimension_does_not_depend_on_label_order(n, q, radius):
 
 def _permuted_ranks(z, new):
     # vertex i moved to rank new[i]; each edge remapped, oriented from its
-    # smaller new rank with its simplex reversed when that swaps its ends
+    # smaller new rank, its flag kept
     vertices = [None] * len(new)
     for i, rep in enumerate(z.vertices):
         vertices[new[i]] = rep
     edges = {}
-    for (ia, ib), rep in z.edges.items():
+    for (ia, ib), se in z.edges.items():
         ja, jb = new[ia], new[ib]
-        if jb < ja:
-            ja, jb, rep = jb, ja, EdgeRep(flag=rep.flag, simplex=rep.simplex[::-1])
-        edges[ja, jb] = rep
+        edges[(ja, jb) if ja < jb else (jb, ja)] = se
     return z._replace(vertices=tuple(vertices), edges=dict(sorted(edges.items())))
 
 
@@ -531,10 +552,10 @@ def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
     row_offset = {at: off for at, off, _ in index.vertex_blocks}
     expected = []
     for pair, off, basis in index.edge_blocks:
-        erep = z.edges[pair]
+        edge_rep = (z.edges[pair], _simplex(z, pair))
         for at, sign in ((pair[0], 1), (pair[1], -1)):
             vrep = z.vertices[at]
-            mat = edge_inclusion(z.field, (erep.flag, erep.simplex), (vrep.flag, vrep.vertex))
+            mat = edge_inclusion(z.field, edge_rep, (vrep.flag, vrep.vertex))
             assert mat.cols == basis.dim
             expected += [(row_offset[at] + a, off + b, sign * mat.get(a, b) % q)
                          for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]

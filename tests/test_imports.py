@@ -31,7 +31,7 @@ MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "GroupElement", "elementary", "_trunc_from_group_element",
                     "trunc_from_group_element", "_typecode", "_deserialize",
                     "DenseMatrix", "rref", "inverse", "edge_inclusion", "Poly", "PolyMatrix",
-                    "CanonicalLabel", "polymat_det", "_check_same_field")
+                    "CanonicalLabel", "polymat_det", "_check_same_field", "EdgeRep")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
@@ -120,6 +120,24 @@ def test_polynomials_are_tuples_with_no_class():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not defined & {"polymat_det", "_check_same_field", "Poly", "PolyMatrix",
                               "CanonicalLabel"}, m.name
+
+
+def test_an_edge_is_its_rank_pair_and_its_flag():
+    # Z_R is a flag complex, so an edge's simplex is read from its endpoints:
+    # conghom.building defines no edge record, and no module names one or
+    # reads a stored edge simplex
+    classes = {node.name for node in ast.walk(_module_tree("building"))
+               if isinstance(node, ast.ClassDef)}
+    assert {"VertexRep", "ComplexZ"} <= classes  # the walk sees the classes that are there
+    assert "EdgeRep" not in classes
+    for m in pkgutil.iter_modules(conghom.__path__):
+        nodes = list(ast.walk(_module_tree(m.name)))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert "EdgeRep" not in names, m.name
+        assert not [node for node in nodes
+                    if isinstance(node, ast.Attribute) and node.attr == "simplex"], m.name
 
 
 def test_exports_resolve_and_omit_test_references():

@@ -195,12 +195,12 @@ class ComplexZ(NamedTuple):
     Vertex i is vertices[i].  An edge is its rank pair (ia, ib), from
     vertex ia to vertex ib, and its flag; Z_R is a flag complex, so its
     simplex is read from its endpoints, vertices[ia] and vertices[ib].
+    Its prime is q alone: readers over GF(q) take p = q.
     """
 
     n: int
     q: int
     radius: int
-    field: GF
     vertices: tuple  # VertexRep of its canonical flag, by rank
     edges: dict      # (ia, ib), ia < ib, sorted -> row-major residues of its flag
 
@@ -225,7 +225,7 @@ def build_Z(n: int, q: int, radius: int,
     sorted; a key starts with its wedge vertex, so the endpoints give
     the edge's simplex.
     """
-    field = GF(q)
+    field = GF(q)  # checks that q is prime; not kept in the ComplexZ
     ball_vertices, ball_edges = standard_ball(n, radius)
     breaks = {r: vertex_breaks(r) for r in ball_vertices}
     vertex_types: dict = {}  # break type -> ball vertices of that type, as 1-simplices
@@ -283,7 +283,7 @@ def build_Z(n: int, q: int, radius: int,
         raise InvariantError(
             f"{len(found_v)} vertices and {len(found_e)} edges, but the partial-flag "
             f"counts give {want_v} and {want_e}")
-    return ComplexZ(n=n, q=q, radius=radius, field=field,
+    return ComplexZ(n=n, q=q, radius=radius,
                     vertices=tuple([found_v[key] for key in order]),
                     edges=dict(sorted(found_e.items())))
 
@@ -297,7 +297,8 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:
     representatives kept; each edge keeps its flag under its new rank
     pair, sorted, so it runs from its label-smaller endpoint.
     """
-    labels = [vertex_label(rep.flag, z.field, rep.vertex) for rep in z.vertices]
+    field = GF(z.q)
+    labels = [vertex_label(rep.flag, field, rep.vertex) for rep in z.vertices]
     if len(set(labels)) != len(labels):
         raise InvariantError("vertex label does not match its wedge coordinates")
     order = sorted(range(len(labels)), key=labels.__getitem__)

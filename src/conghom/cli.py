@@ -69,8 +69,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     from .building import build_Z
     from .homology import h0_dimension
 
-    if not _is_prime(args.q):
-        return _usage_error("q must be prime")
     t0 = time.monotonic()
     z = build_Z(args.n, args.q, args.radius)
     report = h0_dimension(z)
@@ -118,8 +116,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import adjacency_oracle, expected_order_exponent, verify_h1_formula
     from .wedge import adjacency, bound_profile, h1_basis, standard_ball
 
-    if not _is_prime(args.q):
-        return _usage_error("q must be prime")
     if args.limit < 1:
         return _usage_error("limit must be at least 1")
     field = GF(args.q)
@@ -161,8 +157,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     from .building import build_Z, order_by_label
     from .homology import assemble_boundary
 
-    if not _is_prime(args.q):
-        return _usage_error("q must be prime")
     z, labels = order_by_label(build_Z(args.n, args.q, args.radius))
     boundary, _ = assemble_boundary(z)
     try:
@@ -221,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error("n must be at least 2")
     if getattr(args, "radius", 1) < 1:
         return _usage_error("radius must be at least 1")
+    if not _is_prime(getattr(args, "q", 2)):
+        return _usage_error("q must be prime")
     try:
         return args.func(args)
     except InvariantError as exc:

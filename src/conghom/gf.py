@@ -1,8 +1,8 @@
 """Exact linear algebra over the prime field GF(p).
 
 Scalars are plain Python ints in [0, p).  A dense matrix is a list of
-rows or a row-major tuple of residues, and the routines on it take p;
-a sparse matrix carries the GF context of conghom.field.
+rows or a row-major tuple of residues.  Every routine takes p; only
+SparseMatrix carries the GF context of conghom.field.
 """
 
 from __future__ import annotations
@@ -99,33 +99,33 @@ class SparseMatrix:
         return sum(len(row) for row in self.by_row.values())
 
 
-def reduce_columns(field: GF, columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Column reduction into a basis keyed by pivot row.
+def reduce_columns(p: int, columns: Iterable[dict[int, int]]) -> dict[int, tuple]:
+    """Column reduction over GF(p) into a basis of tails keyed by pivot row.
 
-    Each column is a {row: nonzero residue} dict.  The columns are
-    reduced one at a time, in the order given, against the basis built
-    so far.  The pivot of a column is its largest row index.  While the
-    pivot is taken, the basis column stored there, scaled to the
-    column's pivot value, is subtracted; the column is then empty, or
-    its pivot is new and it joins the basis, scaled to 1 at its pivot.
-    The returned dict maps each pivot row to its basis column, and its
-    size is the rank.  This is the column reduction of Edelsbrunner,
-    Letscher & Zomorodian (2002) with the pivot at the lowest nonzero.
-    The given dicts are reduced in place.
+    Each column is a {row: nonzero residue} dict, reduced in place, in
+    the order given, against the basis built so far; its pivot is its
+    largest row.  A basis column is kept as its pivot-free tail, the
+    (row, -value / pivot value mod p) pairs of its other entries, all
+    below the pivot.  A column with pivot value f at a taken pivot drops
+    that entry and adds f times the tail, so the pivot cancels untouched.
+    It ends empty, or with a new pivot, and its tail joins the basis.
+    The size of the returned {pivot: tail} dict is the rank.  This is
+    the column reduction of Edelsbrunner, Letscher & Zomorodian (2002)
+    with the pivot at the lowest nonzero.
     """
-    p = field.p
-    basis: dict[int, dict[int, int]] = {}
+    basis: dict[int, tuple] = {}
     for col in columns:
         while col:
             pivot = max(col)
-            other = basis.get(pivot)
-            if other is None:
-                inv = field.inv(col[pivot])
-                basis[pivot] = {r: v * inv % p for r, v in col.items()}
+            f = col.pop(pivot)
+            tail = basis.get(pivot)
+            if tail is None:
+                m = p - pow(f, p - 2, p)  # -1/f
+                basis[pivot] = tuple([(r, v * m % p) for r, v in col.items()])
+                col[pivot] = f
                 break
-            f = col[pivot]
-            for r, v in other.items():
-                nv = (col.get(r, 0) - f * v) % p
+            for r, v in tail:
+                nv = (col.get(r, 0) + f * v) % p
                 if nv:
                     col[r] = nv
                 else:
@@ -142,4 +142,4 @@ def sparse_rank(m: SparseMatrix) -> int:
     for r, row in m.by_row.items():
         for c, v in row.items():
             columns.setdefault(c, {})[r] = v
-    return len(reduce_columns(m.field, (columns[c] for c in sorted(columns))))
+    return len(reduce_columns(m.field.p, (columns[c] for c in sorted(columns))))

@@ -14,6 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .building import ComplexZ, partial_flag_count, vertex_breaks
 from .errors import InvariantError
+from .field import GF
 from .gf import SparseMatrix, inverse_entries, reduce_columns
 from .wedge import H1Basis, Vertex, bound_profile, h1_basis, standard_ball
 
@@ -157,7 +158,7 @@ def _packed_product(packed: tuple, b: tuple, unpack: dict, bits: int, p: int
 
 
 def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]:
-    """The boundary's columns, one {row: residue mod p} dict per edge slot.
+    """The boundary's columns, one {row: residue mod z.q} dict per edge slot.
 
     Columns come in the order of index.edge_blocks, which is z.edges
     order, and in slot order within each edge; edges without slots
@@ -182,7 +183,7 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     signed into the columns.
     """
     n = z.n
-    p = z.field.p
+    p = z.q
     bits = _slot_bits(n, p)
     identity = tuple([int(i == j) for i in range(n) for j in range(n)])  # equal to its transpose
     inv_packed = {}  # s_v entries -> columns of s_v^-1, packed
@@ -229,7 +230,7 @@ def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
     index = block_index(z)
     triples = [(r, c, v) for c, column in enumerate(boundary_columns(z, index))
                for r, v in column.items()]
-    return SparseMatrix(z.field, index.dim_c0, index.dim_c1, triples), index
+    return SparseMatrix(GF(z.q), index.dim_c0, index.dim_c1, triples), index
 
 
 F3_COUNTS_NOTE = (
@@ -265,9 +266,10 @@ class HomologyReport(NamedTuple):
 def h0_dimension(z: ComplexZ) -> HomologyReport:
     """Dimension of the degree-zero homology of the coefficient system on Z_R.
 
-    Equals dim C0 minus the rank of the boundary.  The columns of
-    boundary_columns are reduced as they arrive by reduce_columns, so the
-    whole boundary is never held: only the reduced basis is.  Reversing
+    Equals dim C0 minus the rank of the boundary over GF(z.q).  The
+    columns of boundary_columns are reduced as they arrive by
+    reduce_columns(z.q, ...), so the whole boundary is never held: only
+    the basis tails are.  Reversing
     edges only negates their columns, so the result does not depend on
     the orientation z carries.  It can never drop below n^2 - 1: the
     coefficient classes surject onto the traceless matrices through the
@@ -277,7 +279,7 @@ def h0_dimension(z: ComplexZ) -> HomologyReport:
     checks of the remaining edges.
     """
     index = block_index(z)
-    rank = len(reduce_columns(z.field, boundary_columns(z, index)))
+    rank = len(reduce_columns(z.q, boundary_columns(z, index)))
     dim_h0 = index.dim_c0 - rank
     target = z.n * z.n - 1
     num_vertices = sum(1 for _, _, basis in index.vertex_blocks if basis.dim)

@@ -767,15 +767,16 @@ def depth_one_witness(z: ComplexZ, index: BlockIndex) -> DenseMatrix:
     its rank is at most n^2 - 1.
     """
     n = z.n
+    field = GF(z.q)
     cols = [(0,) * (n * n)] * index.dim_c0
     for key, off, basis in index.vertex_blocks:
-        s = DenseMatrix(z.field, n, n, z.vertices[key].flag)
+        s = DenseMatrix(field, n, n, z.vertices[key].flag)
         s_inv = inverse(s)
         for k, slot in enumerate(basis.slots):
             if slot.degree == 1:
                 cols[off + k] = tuple(x * y for x in s.col(slot.i - 1)
                                       for y in s_inv.row(slot.j - 1))
-    return DenseMatrix(z.field, index.dim_c0, n * n, [v for c in cols for v in c]).transpose()
+    return DenseMatrix(field, index.dim_c0, n * n, [v for c in cols for v in c]).transpose()
 
 
 def witness_defects(phi: DenseMatrix, boundary: SparseMatrix) -> list[int]:

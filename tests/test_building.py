@@ -329,7 +329,7 @@ def _full_flag_build_z(n, q, radius):
     rank = {key: i for i, key in enumerate(order)}
     vertices = tuple(VertexRep(flag=best_v[key], vertex=key[0]) for key in order)
     edges = {(rank[ka], rank[kb]): best_e[(ka, kb)] for ka, kb in sorted(best_e)}
-    return ComplexZ(n=n, q=q, radius=radius, field=field, vertices=vertices, edges=edges), order
+    return ComplexZ(n=n, q=q, radius=radius, vertices=vertices, edges=edges), order
 
 
 @pytest.mark.parametrize("n,q,radius", [(3, 2, 3), (3, 3, 4), (4, 2, 2), (4, 3, 1)])

@@ -40,6 +40,22 @@ def test_compute_composite_q(capsys):
     assert "q must be prime" in err
 
 
+def test_oracle_composite_q(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--n", "3", "--q", "4", "--radius", "1")
+    assert code == 2
+    assert "q must be prime" in err
+    assert out == ""
+
+
+def test_export_composite_q(tmp_path, capsys):
+    dot, matrix = tmp_path / "z.dot", tmp_path / "boundary.txt"
+    code, _, err = run_cli(capsys, "export", "--n", "3", "--q", "4", "--radius", "1",
+                           "--dot", str(dot), "--matrix", str(matrix))
+    assert code == 2
+    assert "q must be prime" in err
+    assert not dot.exists() and not matrix.exists()
+
+
 def test_compute_bad_radius(capsys):
     code, _, _ = run_cli(capsys, "compute", "--n", "3", "--q", "2", "--radius", "0")
     assert code == 2

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conghom.field import GF
-from conghom.gf import SparseMatrix, sparse_rank
+from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
 from reference import (DenseMatrix, augmented_inverse, densify, det, heap_rank, inverse,
                        row_rref, rref)
 
@@ -209,6 +209,28 @@ def test_sparse_rank_matches_dense_200():
     f = GF(2)
     m = _random_sparse(rng, f, 200, 200, 0.02)
     assert sparse_rank(m) == rref(densify(m))[0]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_reduce_columns_keeps_pivot_free_tails(p):
+    # at p = 2 a wrong sign in a tail cannot show, because -1 = 1
+    rng = random.Random(p)
+    for rows, cols, density in ((30, 45, 0.1), (40, 25, 0.15), (20, 20, 0.3)):
+        m = _random_sparse(rng, GF(p), rows, cols, density)
+        columns = [{} for _ in range(cols)]
+        for r, c, v in m.triples():
+            columns[c][r] = v
+        basis = reduce_columns(p, columns)
+        assert len(basis) == rref(densify(m))[0]
+        assert all(r < pivot and 1 <= v < p for pivot, tail in basis.items() for r, v in tail)
+        # reduced in place: a dependent column ends empty, and an independent
+        # one, scaled by -1 / its pivot value and without its pivot, is its tail
+        reduced = [col for col in columns if col]
+        assert sorted(max(col) for col in reduced) == sorted(basis)
+        for col in reduced:
+            pivot = max(col)
+            scale = -pow(col[pivot], p - 2, p)
+            assert dict(basis[pivot]) == {r: v * scale % p for r, v in col.items() if r != pivot}
 
 
 @st.composite

@@ -38,7 +38,8 @@ METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate
                             (DenseMatrix, "is_zero"), (Poly, "is_monic"), (GroupElement, "identity"), (GroupElement, "mul"),
                             (GroupElement, "__matmul__"), (Poly, "const"),
                             (_Packing, "to_bytes"), (_Packing, "from_bytes"),
-                            (SparseMatrix, "densify"), (ComplexZ, "origin_key"))
+                            (SparseMatrix, "densify"), (ComplexZ, "origin_key"),
+                            (ComplexZ, "field"))
 
 
 def _module_tree(module: str) -> ast.Module:

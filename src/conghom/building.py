@@ -18,15 +18,15 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
+from . import field
 from .errors import InvariantError
-from .field import GF
 from .gf import gauss_jordan, inverse_entries
 from .wedge import Vertex, is_standard_vertex, standard_ball
 
 
-def bruhat_cells(n: int, field: GF, break_types=None
+def bruhat_cells(n: int, p: int, break_types=None
                  ) -> Iterator[tuple[frozenset[int], list[tuple[int, ...]]]]:
-    """Each Bruhat cell of complete flags of F_q^n, with its ascent set.
+    """Each Bruhat cell of complete flags of F_p^n, with its ascent set.
 
     For each row permutation w, in lexicographic order, the cell holds
     one determinant-one matrix per flag, as its n^2 row-major residues
@@ -35,14 +35,13 @@ def bruhat_cells(n: int, field: GF, break_types=None
     is e_w(n-1) times 1 or p - 1, so that the determinant is 1.  So
     w(k) is the first nonzero row of column k, and the cell's ascent set
     is {k in 1..n-1 : w(k-1) < w(k)}.  The cells together hold
-    [n]_q! = (1)(1+q)...(1+q+...+q^(n-1)) flags, each exactly once.  The
+    [n]_p! = (1)(1+p)...(1+p+...+p^(n-1)) flags, each exactly once.  The
     coset w W_B of the Young subgroup of a break set B has a unique
     longest element, the one decreasing inside every block of B
     (Bjorner-Brenti, GTM 231, 2.4), so the flags whose ascents lie in B
     are one per partial flag of type B.  With break_types given, only
     the cells whose ascent set lies in one of them are enumerated.
     """
-    p = field.p
     types = None if break_types is None else [frozenset(b) for b in break_types]
     for w in permutations(range(n)):
         ascents = frozenset(k for k in range(1, n) if w[k - 1] < w[k])
@@ -64,23 +63,23 @@ def bruhat_cells(n: int, field: GF, break_types=None
         yield ascents, flags
 
 
-def enumerate_flag_reps(n: int, field: GF) -> list[tuple[int, ...]]:
-    """One determinant-one matrix per complete flag of F_q^n: every bruhat_cells flag.
+def enumerate_flag_reps(n: int, p: int) -> list[tuple[int, ...]]:
+    """One determinant-one matrix per complete flag of F_p^n: every bruhat_cells flag.
 
     Column j of a representative spans the j-th step of its flag over
     the previous ones.  The list is sorted by column tuples.  build_Z
     reads it only when given it as flag_reps: by default it enumerates
     just the cells whose ascents lie in a break type of its ball.
     """
-    reps = [s for _, flags in bruhat_cells(n, field) for s in flags]
+    reps = [s for _, flags in bruhat_cells(n, p) for s in flags]
     reps.sort(key=lambda s: [s[j::n] for j in range(n)])
     return reps
 
 
-def vertex_label(s: tuple[int, ...], field: GF, r: Vertex) -> tuple:
+def vertex_label(s: tuple[int, ...], p: int, r: Vertex) -> tuple:
     """Canonical label of the translate of a wedge vertex by the flag matrix s.
 
-    s is given by its row-major residues mod field.p, and is n x n for
+    s is given by its row-major residues mod the prime p, and is n x n for
     the n - 1 coordinates of r.  The flag matrix acts through its
     inverse transpose: with that convention, two pairs (s, r) and
     (s', r) share a label exactly when s^-1 s' lies in the parabolic
@@ -99,12 +98,12 @@ def vertex_label(s: tuple[int, ...], field: GF, r: Vertex) -> tuple:
     n = len(r) + 1
     if len(s) != n * n or not is_standard_vertex(r):
         raise ValueError("not a standard vertex")
-    s_inv = inverse_entries(s, n, field.p)
+    s_inv = inverse_entries(s, n, p)
     exps = tuple(r) + (0,)
     # row i of (s^T)^-1 = (s^-1)^T is column i of s^-1; its entries are v t^e
     entries = tuple(tuple((0,) * exps[j] + (v,) if v else () for j, v in enumerate(s_inv[i::n]))
                     for i in range(n))
-    return lattice_label(entries, field.p)
+    return lattice_label(entries, p)
 
 
 def vertex_breaks(r: Vertex) -> tuple[int, ...]:
@@ -195,7 +194,7 @@ class ComplexZ(NamedTuple):
     Vertex i is vertices[i].  An edge is its rank pair (ia, ib), from
     vertex ia to vertex ib, and its flag; Z_R is a flag complex, so its
     simplex is read from its endpoints, vertices[ia] and vertices[ib].
-    Its prime is q alone: readers over GF(q) take p = q.
+    Its prime is the int q, which every routine over GF(q) takes as p.
     """
 
     n: int
@@ -225,7 +224,7 @@ def build_Z(n: int, q: int, radius: int,
     sorted; a key starts with its wedge vertex, so the endpoints give
     the edge's simplex.
     """
-    field = GF(q)  # checks that q is prime; not kept in the ComplexZ
+    field.GF(q)  # checks that q is prime
     ball_vertices, ball_edges = standard_ball(n, radius)
     breaks = {r: vertex_breaks(r) for r in ball_vertices}
     vertex_types: dict = {}  # break type -> ball vertices of that type, as 1-simplices
@@ -235,7 +234,7 @@ def build_Z(n: int, q: int, radius: int,
     for a, b in ball_edges:
         edge_types.setdefault(frozenset(breaks[a] + breaks[b]), []).append((a, b))
     if flag_reps is None:
-        cells = list(bruhat_cells(n, field, vertex_types.keys() | edge_types.keys()))
+        cells = list(bruhat_cells(n, q, vertex_types.keys() | edge_types.keys()))
     else:
         by_ascents: dict = {}  # ascent set of a flag's Bruhat permutation -> flags
         for s in flag_reps:
@@ -297,8 +296,7 @@ def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:
     representatives kept; each edge keeps its flag under its new rank
     pair, sorted, so it runs from its label-smaller endpoint.
     """
-    field = GF(z.q)
-    labels = [vertex_label(rep.flag, field, rep.vertex) for rep in z.vertices]
+    labels = [vertex_label(rep.flag, z.q, rep.vertex) for rep in z.vertices]
     if len(set(labels)) != len(labels):
         raise InvariantError("vertex label does not match its wedge coordinates")
     order = sorted(range(len(labels)), key=labels.__getitem__)

@@ -4,8 +4,10 @@ Exit codes: 0 success (and expected cokernel dimension), 2 usage error,
 3 cokernel dimension above the expected value (a finding), 4 internal
 invariant violation.
 
-Each command imports the modules it runs when it starts, so the module
-level loads only conghom.field (the prime check) and conghom.errors:
+The prime --q is checked once, in main, and every command passes it on
+as the int p.  Each command imports the modules it runs when it starts,
+so the module level loads only two small modules, field (the prime
+check) and errors:
 
 - compute: wedge, gf, building and homology (with json);
 - export: the same, and poly for the vertex labels;
@@ -22,8 +24,8 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
+from . import field
 from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
-from .field import GF, _is_prime
 
 if TYPE_CHECKING:
     from .building import ComplexZ
@@ -57,7 +59,7 @@ def _dot_text(z: ComplexZ, labels: list) -> str:
 
 
 def _matrix_text(m: SparseMatrix) -> str:
-    lines = [f"{m.rows} {m.cols} {m.field.p}"]
+    lines = [f"{m.rows} {m.cols} {m.p}"]
     for r, c, v in m.triples():
         lines.append(f"{r} {c} {v}")
     return "\n".join(lines) + "\n"
@@ -118,7 +120,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     if args.limit < 1:
         return _usage_error("limit must be at least 1")
-    field = GF(args.q)
     verts, edges = standard_ball(args.n, args.radius)
     simplices = [(f"vertex {v}", [v]) for v in verts]
     simplices += [(f"edge {e}", list(e)) for e in edges]
@@ -129,7 +130,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         expo = expected_order_exponent(profile)
         dim = h1_basis(profile).dim
         try:
-            ok = verify_h1_formula(profile, field, limit=args.limit)
+            ok = verify_h1_formula(profile, args.q, limit=args.limit)
         except OracleLimitError:
             skipped += 1
             print(f"{name}: order {args.q}^{expo} exceeds limit, skipped")
@@ -215,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error("n must be at least 2")
     if getattr(args, "radius", 1) < 1:
         return _usage_error("radius must be at least 1")
-    if not _is_prime(getattr(args, "q", 2)):
+    if not field._is_prime(getattr(args, "q", 2)):
         return _usage_error("q must be prime")
     try:
         return args.func(args)

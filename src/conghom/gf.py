@@ -1,15 +1,13 @@
 """Exact linear algebra over the prime field GF(p).
 
 Scalars are plain Python ints in [0, p).  A dense matrix is a list of
-rows or a row-major tuple of residues.  Every routine takes p; only
-SparseMatrix carries the GF context of conghom.field.
+rows or a row-major tuple of residues.  Every routine, and
+SparseMatrix, takes the prime as the int p.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from .field import GF
 
 
 def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
@@ -64,25 +62,26 @@ def inverse_entries(entries: Sequence[int], n: int, p: int) -> tuple[int, ...]:
 class SparseMatrix:
     """Sparse matrix stored by rows: row -> {col: nonzero residue}.
 
-    Built from (row, col, value) triples; values are reduced mod p, and
-    an index out of bounds, a zero residue or a repeated (row, col)
-    raises ValueError.  Rows without entries are not stored.  triples()
-    lists the entries in (row, col) order.  The boundary is stored this
-    way only for export and the tests; its rank is taken column by column.
+    Built from the prime p and (row, col, value) triples; values are
+    reduced mod p, and an index out of bounds, a zero residue or a
+    repeated (row, col) raises ValueError.  Rows without entries are not
+    stored.  triples() lists the entries in (row, col) order.  The
+    boundary is stored this way only for export and the tests; its rank
+    is taken column by column.
     """
 
-    __slots__ = ("field", "rows", "cols", "by_row")
+    __slots__ = ("p", "rows", "cols", "by_row")
 
-    def __init__(self, field: GF, rows: int, cols: int,
+    def __init__(self, p: int, rows: int, cols: int,
                  triples: Iterable[tuple[int, int, int]] = ()) -> None:
-        self.field = field
+        self.p = p
         self.rows = rows
         self.cols = cols
         by_row: dict[int, dict[int, int]] = {}
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"index ({r}, {c}) out of bounds")
-            v %= field.p
+            v %= p
             if v == 0:
                 raise ValueError("stored values must be nonzero")
             row = by_row.setdefault(r, {})
@@ -142,4 +141,4 @@ def sparse_rank(m: SparseMatrix) -> int:
     for r, row in m.by_row.items():
         for c, v in row.items():
             columns.setdefault(c, {})[r] = v
-    return len(reduce_columns(m.field.p, (columns[c] for c in sorted(columns))))
+    return len(reduce_columns(m.p, (columns[c] for c in sorted(columns))))

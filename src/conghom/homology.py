@@ -14,7 +14,6 @@ from typing import Iterator, NamedTuple
 
 from .building import ComplexZ, partial_flag_count, vertex_breaks
 from .errors import InvariantError
-from .field import GF
 from .gf import SparseMatrix, inverse_entries, reduce_columns
 from .wedge import H1Basis, Vertex, bound_profile, h1_basis, standard_ball
 
@@ -230,7 +229,7 @@ def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
     index = block_index(z)
     triples = [(r, c, v) for c, column in enumerate(boundary_columns(z, index))
                for r, v in column.items()]
-    return SparseMatrix(GF(z.q), index.dim_c0, index.dim_c1, triples), index
+    return SparseMatrix(z.q, index.dim_c0, index.dim_c1, triples), index
 
 
 F3_COUNTS_NOTE = (

@@ -49,7 +49,6 @@ from operator import add, lshift
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
-from .field import GF
 from .poly import column_hnf, lattice_contains
 from .wedge import BoundProfile, Vertex, h1_basis, is_standard_vertex
 
@@ -306,14 +305,13 @@ def expected_order_exponent(profile: BoundProfile) -> int:
     return sum(max(0, profile.b[pair]) for pair in profile.upper_pairs())
 
 
-def verify_h1_formula(profile: BoundProfile, field: GF,
-                      limit: int = DEFAULT_LIMIT) -> bool:
-    """Brute-force abelianization dimension versus the surviving-slot count."""
+def verify_h1_formula(profile: BoundProfile, p: int, limit: int = DEFAULT_LIMIT) -> bool:
+    """Brute-force abelianization dimension versus the surviving-slot count, over GF(p)."""
     gens = profile_generators(profile)
     if not gens:
         return h1_basis(profile).dim == 0
-    tbl = generate_group(gens, field.p, limit)
-    if tbl.order != field.p ** expected_order_exponent(profile):
+    tbl = generate_group(gens, p, limit)
+    if tbl.order != p ** expected_order_exponent(profile):
         raise InvariantError("enumerated order disagrees with the coefficient count")
     return abelianization_dim(tbl) == h1_basis(profile).dim
 

@@ -74,11 +74,13 @@ def standard_ball(n: int, radius: int) -> tuple[tuple[Vertex, ...], tuple[Edge, 
 
 
 class BoundProfile(NamedTuple):
-    """Degree caps b_ij for the entries of a simplex stabilizer.
+    """Degree caps b_ij for the upper entries of a simplex stabilizer.
 
-    Keys are 1-based ordered pairs (i, j), i != j.  For standard
-    simplices b_ij = min over vertices of r_i - r_j (r_n = 0), which is
-    superadditive: b_ij >= b_ik + b_kj whenever i < k < j.
+    Keys are the 1-based pairs (i, j), i < j.  For standard simplices
+    b_ij = min over vertices of r_i - r_j (r_n = 0), which is
+    superadditive: b_ij >= b_ik + b_kj whenever i < k < j.  No cap is
+    stored below the diagonal: there b_ij <= 0 for every standard
+    simplex, so no slot or commutator split lives there.
     """
 
     n: int
@@ -105,20 +107,15 @@ class BoundProfile(NamedTuple):
         """Build from explicit upper-triangle caps.
 
         Values are in root_order: (1,2), (2,3), ..., (n-1,n), (1,3),
-        ..., (1,n).  Below-diagonal caps are zero.
-        Upper caps of standard simplices are minima of r_i - r_j >= 0, so a
-        negative value is rejected.
+        ..., (1,n).  Upper caps of standard simplices are minima of
+        r_i - r_j >= 0, so a negative value is rejected.
         """
         pairs = root_order(n)
         if len(values) != len(pairs):
             raise ValueError(f"expected {len(pairs)} bounds for n={n}")
         if any(v < 0 for v in values):
             raise ValueError("bounds must be non-negative")
-        b = {}
-        for (i, j), v in zip(pairs, values):
-            b[(i, j)] = v
-            b[(j, i)] = 0
-        return cls(n, b)
+        return cls(n, dict(zip(pairs, values)))
 
 
 def root_order(n: int) -> list[tuple[int, int]]:
@@ -140,13 +137,8 @@ def bound_profile(simplex) -> BoundProfile:
             if a == b or not adjacency(a, b):
                 raise ValueError("vertices do not span a simplex")
     padded = [v + (0,) for v in verts]
-    b = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            b[(i, j)] = min(v[i - 1] - v[j - 1] for v in padded)
-    return BoundProfile(n, b)
+    return BoundProfile(n, {(i, j): min(v[i - 1] - v[j - 1] for v in padded)
+                            for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 
 class WeightSlot(NamedTuple):
@@ -159,9 +151,11 @@ def surviving_degrees(profile: BoundProfile) -> dict[tuple[int, int], list[int]]
     """Degrees at each root that a single commutator cannot kill.
 
     For i < j with cap >= 1, degree r in [1, cap] survives when no
-    intermediate index k admits a split r = l + m with 1 <= l <= b_ik
-    and 1 <= m <= b_kj.  Degree one always survives.  Raises on
-    profiles violating superadditivity, which no simplex realizes.
+    intermediate index i < k < j admits a split r = l + m with
+    1 <= l <= b_ik and 1 <= m <= b_kj; for any other k one of the two
+    caps lies below the diagonal, where it is <= 0.  Degree one always
+    survives.  Raises on profiles violating superadditivity, which no
+    simplex realizes.
     """
     if not profile.is_superadditive():
         raise ValueError("unrealizable profile")
@@ -173,9 +167,7 @@ def surviving_degrees(profile: BoundProfile) -> dict[tuple[int, int], list[int]]
         degs = []
         for r in range(1, cap + 1):
             killed = False
-            for k in range(1, profile.n + 1):
-                if k == i or k == j:
-                    continue
+            for k in range(i + 1, j):
                 bik = profile.b[(i, k)]
                 bkj = profile.b[(k, j)]
                 if bik >= 1 and bkj >= 1 and max(1, r - bkj) <= min(bik, r - 1):

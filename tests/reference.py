@@ -4,9 +4,9 @@ Nothing here ships: the package never imports this module, and the
 command line never runs it.  It holds
 
 - the polynomial route that conghom.poly's coefficient-tuple routines
-  are checked against: the Poly and PolyMatrix classes over a GF
-  context, with the mixed-context check, their product and identity,
-  the n! cofactor determinant, and the Poly-based ref_poly_divmod,
+  are checked against: the Poly and PolyMatrix classes over GF(p),
+  given by the int p, with the mixed-prime check, their product and
+  identity, the n! cofactor determinant, and the Poly-based ref_poly_divmod,
   ref_column_hnf, ref_lattice_contains and ref_lattice_label, which
   tests commensurability by that determinant;
 - the paper's filtration identities on the level-t congruence kernel:
@@ -52,7 +52,6 @@ from typing import Iterable, Sequence
 
 from conghom.building import ComplexZ
 from conghom.errors import InvariantError
-from conghom.field import GF
 from conghom.gf import SparseMatrix, gauss_jordan, inverse_entries
 from conghom.homology import BlockIndex, _inclusion
 from conghom.oracle import Trunc
@@ -60,37 +59,37 @@ from conghom.wedge import (BoundProfile, H1Basis, Vertex, bound_profile, h1_basi
                            is_standard_vertex)
 
 
-def _check_same_field(a: GF, b: GF) -> None:
+def _check_same_prime(a: int, b: int) -> None:
     if a != b:
-        raise ValueError(f"mixed field contexts: {a} vs {b}")
+        raise ValueError(f"mixed field contexts: GF({a}) vs GF({b})")
 
 
 class Poly:
     """Polynomial in t with GF(p) coefficients, trailing zeros stripped."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("p", "coeffs")
 
-    def __init__(self, field: GF, coeffs: Iterable[int]) -> None:
-        cs = [c % field.p for c in coeffs]
+    def __init__(self, p: int, coeffs: Iterable[int]) -> None:
+        cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.field = field
+        self.p = p
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, field: GF) -> "Poly":
-        return cls(field, ())
+    def zero(cls, p: int) -> "Poly":
+        return cls(p, ())
 
     @classmethod
-    def one(cls, field: GF) -> "Poly":
-        return cls(field, (1,))
+    def one(cls, p: int) -> "Poly":
+        return cls(p, (1,))
 
     @classmethod
-    def monomial(cls, field: GF, k: int, c: int = 1) -> "Poly":
+    def monomial(cls, p: int, k: int, c: int = 1) -> "Poly":
         """c * t^k."""
         if k < 0:
             raise ValueError("negative exponent")
-        return cls(field, (0,) * k + (c,))
+        return cls(p, (0,) * k + (c,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -118,56 +117,56 @@ class Poly:
         return self.coeffs[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
-        _check_same_field(self.field, other.field)
+        _check_same_prime(self.p, other.p)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
-            out[k] = (out[k] + c) % self.field.p
-        return Poly(self.field, out)
+            out[k] = (out[k] + c) % self.p
+        return Poly(self.p, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        _check_same_field(self.field, other.field)
+        _check_same_prime(self.p, other.p)
         if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.field)
-        p = self.field.p
+            return Poly.zero(self.p)
+        p = self.p
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] = (out[i + j] + a * b) % p
-        return Poly(self.field, out)
+        return Poly(self.p, out)
 
     def scale(self, c: int) -> "Poly":
-        return Poly(self.field, [c * a for a in self.coeffs])
+        return Poly(self.p, [c * a for a in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t^k.  Negative k requires divisibility."""
         if k >= 0:
-            return Poly(self.field, (0,) * k + self.coeffs) if self.coeffs else self
+            return Poly(self.p, (0,) * k + self.coeffs) if self.coeffs else self
         if self.is_zero():
             return self
         if any(c for c in self.coeffs[:-k]):
             raise ValueError("not divisible by the requested power of t")
-        return Poly(self.field, self.coeffs[-k:])
+        return Poly(self.p, self.coeffs[-k:])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and self.p == other.p
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.coeffs))
+        return hash((self.p, self.coeffs))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -187,14 +186,13 @@ class Poly:
 
 def ref_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: a = q*b + r with deg r < deg b."""
-    _check_same_field(a.field, b.field)
+    _check_same_prime(a.p, b.p)
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    field = a.field
+    p = a.p
     if a.degree < b.degree:
-        return Poly.zero(field), a
-    p = field.p
-    inv_lead = field.inv(b.leading())
+        return Poly.zero(p), a
+    inv_lead = pow(b.leading(), p - 2, p)
     rem = list(a.coeffs)
     db = b.degree
     q = [0] * max(0, len(rem) - db)
@@ -208,44 +206,44 @@ def ref_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         q[k] = f
         for i, c in enumerate(b.coeffs):
             rem[k + i] = (rem[k + i] - f * c) % p
-    return Poly(field, q), Poly(field, rem)
+    return Poly(p, q), Poly(p, rem)
 
 
 class PolyMatrix:
-    """Square matrix of polynomials over a common GF context."""
+    """Square matrix of polynomials over one GF(p), given by the int p."""
 
-    __slots__ = ("field", "n", "entries")
+    __slots__ = ("p", "n", "entries")
 
-    def __init__(self, field: GF, entries: Sequence[Sequence[Poly]]) -> None:
+    def __init__(self, p: int, entries: Sequence[Sequence[Poly]]) -> None:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
         for row in entries:
             for e in row:
-                _check_same_field(field, e.field)
-        self.field = field
+                _check_same_prime(p, e.p)
+        self.p = p
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
-    def identity(cls, field: GF, n: int) -> "PolyMatrix":
-        one = Poly.one(field)
-        zero = Poly.zero(field)
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, p: int, n: int) -> "PolyMatrix":
+        one = Poly.one(p)
+        zero = Poly.zero(p)
+        return cls(p, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal_powers(cls, field: GF, exponents: Sequence[int]) -> "PolyMatrix":
+    def diagonal_powers(cls, p: int, exponents: Sequence[int]) -> "PolyMatrix":
         """diag(t^e1, ..., t^en)."""
         n = len(exponents)
-        zero = Poly.zero(field)
-        return cls(field, [[Poly.monomial(field, exponents[i]) if i == j else zero
-                            for j in range(n)] for i in range(n)])
+        zero = Poly.zero(p)
+        return cls(p, [[Poly.monomial(p, exponents[i]) if i == j else zero
+                        for j in range(n)] for i in range(n)])
 
     def get(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        _check_same_field(self.field, other.field)
+        _check_same_prime(self.p, other.p)
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         n = self.n
@@ -253,7 +251,7 @@ class PolyMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = Poly.zero(self.field)
+                acc = Poly.zero(self.p)
                 for k in range(n):
                     a = self.entries[i][k]
                     if not a.is_zero():
@@ -262,7 +260,7 @@ class PolyMatrix:
                             acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix(self.p, out)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.mul(other)
@@ -270,12 +268,12 @@ class PolyMatrix:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PolyMatrix)
-            and self.field == other.field
+            and self.p == other.p
             and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, tuple(tuple(e.coeffs for e in row) for row in self.entries)))
+        return hash((self.p, tuple(tuple(e.coeffs for e in row) for row in self.entries)))
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
@@ -289,7 +287,7 @@ def polymat_det(a: PolyMatrix) -> Poly:
     def minor_det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
         if len(rows) == 1:
             return a.entries[rows[0]][cols[0]]
-        acc = Poly.zero(a.field)
+        acc = Poly.zero(a.p)
         r0 = rows[0]
         rest = rows[1:]
         for idx, c in enumerate(cols):
@@ -302,7 +300,7 @@ def polymat_det(a: PolyMatrix) -> Poly:
         return acc
 
     if n == 0:
-        return Poly.one(a.field)
+        return Poly.one(a.p)
     return minor_det(tuple(range(n)), tuple(range(n)))
 
 
@@ -316,7 +314,7 @@ def ref_column_hnf(a: PolyMatrix) -> PolyMatrix:
     F_q[t]-lattice.  Raises on singular input.
     """
     n = a.n
-    field = a.field
+    p = a.p
     cols = [[a.entries[i][j] for i in range(n)] for j in range(n)]
 
     for i in range(n - 1, -1, -1):
@@ -338,7 +336,7 @@ def ref_column_hnf(a: PolyMatrix) -> PolyMatrix:
     for i in range(n):
         lead = cols[i][i].leading()
         if lead != 1:
-            inv = field.inv(lead)
+            inv = pow(lead, p - 2, p)
             cols[i] = [c.scale(inv) for c in cols[i]]
 
     # Reduce pivot-row entries; descending order keeps finished rows intact.
@@ -348,7 +346,7 @@ def ref_column_hnf(a: PolyMatrix) -> PolyMatrix:
                 q, _ = ref_poly_divmod(cols[j][i], cols[i][i])
                 cols[j] = [cj - q * ci for cj, ci in zip(cols[j], cols[i])]
 
-    return PolyMatrix(field, [[cols[j][i] for j in range(n)] for i in range(n)])
+    return PolyMatrix(p, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def ref_lattice_label(a: PolyMatrix) -> tuple:
@@ -367,7 +365,7 @@ def ref_lattice_label(a: PolyMatrix) -> tuple:
     h = ref_column_hnf(a)
     v = min(e.valuation() for row in h.entries for e in row if not e.is_zero())
     if v > 0:
-        h = PolyMatrix(a.field, [[e.shift(-int(v)) for e in row] for row in h.entries])
+        h = PolyMatrix(a.p, [[e.shift(-int(v)) for e in row] for row in h.entries])
     return tuple(tuple(e.coeffs for e in row) for row in h.entries)
 
 
@@ -409,13 +407,13 @@ class GroupElement:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: PolyMatrix) -> None:
-        if polymat_det(matrix) != Poly.one(matrix.field):
+        if polymat_det(matrix) != Poly.one(matrix.p):
             raise ValueError("matrix does not have determinant one")
         self.matrix = matrix
 
     @property
-    def field(self) -> GF:
-        return self.matrix.field
+    def p(self) -> int:
+        return self.matrix.p
 
     @property
     def n(self) -> int:
@@ -437,11 +435,11 @@ def elementary(i: int, j: int, a: Poly, n: int) -> GroupElement:
         raise ValueError("elementary matrices require distinct indices")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("index out of range")
-    field = a.field
-    rows = [[Poly.one(field) if r == c else Poly.zero(field) for c in range(n)]
+    p = a.p
+    rows = [[Poly.one(p) if r == c else Poly.zero(p) for c in range(n)]
             for r in range(n)]
     rows[i - 1][j - 1] = a
-    return GroupElement(PolyMatrix(field, rows))
+    return GroupElement(PolyMatrix(p, rows))
 
 
 def trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
@@ -458,29 +456,28 @@ def trunc_from_group_element(g: GroupElement, m: int) -> Trunc:
 class DenseMatrix:
     """Immutable row-major matrix of GF(p) residues; entries are reduced mod p."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("p", "rows", "cols", "entries")
 
-    def __init__(self, field: GF, rows: int, cols: int, entries) -> None:
-        p = field.p
+    def __init__(self, p: int, rows: int, cols: int, entries) -> None:
         ent = tuple([v % p for v in entries])
         if len(ent) != rows * cols:
             raise ValueError("entry count does not match shape")
-        self.field = field
+        self.p = p
         self.rows = rows
         self.cols = cols
         self.entries = ent
 
     @classmethod
-    def from_rows(cls, field: GF, rows) -> "DenseMatrix":
+    def from_rows(cls, p: int, rows) -> "DenseMatrix":
         r = len(rows)
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(field, r, c, [v for row in rows for v in row])
+        return cls(p, r, c, [v for row in rows for v in row])
 
     @classmethod
-    def identity(cls, field: GF, n: int) -> "DenseMatrix":
-        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+    def identity(cls, p: int, n: int) -> "DenseMatrix":
+        return cls(p, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def get(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -495,39 +492,39 @@ class DenseMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.cols, self.rows,
+        return DenseMatrix(self.p, self.cols, self.rows,
                            [v for j in range(self.cols) for v in self.col(j)])
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
-        _check_same_field(self.field, other.field)
+        _check_same_prime(self.p, other.p)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         rows = [self.row(i) for i in range(self.rows)]
         cols = [other.col(j) for j in range(other.cols)]
         # __init__ reduces each sum mod p
-        return DenseMatrix(self.field, self.rows, other.cols,
+        return DenseMatrix(self.p, self.rows, other.cols,
                            [sum(map(operator.mul, r, c)) for r in rows for c in cols])
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self.mul(other)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, DenseMatrix) and self.field == other.field
+        return (isinstance(other, DenseMatrix) and self.p == other.p
                 and self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.rows, self.cols, self.entries))
+        return hash((self.p, self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
-        return f"DenseMatrix({self.field}, {self.to_rows()})"
+        return f"DenseMatrix({self.p}, {self.to_rows()})"
 
 
 def rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
     """(rank, reduced row echelon form, pivot columns), by conghom.gf.gauss_jordan."""
     rows = m.to_rows()
-    pivots = gauss_jordan(rows, m.field.p, m.cols)
-    reduced = DenseMatrix(m.field, m.rows, m.cols, [v for row in rows for v in row])
+    pivots = gauss_jordan(rows, m.p, m.cols)
+    reduced = DenseMatrix(m.p, m.rows, m.cols, [v for row in rows for v in row])
     return len(pivots), reduced, tuple(pivots)
 
 
@@ -535,7 +532,7 @@ def inverse(m: DenseMatrix) -> DenseMatrix:
     """Inverse, by conghom.gf.inverse_entries; ValueError when singular."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    return DenseMatrix(m.field, m.rows, m.cols, inverse_entries(m.entries, m.rows, m.field.p))
+    return DenseMatrix(m.p, m.rows, m.cols, inverse_entries(m.entries, m.rows, m.p))
 
 
 def densify(m: SparseMatrix) -> DenseMatrix:
@@ -544,10 +541,10 @@ def densify(m: SparseMatrix) -> DenseMatrix:
     for r, row in m.by_row.items():
         for c, v in row.items():
             ent[r * m.cols + c] = v
-    return DenseMatrix(m.field, m.rows, m.cols, ent)
+    return DenseMatrix(m.p, m.rows, m.cols, ent)
 
 
-def edge_inclusion(field: GF, edge_rep: tuple[tuple[int, ...], tuple[Vertex, Vertex]],
+def edge_inclusion(p: int, edge_rep: tuple[tuple[int, ...], tuple[Vertex, Vertex]],
                    vertex_rep: tuple[tuple[int, ...], Vertex]) -> DenseMatrix:
     """Dense block of H1 of an edge into an endpoint: conghom.homology._inclusion, uncached.
 
@@ -559,39 +556,38 @@ def edge_inclusion(field: GF, edge_rep: tuple[tuple[int, ...], tuple[Vertex, Ver
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep
     n = len(rv) + 1
-    w = inverse(DenseMatrix(field, n, n, s_v)) @ DenseMatrix(field, n, n, s_e)
+    w = inverse(DenseMatrix(p, n, n, s_v)) @ DenseMatrix(p, n, n, s_e)
     edge_basis = h1_basis(bound_profile(list(simplex)))
     vert_basis = h1_basis(bound_profile([rv]))
-    entries = _inclusion(w.transpose().entries, n, field.p, simplex, edge_basis, rv, vert_basis)
-    return densify(SparseMatrix(field, vert_basis.dim, edge_basis.dim, entries))
+    entries = _inclusion(w.transpose().entries, n, p, simplex, edge_basis, rv, vert_basis)
+    return densify(SparseMatrix(p, vert_basis.dim, edge_basis.dim, entries))
 
 
 def add(x: DenseMatrix, y: DenseMatrix) -> DenseMatrix:
-    _check_same_field(x.field, y.field)
+    _check_same_prime(x.p, y.p)
     if (x.rows, x.cols) != (y.rows, y.cols):
         raise ValueError("shape mismatch")
-    return DenseMatrix(x.field, x.rows, x.cols, [a + b for a, b in zip(x.entries, y.entries)])
+    return DenseMatrix(x.p, x.rows, x.cols, [a + b for a, b in zip(x.entries, y.entries)])
 
 
 def sub(x: DenseMatrix, y: DenseMatrix) -> DenseMatrix:
-    _check_same_field(x.field, y.field)
+    _check_same_prime(x.p, y.p)
     if (x.rows, x.cols) != (y.rows, y.cols):
         raise ValueError("shape mismatch")
-    return DenseMatrix(x.field, x.rows, x.cols, [a - b for a, b in zip(x.entries, y.entries)])
+    return DenseMatrix(x.p, x.rows, x.cols, [a - b for a, b in zip(x.entries, y.entries)])
 
 
 def trace(m: DenseMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("trace of a non-square matrix")
-    return sum(m.get(i, i) for i in range(m.rows)) % m.field.p
+    return sum(m.get(i, i) for i in range(m.rows)) % m.p
 
 
 def det(m: DenseMatrix) -> int:
     """Determinant by Gaussian elimination with row swaps."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    field = m.field
-    p = field.p
+    p = m.p
     a = m.to_rows()
     n = m.rows
     result = 1
@@ -607,7 +603,7 @@ def det(m: DenseMatrix) -> int:
             a[c], a[pivot_row] = a[pivot_row], a[c]
             result = (-result) % p
         result = (result * a[c][c]) % p
-        inv = field.inv(a[c][c])
+        inv = pow(a[c][c], p - 2, p)
         for i in range(c + 1, n):
             if a[i][c] != 0:
                 f = (a[i][c] * inv) % p
@@ -618,8 +614,8 @@ def det(m: DenseMatrix) -> int:
 class TracelessMatrix(DenseMatrix):
     """Square GF(p) matrix with zero trace, checked at construction."""
 
-    def __init__(self, field: GF, n: int, entries) -> None:
-        super().__init__(field, n, n, entries)
+    def __init__(self, p: int, n: int, entries) -> None:
+        super().__init__(p, n, n, entries)
         if trace(self) != 0:
             raise InvariantError("matrix has nonzero trace")
 
@@ -627,42 +623,42 @@ class TracelessMatrix(DenseMatrix):
 def bracket(x: DenseMatrix, y: DenseMatrix) -> TracelessMatrix:
     """Commutator bracket x*y - y*x."""
     d = sub(x @ y, y @ x)
-    return TracelessMatrix(d.field, d.rows, d.entries)
+    return TracelessMatrix(d.p, d.rows, d.entries)
 
 
-def poly_const(field: GF, c: int) -> Poly:
+def poly_const(p: int, c: int) -> Poly:
     """The constant polynomial c."""
-    return Poly(field, (c,))
+    return Poly(p, (c,))
 
 
 def from_constant(m: DenseMatrix) -> PolyMatrix:
     """The square constant matrix m as a polynomial matrix."""
     if m.rows != m.cols:
         raise ValueError("only square constant matrices lift")
-    return PolyMatrix(m.field, [[poly_const(m.field, m.get(i, j)) for j in range(m.rows)]
-                                for i in range(m.rows)])
+    return PolyMatrix(m.p, [[poly_const(m.p, m.get(i, j)) for j in range(m.rows)]
+                            for i in range(m.rows)])
 
 
 def polymat_adjugate(a: PolyMatrix) -> PolyMatrix:
     """Adjugate; for determinant-one matrices this is the exact inverse."""
     n = a.n
-    field = a.field
+    p = a.p
     if n == 1:
-        return PolyMatrix(field, [[Poly.one(field)]])
-    out = [[Poly.zero(field)] * n for _ in range(n)]
+        return PolyMatrix(p, [[Poly.one(p)]])
+    out = [[Poly.zero(p)] * n for _ in range(n)]
     all_rows = tuple(range(n))
     for i in range(n):
         rows = all_rows[:i] + all_rows[i + 1:]
         for j in range(n):
             cols = all_rows[:j] + all_rows[j + 1:]
-            sub_matrix = PolyMatrix(field, [[a.entries[r][c] for c in cols] for r in rows])
+            sub_matrix = PolyMatrix(p, [[a.entries[r][c] for c in cols] for r in rows])
             m = polymat_det(sub_matrix)
             out[j][i] = m if (i + j) % 2 == 0 else -m
-    return PolyMatrix(field, out)
+    return PolyMatrix(p, out)
 
 
-def group_identity(field: GF, n: int) -> GroupElement:
-    return GroupElement(PolyMatrix.identity(field, n))
+def group_identity(p: int, n: int) -> GroupElement:
+    return GroupElement(PolyMatrix.identity(p, n))
 
 
 def group_mul(*factors: GroupElement) -> GroupElement:
@@ -682,7 +678,7 @@ def conjugate_by(g: GroupElement, s: DenseMatrix) -> GroupElement:
 
 def level(g: GroupElement) -> float:
     """Largest i with g congruent to the identity mod t^i (inf for identity)."""
-    one = Poly.one(g.field)
+    one = Poly.one(g.p)
     best = math.inf
     for i in range(g.n):
         for j in range(g.n):
@@ -702,13 +698,13 @@ def rho(i: int, g: GroupElement) -> TracelessMatrix:
     if level(g) < i:
         raise ValueError(f"element has level below {i}")
     n = g.n
-    one = Poly.one(g.field)
+    one = Poly.one(g.p)
     ent = []
     for r in range(n):
         for c in range(n):
             e = g.matrix.entries[r][c]
             ent.append((e - one if r == c else e).coefficient(i))
-    return TracelessMatrix(g.field, n, ent)
+    return TracelessMatrix(g.p, n, ent)
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -721,7 +717,7 @@ def membership(profile: BoundProfile, u: GroupElement) -> bool:
     n = profile.n
     if u.n != n:
         return False
-    one = Poly.one(u.field)
+    one = Poly.one(u.p)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             e = u.matrix.entries[i - 1][j - 1]
@@ -767,21 +763,21 @@ def depth_one_witness(z: ComplexZ, index: BlockIndex) -> DenseMatrix:
     its rank is at most n^2 - 1.
     """
     n = z.n
-    field = GF(z.q)
+    p = z.q
     cols = [(0,) * (n * n)] * index.dim_c0
     for key, off, basis in index.vertex_blocks:
-        s = DenseMatrix(field, n, n, z.vertices[key].flag)
+        s = DenseMatrix(p, n, n, z.vertices[key].flag)
         s_inv = inverse(s)
         for k, slot in enumerate(basis.slots):
             if slot.degree == 1:
                 cols[off + k] = tuple(x * y for x in s.col(slot.i - 1)
                                       for y in s_inv.row(slot.j - 1))
-    return DenseMatrix(field, index.dim_c0, n * n, [v for c in cols for v in c]).transpose()
+    return DenseMatrix(p, index.dim_c0, n * n, [v for c in cols for v in c]).transpose()
 
 
 def witness_defects(phi: DenseMatrix, boundary: SparseMatrix) -> list[int]:
     """The boundary columns c with phi times column c nonzero, in order."""
-    p = phi.field.p
+    p = phi.p
     image: dict[int, list[int]] = {}
     for r, row in boundary.by_row.items():
         phi_r = phi.col(r)
@@ -810,8 +806,7 @@ def heap_rank(m: SparseMatrix) -> int:
     Eliminates on a copy of m's rows, so m is left unchanged.  Agrees
     with rref on the densified matrix.
     """
-    field = m.field
-    p = field.p
+    p = m.p
     rows = {r: dict(row) for r, row in m.by_row.items()}
     col_members: dict[int, set[int]] = {}
     for r, row in rows.items():
@@ -828,7 +823,7 @@ def heap_rank(m: SparseMatrix) -> int:
             continue
         pc = min(pivot_row, key=lambda c: (len(col_members[c]), c))
         del rows[pr]
-        inv = field.inv(pivot_row[pc])
+        inv = pow(pivot_row[pc], p - 2, p)
         pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
         for c in pivot_row:
             col_members[c].discard(pr)
@@ -859,8 +854,7 @@ def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
     column is scanned until the rank reaches the row count.  Checks
     conghom.gf.gauss_jordan through rref.
     """
-    field = m.field
-    p = field.p
+    p = m.p
     a = m.to_rows()
     pivots: list[int] = []
     r = 0
@@ -873,7 +867,7 @@ def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = field.inv(a[r][c])
+        inv = pow(a[r][c], p - 2, p)
         a[r] = [(v * inv) % p for v in a[r]]
         for i in range(m.rows):
             if i != r and a[i][c] != 0:
@@ -883,7 +877,7 @@ def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
         r += 1
         if r == m.rows:
             break
-    reduced = DenseMatrix.from_rows(field, a) if m.rows else DenseMatrix(field, 0, m.cols, [])
+    reduced = DenseMatrix.from_rows(p, a) if m.rows else DenseMatrix(p, 0, m.cols, [])
     return r, reduced, tuple(pivots)
 
 
@@ -896,14 +890,14 @@ def augmented_inverse(m: DenseMatrix) -> DenseMatrix:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     aug = DenseMatrix(
-        m.field, n, 2 * n,
+        m.p, n, 2 * n,
         [m.get(i, j) if j < n else (1 if j - n == i else 0)
          for i in range(n) for j in range(2 * n)],
     )
     rank, red, piv = row_rref(aug)
     if piv[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return DenseMatrix(m.field, n, n, [red.get(i, n + j) for i in range(n) for j in range(n)])
+    return DenseMatrix(m.p, n, n, [red.get(i, n + j) for i in range(n) for j in range(n)])
 
 
 def trunc_identity(n: int, m: int) -> Trunc:
@@ -970,7 +964,7 @@ def adjacency_lattice(r: Vertex, rp: Vertex) -> bool:
         raise ValueError("vertices of different dimension")
     if not (is_standard_vertex(r) and is_standard_vertex(rp)):
         raise ValueError("not standard vertices")
-    field = GF(2)  # containment of t-power diagonal lattices is field-independent
+    p = 2  # containment of t-power diagonal lattices is field-independent
     exps_a = tuple(r) + (0,)
     exps_b = tuple(rp) + (0,)
     span = max(exps_a + exps_b) + 1
@@ -978,9 +972,9 @@ def adjacency_lattice(r: Vertex, rp: Vertex) -> bool:
         c = max(0, -k)
         if min(e + k + c for e in exps_b) < 0:
             continue
-        a1 = PolyMatrix.diagonal_powers(field, [e + 1 + c for e in exps_a])   # t^{c+1} A
-        mid = PolyMatrix.diagonal_powers(field, [e + k + c for e in exps_b])  # t^{c+k} B
-        a0 = PolyMatrix.diagonal_powers(field, [e + c for e in exps_a])       # t^c A
+        a1 = PolyMatrix.diagonal_powers(p, [e + 1 + c for e in exps_a])   # t^{c+1} A
+        mid = PolyMatrix.diagonal_powers(p, [e + k + c for e in exps_b])  # t^{c+k} B
+        a0 = PolyMatrix.diagonal_powers(p, [e + c for e in exps_a])       # t^c A
         if not (ref_lattice_contains(a0, mid) and ref_lattice_contains(mid, a1)):
             continue
         if ref_column_hnf(mid) == ref_column_hnf(a0) or ref_column_hnf(mid) == ref_column_hnf(a1):

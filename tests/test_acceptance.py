@@ -11,7 +11,6 @@ import time
 
 from conghom.building import build_Z, enumerate_flag_reps
 from conghom.cli import main as cli_main
-from conghom.field import GF
 from conghom.homology import assemble_boundary, h0_dimension
 from conghom.oracle import (
     abelianization_dim,
@@ -98,7 +97,6 @@ def test_criterion_05_oracle_certification_sweep():
     t0 = time.monotonic()
     checked = 0
     for n, q, radius in ((3, 2, 3), (3, 3, 2), (3, 3, 3), (4, 2, 2), (4, 3, 1)):
-        field = GF(q)
         verts, edges = standard_ball(n, radius)
         for simplex in [[v] for v in verts] + [list(e) for e in edges]:
             prof = bound_profile(simplex)
@@ -119,35 +117,34 @@ def test_criterion_05_oracle_certification_sweep():
     _report(5, f"{checked} stabilizer groups certified in {elapsed:.1f}s")
 
 
-def _random_k_element(rng, field, n=3, max_deg=4, factors=4):
-    g = group_identity(field, n)
+def _random_k_element(rng, p, n=3, max_deg=4, factors=4):
+    g = group_identity(p, n)
     for _ in range(factors):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i == j:
             continue
         d = rng.randrange(1, max_deg + 1)
-        c = rng.randrange(1, field.p)
-        e = elementary(i, j, Poly.monomial(field, d, c), n)
+        c = rng.randrange(1, p)
+        e = elementary(i, j, Poly.monomial(p, d, c), n)
         if rng.random() < 0.5:
             a, b = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
             if a != b:
                 rows = [[1 if r == c2 else 0 for c2 in range(n)] for r in range(n)]
-                rows[a - 1][b - 1] = rng.randrange(1, field.p)
-                e = conjugate_by(e, DenseMatrix.from_rows(field, rows))
+                rows[a - 1][b - 1] = rng.randrange(1, p)
+                e = conjugate_by(e, DenseMatrix.from_rows(p, rows))
         g = group_mul(g, e)
     return g
 
 
 def test_criterion_06_filtration_suite():
     for q in (2, 3):
-        field = GF(q)
         rng = random.Random(600 + q)
         rho1_images = []
         pairs = 0
         while pairs < 500:
-            g = _random_k_element(rng, field)
-            h = _random_k_element(rng, field)
+            g = _random_k_element(rng, q)
+            h = _random_k_element(rng, q)
             lg, lh = level(g), level(h)
             if lg == math.inf or lh == math.inf or lg < 1 or lh < 1:
                 continue
@@ -161,7 +158,7 @@ def test_criterion_06_filtration_suite():
             assert trace(rho(i, g)) == 0
             if i == 1:
                 rho1_images.append(rho(1, g).entries)
-        span = DenseMatrix(field, len(rho1_images), 9,
+        span = DenseMatrix(q, len(rho1_images), 9,
                            [v for img in rho1_images for v in img])
         rank, _, _ = rref(span)
         assert rank == 8
@@ -171,7 +168,7 @@ def test_criterion_06_filtration_suite():
 def test_criterion_07_determinism_and_invariance():
     base = h0_dimension(build_Z(3, 2, 1)).to_json()
 
-    reps = enumerate_flag_reps(3, GF(2))
+    reps = enumerate_flag_reps(3, 2)
     rng = random.Random(700)
     shuffled = reps[:]
     rng.shuffle(shuffled)

@@ -22,13 +22,10 @@ from conghom.building import (
 )
 from conghom.cli import main
 from conghom.errors import InvariantError
-from conghom.field import GF
 from conghom.homology import h0_dimension
 from conghom.wedge import BoundProfile, adjacency, bound_profile, standard_ball
 from reference import DenseMatrix, det, rref
 
-F2 = GF(2)
-F3 = GF(3)
 
 
 def test_standard_ball_n3_r1():
@@ -81,14 +78,13 @@ def test_bound_profile_superadditive_everywhere():
     for e in edges:
         p = bound_profile(list(e))
         assert p.is_superadditive()
-        assert all(p.b[(i, j)] <= 0 for i in range(1, 4) for j in range(1, 4) if i > j)
 
 
-def _flag_chain(s, n, field):
+def _flag_chain(s, n, p):
     """RREF keys of the ascending column spans of the flag entries s: identifies the flag."""
     chain = []
     for k in range(1, n):
-        _, red, _ = rref(DenseMatrix.from_rows(field, [s[j::n] for j in range(k)]))
+        _, red, _ = rref(DenseMatrix.from_rows(p, [s[j::n] for j in range(k)]))
         chain.append(red.entries)
     return tuple(chain)
 
@@ -97,39 +93,38 @@ def _flag_chain(s, n, field):
                                          (3, 5, 186), (4, 3, 2080)])
 def test_flag_reps_counts(n, q, count):
     # count = [n]_q! = sum over permutations w of q^inv(w)
-    field = GF(q)
-    reps = enumerate_flag_reps(n, field)
+    reps = enumerate_flag_reps(n, q)
     assert len(reps) == count
     columns = [tuple(s[j::n] for j in range(n)) for s in reps]
     assert columns == sorted(columns)
-    chains = {_flag_chain(s, n, field) for s in reps}
+    chains = {_flag_chain(s, n, q) for s in reps}
     assert len(chains) == count  # pairwise inequivalent, hence exhaustive
     # flags are n^2 residues in [0, p), the determinant's sign written as p - 1,
     # not -1: the packed flag products of boundary_columns need every entry in [0, p)
-    cells = [s for _, flags in bruhat_cells(n, field) for s in flags]
+    cells = [s for _, flags in bruhat_cells(n, q) for s in flags]
     assert sorted(cells) == sorted(reps)
     for s in reps:
         assert type(s) is tuple and len(s) == n * n
         assert all(type(v) is int and 0 <= v < q for v in s)
-        assert det(DenseMatrix(field, n, n, s)) == 1
+        assert det(DenseMatrix(q, n, n, s)) == 1
 
 
 def test_vertex_label_origin():
-    reps = enumerate_flag_reps(3, F2)
-    origin = vertex_label(DenseMatrix.identity(F2, 3).entries, F2, (0, 0))
+    reps = enumerate_flag_reps(3, 2)
+    origin = vertex_label(DenseMatrix.identity(2, 3).entries, 2, (0, 0))
     for s in reps:
-        assert vertex_label(s, F2, (0, 0)) == origin
+        assert vertex_label(s, 2, (0, 0)) == origin
     assert origin[0][0] == (1,)
 
 
 def test_vertex_label_classes_match_line_subspaces():
     # translated (1, 0) vertices coincide exactly when the flags share
     # their line s<e1>; the label quotient mod t is the orthogonal plane
-    reps = enumerate_flag_reps(3, F2)
+    reps = enumerate_flag_reps(3, 2)
     by_label = {}
     by_line = {}
     for s in reps:
-        key = vertex_label(s, F2, (1, 0))
+        key = vertex_label(s, 2, (1, 0))
         line = s[0::3]
         by_label.setdefault(key, set()).add(s)
         by_line.setdefault(line, set()).add(s)
@@ -139,24 +134,24 @@ def test_vertex_label_classes_match_line_subspaces():
 
 def test_vertex_label_depends_only_on_reduction_mod_t():
     # two representatives of the same label reduce to the same subspace of L0/tL0
-    reps = enumerate_flag_reps(3, F3)
+    reps = enumerate_flag_reps(3, 3)
     seen = {}
     for s in reps:
-        lbl = vertex_label(s, F3, (1, 1))
-        sub = _label_subspace_mod_t(lbl, F3)
+        lbl = vertex_label(s, 3, (1, 1))
+        sub = _label_subspace_mod_t(lbl, 3)
         prev = seen.setdefault(lbl, sub)
         assert prev == sub
     assert len(seen) == 13
 
 
-def _label_subspace_mod_t(lbl, field):
+def _label_subspace_mod_t(lbl, p):
     n = len(lbl)
     cols = []
     for j in range(n):
         col = tuple(lbl[i][j][0] if lbl[i][j] else 0 for i in range(n))
         if any(col):
             cols.append(col)
-    _, red, _ = rref(DenseMatrix.from_rows(field, cols))
+    _, red, _ = rref(DenseMatrix.from_rows(p, cols))
     return red.entries
 
 
@@ -197,14 +192,13 @@ def test_build_z_f3_counts_vs_subspace_enumeration():
 
 
 def _all_subspaces(n, p):
-    field = GF(p)
     from itertools import product
 
     vecs = [v for v in product(range(p), repeat=n) if any(v)]
     seen = set()
     for r in range(1, n):
         for basis in combinations(vecs, r):
-            m = DenseMatrix.from_rows(field, list(basis))
+            m = DenseMatrix.from_rows(p, list(basis))
             rank, red, _ = rref(m)
             if rank == r:
                 seen.add((r, red.entries))
@@ -217,7 +211,6 @@ def _count_proper_subspaces(n, p):
 
 def _count_line_plane_incidences(n, p):
     assert n == 3
-    field = GF(p)
     subs = _all_subspaces(n, p)
     lines = [s for r, s in subs if r == 1]
     planes = [s for r, s in subs if r == 2]
@@ -225,7 +218,7 @@ def _count_line_plane_incidences(n, p):
     for ln in lines:
         for pl in planes:
             rows = [tuple(pl[i * n:(i + 1) * n]) for i in range(2)] + [tuple(ln[:n])]
-            m = DenseMatrix.from_rows(field, rows)
+            m = DenseMatrix.from_rows(p, rows)
             if rref(m)[0] == 2:
                 count += 1
     return count
@@ -239,7 +232,7 @@ def test_build_z_n2():
 
 def test_build_z_order_invariance():
     base = build_Z(3, 2, 1)
-    reps = enumerate_flag_reps(3, F2)
+    reps = enumerate_flag_reps(3, 2)
     rng = random.Random(30)
     shuffled = reps[:]
     rng.shuffle(shuffled)
@@ -251,13 +244,13 @@ def test_build_z_order_invariance():
 
 def test_build_z_pins_translate_counts_to_partial_flags():
     # without its last flag, (3,2,1) misses one complete flag: 34 edges, not [3]_2! + 14 = 35
-    reps = enumerate_flag_reps(3, F2)
+    reps = enumerate_flag_reps(3, 2)
     with pytest.raises(InvariantError, match="15 vertices and 34 edges.* 15 and 35"):
         build_Z(3, 2, 1, flag_reps=reps[:-1])
 
 
 def test_build_z_rejects_partial_flag_reached_twice():
-    reps = enumerate_flag_reps(3, F2)
+    reps = enumerate_flag_reps(3, 2)
     with pytest.raises(InvariantError, match="reached by two flags"):
         build_Z(3, 2, 1, flag_reps=reps + [reps[0]])
 
@@ -265,7 +258,7 @@ def test_build_z_rejects_partial_flag_reached_twice():
 def test_build_z_rejects_edge_endpoint_that_is_not_a_vertex():
     # reps[0] is the one flag with no ascent, so without it the origin is no vertex,
     # while the flags of the 14 edges at the origin still reach its key
-    reps = enumerate_flag_reps(3, F2)
+    reps = enumerate_flag_reps(3, 2)
     assert _ascents(reps[0], 3) == frozenset()
     with pytest.raises(InvariantError, match=r"edge endpoint \(\(0, 0\), \(\)\) is not a vertex"):
         build_Z(3, 2, 1, flag_reps=reps[1:])
@@ -302,7 +295,7 @@ def test_ascent_rule_picks_one_flag_per_partial_flag(n, q):
         assert vertex_breaks(r) == breaks
         assert len(keys[r]) == chosen[r] == partial_flag_count(n, q, breaks)
         # the cells restricted to B yield exactly these flags, with their ascents
-        cells = list(bruhat_cells(n, GF(q), [breaks]))
+        cells = list(bruhat_cells(n, q, [breaks]))
         assert all(_ascents(s, n) == ascents for ascents, flags in cells for s in flags)
         assert sorted(s for _, flags in cells for s in flags) == sorted(selected[r])
 
@@ -310,11 +303,10 @@ def test_ascent_rule_picks_one_flag_per_partial_flag(n, q):
 def _full_flag_build_z(n, q, radius):
     """Z_R from every full flag times every ball simplex, keeping the lexicographically
     first flag that reaches each partial-flag key, and the sorted keys, one per rank."""
-    field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
     best_v = {}
     best_e = {}
-    for s in enumerate_flag_reps(n, field):
+    for s in enumerate_flag_reps(n, q):
         keys = partial_flag_keys(s, n, q, ball_vertices)
         for key in keys.values():
             held = best_v.get(key)
@@ -386,7 +378,7 @@ def test_export_rejects_label_shared_by_two_wedge_vertices(monkeypatch, tmp_path
     # a label names one wedge vertex; make (1, 1) borrow the label of (1, 0)
     real = building.vertex_label
     monkeypatch.setattr(building, "vertex_label",
-                        lambda s, field, r: real(s, field, (1, 0) if r == (1, 1) else r))
+                        lambda s, p, r: real(s, p, (1, 0) if r == (1, 1) else r))
     code = main(["export", "--n", "3", "--q", "2", "--radius", "1",
                  "--dot", str(tmp_path / "z.dot"), "--matrix", str(tmp_path / "m.txt")])
     assert code == 4
@@ -402,14 +394,13 @@ def _reference_build_z(n, q, radius):
     (flag, simplex aligned with the pair).  Each keeps
     the flag whose ascents lie in the simplex's breaks.
     """
-    field = GF(q)
     ball_vertices, ball_edges = standard_ball(n, radius)
     wedge = {}  # label -> wedge vertex
     best_v = {}
     best_e = {}
-    for s in enumerate_flag_reps(n, field):
+    for s in enumerate_flag_reps(n, q):
         ascents = _ascents(s, n)
-        keys = {r: vertex_label(s, field, r) for r in ball_vertices}
+        keys = {r: vertex_label(s, q, r) for r in ball_vertices}
         for r in ball_vertices:
             if wedge.setdefault(keys[r], r) != r:
                 raise InvariantError("vertex label does not match its wedge coordinates")
@@ -465,26 +456,25 @@ def test_build_z_keys_are_partial_flag_keys_of_their_reps(n, q, radius):
 
 @cache
 def _flag_reps(n, q):
-    return enumerate_flag_reps(n, GF(q))
+    return enumerate_flag_reps(n, q)
 
 
-def _parabolic_element(data, field, r):
+def _parabolic_element(data, p, r):
     """A determinant-one matrix that is block upper triangular, blocks ending at r's breaks."""
     n = len(r) + 1
     exps = tuple(r) + (0,)
-    entry = st.integers(0, field.p - 1)
+    entry = st.integers(0, p - 1)
     lower = [[1 if i == j else data.draw(entry) if i > j and exps[i] == exps[j] else 0
               for j in range(n)] for i in range(n)]
     upper = [[1 if i == j else data.draw(entry) if i < j else 0 for j in range(n)]
              for i in range(n)]
-    return DenseMatrix.from_rows(field, lower) @ DenseMatrix.from_rows(field, upper)
+    return DenseMatrix.from_rows(p, lower) @ DenseMatrix.from_rows(p, upper)
 
 
 @given(st.data())
 def test_partial_flag_key_partitions_like_vertex_label(data):
     n = data.draw(st.sampled_from([2, 3, 4]))
     q = data.draw(st.sampled_from([2, 3, 5]))
-    field = GF(q)
     reps = _flag_reps(n, q)
     ball = standard_ball(n, 2)[0]
     r = data.draw(st.sampled_from(ball))
@@ -494,10 +484,10 @@ def test_partial_flag_key_partitions_like_vertex_label(data):
     else:
         # s times the parabolic of a random wedge vertex: the same translate of r
         # when that vertex's breaks include r's, often a near miss otherwise
-        parabolic = _parabolic_element(data, field, data.draw(st.sampled_from(ball)))
-        other = (DenseMatrix(field, n, n, s) @ parabolic).entries
+        parabolic = _parabolic_element(data, q, data.draw(st.sampled_from(ball)))
+        other = (DenseMatrix(q, n, n, s) @ parabolic).entries
     same_key = partial_flag_keys(s, n, q, [r])[r] == partial_flag_keys(other, n, q, [r])[r]
-    same_label = vertex_label(s, field, r) == vertex_label(other, field, r)
+    same_label = vertex_label(s, q, r) == vertex_label(other, q, r)
     assert same_key == same_label
 
 

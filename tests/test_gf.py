@@ -4,75 +4,64 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conghom.building import enumerate_flag_reps
 from conghom.field import GF
 from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
+from conghom.oracle import verify_h1_formula
+from conghom.wedge import bound_profile
 from reference import (DenseMatrix, augmented_inverse, densify, det, heap_rank, inverse,
                        row_rref, rref)
 
 
-def test_field_examples():
-    assert GF(3).inv(2) == 2          # 2*2 = 4 = 1 mod 3
-    for p in (2, 3, 5, 7):
-        f = GF(p)
-        for a in range(1, p):
-            assert a * f.inv(a) % p == 1
-
-
-def test_field_axioms_random():
-    # inv accepts any representative of a nonzero residue, negative ones too
-    rng = random.Random(1)
-    for p in (2, 3, 5, 7):
-        f = GF(p)
-        for _ in range(200):
-            a = rng.randrange(-10 * p, 10 * p)
-            if a % p:
-                assert a * f.inv(a) % p == 1
-
-
-def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        GF(5).inv(0)
-
-
 def test_non_prime_modulus_rejected():
-    for bad in (0, 1, 4, 6, 9, 100):
-        with pytest.raises(ValueError):
+    for bad in (0, 1, 4, 6, 9, 100, -3):
+        with pytest.raises(ValueError, match=f"modulus {bad} is not prime"):
             GF(bad)
 
 
+def test_gf_is_the_checked_prime_as_an_int():
+    # perfbench calls GF(q) and passes the result on as the prime p
+    for q in (2, 3, 257):
+        assert GF(q) == q and type(GF(q)) is int
+    assert enumerate_flag_reps(3, GF(3)) == enumerate_flag_reps(3, 3)
+    for simplex in ([(1, 0)], [(1, 0), (1, 1)]):
+        prof = bound_profile(simplex)
+        assert verify_h1_formula(prof, GF(2)) == verify_h1_formula(prof, 2)
+
+
 def test_mixed_context_rejected():
-    a = DenseMatrix.identity(GF(2), 2)
-    b = DenseMatrix.identity(GF(3), 2)
+    a = DenseMatrix.identity(2, 2)
+    b = DenseMatrix.identity(3, 2)
     with pytest.raises(ValueError):
         a.mul(b)
 
 
 def test_rref_identity():
-    f = GF(5)
-    rank, red, piv = rref(DenseMatrix.identity(f, 4))
+    p = 5
+    rank, red, piv = rref(DenseMatrix.identity(p, 4))
     assert rank == 4
     assert piv == (0, 1, 2, 3)
-    assert red == DenseMatrix.identity(f, 4)
+    assert red == DenseMatrix.identity(p, 4)
 
 
 def test_rref_zero():
-    rank, _, piv = rref(DenseMatrix(GF(3), 3, 5, [0] * 15))
+    rank, _, piv = rref(DenseMatrix(3, 3, 5, [0] * 15))
     assert rank == 0
     assert piv == ()
 
 
 def test_rref_dependent_rows_gf2():
     # third row is the sum of the first two over GF(2)
-    m = DenseMatrix.from_rows(GF(2), [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    m = DenseMatrix.from_rows(2, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     rank, _, _ = rref(m)
     assert rank == 2
 
 
 def test_rref_idempotent():
     rng = random.Random(2)
-    f = GF(3)
+    p = 3
     for _ in range(20):
-        m = DenseMatrix(f, 6, 8, [rng.randrange(3) for _ in range(48)])
+        m = DenseMatrix(p, 6, 8, [rng.randrange(3) for _ in range(48)])
         _, red, _ = rref(m)
         _, red2, _ = rref(red)
         assert red2 == red
@@ -80,36 +69,35 @@ def test_rref_idempotent():
 
 def test_rank_invariances():
     rng = random.Random(3)
-    f = GF(5)
+    p = 5
     for _ in range(20):
         rows, cols = 7, 9
-        m = DenseMatrix(f, rows, cols, [rng.randrange(5) for _ in range(rows * cols)])
+        m = DenseMatrix(p, rows, cols, [rng.randrange(5) for _ in range(rows * cols)])
         rank, _, _ = rref(m)
         assert rank <= min(rows, cols)
         perm = list(range(rows))
         rng.shuffle(perm)
-        shuffled = DenseMatrix.from_rows(f, [list(m.row(i)) for i in perm])
+        shuffled = DenseMatrix.from_rows(p, [list(m.row(i)) for i in perm])
         assert rref(shuffled)[0] == rank
         i = rng.randrange(rows)
         c = rng.randrange(1, 5)
         scaled_rows = [list(m.row(r)) for r in range(rows)]
         scaled_rows[i] = [(c * v) % 5 for v in scaled_rows[i]]
-        assert rref(DenseMatrix.from_rows(f, scaled_rows))[0] == rank
+        assert rref(DenseMatrix.from_rows(p, scaled_rows))[0] == rank
 
 
 def test_det_and_inverse():
     rng = random.Random(4)
     for p in (2, 3, 5):
-        f = GF(p)
         for _ in range(30):
             n = rng.randrange(1, 5)
-            m = DenseMatrix(f, n, n, [rng.randrange(p) for _ in range(n * n)])
+            m = DenseMatrix(p, n, n, [rng.randrange(p) for _ in range(n * n)])
             d = det(m)
             if d == 0:
                 with pytest.raises(ValueError):
                     inverse(m)
             else:
-                assert m @ inverse(m) == DenseMatrix.identity(f, n)
+                assert m @ inverse(m) == DenseMatrix.identity(p, n)
 
 
 @st.composite
@@ -127,7 +115,7 @@ def _residue_matrix(draw, square=False):
     if square and rows and draw(st.booleans()):
         combo = draw(st.lists(entry, min_size=rows - 1, max_size=rows - 1))
         dense[-1] = [sum(a * row[j] for a, row in zip(combo, dense)) % p for j in range(cols)]
-    return DenseMatrix.from_rows(GF(p), dense) if rows else DenseMatrix(GF(p), 0, cols, [])
+    return DenseMatrix.from_rows(p, dense) if rows else DenseMatrix(p, 0, cols, [])
 
 
 @given(_residue_matrix(), _residue_matrix(square=True))
@@ -147,11 +135,10 @@ def test_gauss_jordan_matches_row_reference(m, square):
 def test_product_column_and_transpose_match_entrywise_definitions():
     rng = random.Random(7)
     for p in (2, 3, 7):
-        f = GF(p)
         for _ in range(30):
             a, b, c = (rng.randrange(0, 5) for _ in range(3))
-            x = DenseMatrix(f, a, b, [rng.randrange(p) for _ in range(a * b)])
-            y = DenseMatrix(f, b, c, [rng.randrange(p) for _ in range(b * c)])
+            x = DenseMatrix(p, a, b, [rng.randrange(p) for _ in range(a * b)])
+            y = DenseMatrix(p, b, c, [rng.randrange(p) for _ in range(b * c)])
             assert (x @ y).to_rows() == [
                 [sum(x.get(i, k) * y.get(k, j) for k in range(b)) % p for j in range(c)]
                 for i in range(a)]
@@ -163,51 +150,50 @@ def test_product_column_and_transpose_match_entrywise_definitions():
 
 
 def test_sparse_validation():
-    f = GF(3)
+    p = 3
     with pytest.raises(ValueError):
-        SparseMatrix(f, 2, 2, [(0, 0, 1), (0, 0, 2)])
+        SparseMatrix(p, 2, 2, [(0, 0, 1), (0, 0, 2)])
     with pytest.raises(ValueError):
-        SparseMatrix(f, 2, 2, [(2, 0, 1)])
+        SparseMatrix(p, 2, 2, [(2, 0, 1)])
     with pytest.raises(ValueError):
-        SparseMatrix(f, 2, 2, [(0, 0, 3)])  # zero residue
+        SparseMatrix(p, 2, 2, [(0, 0, 3)])  # zero residue
 
 
 def test_sparse_rank_empty():
-    assert sparse_rank(SparseMatrix(GF(2), 10, 7, [])) == 0
-    assert sparse_rank(SparseMatrix(GF(2), 0, 0, [])) == 0
+    assert sparse_rank(SparseMatrix(2, 10, 7, [])) == 0
+    assert sparse_rank(SparseMatrix(2, 0, 0, [])) == 0
 
 
-def _random_sparse(rng, field, rows, cols, density):
+def _random_sparse(rng, p, rows, cols, density):
     triples = []
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
-                v = rng.randrange(1, field.p)
+                v = rng.randrange(1, p)
                 triples.append((r, c, v))
-    return SparseMatrix(field, rows, cols, triples)
+    return SparseMatrix(p, rows, cols, triples)
 
 
 def test_sparse_rank_matches_dense_gf3():
     rng = random.Random(5)
-    f = GF(3)
+    p = 3
     for _ in range(10):
-        m = _random_sparse(rng, f, 50, 50, 0.06)
+        m = _random_sparse(rng, p, 50, 50, 0.06)
         assert sparse_rank(m) == rref(densify(m))[0]
 
 
 def test_sparse_rank_matches_dense_various():
     rng = random.Random(6)
     for p in (2, 3, 7):
-        f = GF(p)
         for rows, cols, density in ((30, 45, 0.1), (60, 40, 0.05), (25, 25, 0.3)):
-            m = _random_sparse(rng, f, rows, cols, density)
+            m = _random_sparse(rng, p, rows, cols, density)
             assert sparse_rank(m) == rref(densify(m))[0]
 
 
 def test_sparse_rank_matches_dense_200():
     rng = random.Random(7)
-    f = GF(2)
-    m = _random_sparse(rng, f, 200, 200, 0.02)
+    p = 2
+    m = _random_sparse(rng, p, 200, 200, 0.02)
     assert sparse_rank(m) == rref(densify(m))[0]
 
 
@@ -216,7 +202,7 @@ def test_reduce_columns_keeps_pivot_free_tails(p):
     # at p = 2 a wrong sign in a tail cannot show, because -1 = 1
     rng = random.Random(p)
     for rows, cols, density in ((30, 45, 0.1), (40, 25, 0.15), (20, 20, 0.3)):
-        m = _random_sparse(rng, GF(p), rows, cols, density)
+        m = _random_sparse(rng, p, rows, cols, density)
         columns = [{} for _ in range(cols)]
         for r, c, v in m.triples():
             columns[c][r] = v
@@ -252,14 +238,14 @@ def _sparse_with_dependencies(draw):
     order = draw(st.permutations(range(len(dense))))
     dense = [dense[i] for i in order]
     triples = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
-    return SparseMatrix(GF(p), len(dense), cols, triples)
+    return SparseMatrix(p, len(dense), cols, triples)
 
 
 # In heap_rank, pivoting on row 0 in column 0 grows row 1 from three
 # entries to four, so row 1's first heap entry is stale when it is popped.
-@example(SparseMatrix(GF(2), 4, 9, [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 3, 1),
-                                    (1, 4, 1), (2, 1, 1), (2, 5, 1), (2, 6, 1), (3, 2, 1),
-                                    (3, 7, 1), (3, 8, 1)]))
+@example(SparseMatrix(2, 4, 9, [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 3, 1),
+                                (1, 4, 1), (2, 1, 1), (2, 5, 1), (2, 6, 1), (3, 2, 1),
+                                (3, 7, 1), (3, 8, 1)]))
 @given(_sparse_with_dependencies())
 def test_sparse_rank_matches_rref_property(m):
     # the column reduction, the row heap elimination and rref agree
@@ -270,10 +256,10 @@ def test_sparse_rank_matches_rref_property(m):
 
 @given(_sparse_with_dependencies(), st.data())
 def test_sparse_rank_invariant_under_permutation_and_scaling(m, data):
-    p = m.field.p
+    p = m.p
     row_perm = data.draw(st.permutations(range(m.rows)))
     col_perm = data.draw(st.permutations(range(m.cols)))
     scale = data.draw(st.lists(st.integers(1, p - 1), min_size=m.rows, max_size=m.rows))
-    moved = SparseMatrix(m.field, m.rows, m.cols,
+    moved = SparseMatrix(m.p, m.rows, m.cols,
                          [(row_perm[r], col_perm[c], v * scale[r]) for r, c, v in m.triples()])
     assert sparse_rank(moved) == sparse_rank(m)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conghom import homology
 from conghom.building import VertexRep, build_Z, enumerate_flag_reps, order_by_label, vertex_label
 from conghom.errors import InvariantError
-from conghom.field import GF
 from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
 from conghom.homology import (
     assemble_boundary,
@@ -22,8 +21,6 @@ from reference import (DenseMatrix, GroupElement, Poly, PolyMatrix, class_vector
                        densify, depth_one_witness, edge_inclusion, elementary, group_mul, inverse,
                        membership, ref_lattice_label, rref, witness_defects)
 
-F2 = GF(2)
-F3 = GF(3)
 IDENT3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
@@ -79,10 +76,10 @@ def test_h1_basis_examples():
 
 def test_membership_examples():
     p = profile(3, [1, 1, 3])
-    assert membership(p, elementary(1, 3, Poly.monomial(F2, 3), 3))
-    assert not membership(p, elementary(1, 3, Poly.monomial(F2, 4), 3))
-    assert not membership(p, elementary(2, 1, Poly.monomial(F2, 1), 3))
-    assert not membership(p, elementary(1, 2, Poly.one(F2), 3))  # constant term
+    assert membership(p, elementary(1, 3, Poly.monomial(2, 3), 3))
+    assert not membership(p, elementary(1, 3, Poly.monomial(2, 4), 3))
+    assert not membership(p, elementary(2, 1, Poly.monomial(2, 1), 3))
+    assert not membership(p, elementary(1, 2, Poly.one(2), 3))  # constant term
 
 
 def test_class_vector_examples():
@@ -91,9 +88,9 @@ def test_class_vector_examples():
     assert [(s.i, s.j, s.degree) for s in basis.slots] == [
         (1, 2, 1), (1, 3, 1), (1, 3, 3), (2, 3, 1)]
     # nonzero exactly at the surviving corner slot of degree three
-    assert class_vector(basis, elementary(1, 3, Poly.monomial(F2, 3), 3)) == (0, 0, 1, 0)
-    assert class_vector(basis, elementary(1, 3, Poly.monomial(F2, 2), 3)) == (0, 0, 0, 0)
-    g = elementary(1, 2, Poly.monomial(F3, 1, 2), 3)
+    assert class_vector(basis, elementary(1, 3, Poly.monomial(2, 3), 3)) == (0, 0, 1, 0)
+    assert class_vector(basis, elementary(1, 3, Poly.monomial(2, 2), 3)) == (0, 0, 0, 0)
+    g = elementary(1, 2, Poly.monomial(3, 1, 2), 3)
     basis3 = h1_basis(p)
     assert class_vector(basis3, g) == (2, 0, 0, 0)
 
@@ -101,19 +98,19 @@ def test_class_vector_examples():
 def test_class_vector_rejects_non_member():
     basis = h1_basis(profile(3, [1, 1, 3]))
     with pytest.raises(ValueError):
-        class_vector(basis, elementary(2, 1, Poly.monomial(F2, 1), 3))
+        class_vector(basis, elementary(2, 1, Poly.monomial(2, 1), 3))
 
 
-def random_member(rng, prof, field):
+def random_member(rng, prof, p):
     n = prof.n
-    rows = [[Poly.one(field) if i == j else Poly.zero(field) for j in range(n)]
+    rows = [[Poly.one(p) if i == j else Poly.zero(p) for j in range(n)]
             for i in range(n)]
     for (i, j) in prof.upper_pairs():
         cap = prof.b[(i, j)]
         if cap >= 1:
-            coeffs = [0] + [rng.randrange(field.p) for _ in range(cap)]
-            rows[i - 1][j - 1] = Poly(field, coeffs)
-    return GroupElement(PolyMatrix(field, rows))
+            coeffs = [0] + [rng.randrange(p) for _ in range(cap)]
+            rows[i - 1][j - 1] = Poly(p, coeffs)
+    return GroupElement(PolyMatrix(p, rows))
 
 
 def test_class_vector_is_homomorphism():
@@ -121,19 +118,19 @@ def test_class_vector_is_homomorphism():
     for n in (2, 3):
         verts, edges = standard_ball(n, 3)
         simplices = [[v] for v in verts] + [list(e) for e in edges]
-        for field in (F2, F3):
+        for p in (2, 3):
             for simplex in simplices:
                 prof = bound_profile(simplex)
                 basis = h1_basis(prof)
                 if basis.dim == 0:
                     continue
                 for _ in range(200):
-                    u = random_member(rng, prof, field)
-                    v = random_member(rng, prof, field)
+                    u = random_member(rng, prof, p)
+                    v = random_member(rng, prof, p)
                     uv = group_mul(u, v)
                     assert membership(prof, uv)
                     expected = tuple(
-                        (a + b) % field.p
+                        (a + b) % p
                         for a, b in zip(class_vector(basis, u), class_vector(basis, v))
                     )
                     assert class_vector(basis, uv) == expected
@@ -141,11 +138,11 @@ def test_class_vector_is_homomorphism():
 
 def test_edge_inclusion_identity_flags():
     ident = IDENT3
-    mat = edge_inclusion(F2, (ident, ((1, 0), (1, 1))), (ident, (1, 0)))
+    mat = edge_inclusion(2, (ident, ((1, 0), (1, 1))), (ident, (1, 0)))
     # edge slot (1,3,1) lands on vertex slot (1,3,1) with coefficient one
     assert (mat.rows, mat.cols) == (2, 1)
     assert mat.col(0) == (0, 1)
-    mat = edge_inclusion(F2, (ident, ((1, 0), (1, 1))), (ident, (1, 1)))
+    mat = edge_inclusion(2, (ident, ((1, 0), (1, 1))), (ident, (1, 1)))
     assert (mat.rows, mat.cols) == (2, 1)
     assert mat.col(0) == (1, 0)
 
@@ -158,14 +155,14 @@ def test_edge_inclusion_deeper_slot_killed():
     assert [(s.i, s.j, s.degree) for s in basis_e.slots] == [
         (1, 3, 1), (1, 3, 2), (2, 3, 1)]
 
-    into_22 = edge_inclusion(F2, edge, (ident, (2, 2)))
+    into_22 = edge_inclusion(2, edge, (ident, (2, 2)))
     # vertex (2,2) keeps all three identically inside its four slots
     basis_v = h1_basis(bound_profile([(2, 2)]))
     assert [(s.i, s.j, s.degree) for s in basis_v.slots] == [
         (1, 3, 1), (1, 3, 2), (2, 3, 1), (2, 3, 2)]
     assert into_22.to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
-    into_21 = edge_inclusion(F2, edge, (ident, (2, 1)))
+    into_21 = edge_inclusion(2, edge, (ident, (2, 1)))
     # vertex (2,1) kills the degree-two class at the corner
     basis_v = h1_basis(bound_profile([(2, 1)]))
     assert [(s.i, s.j, s.degree) for s in basis_v.slots] == [
@@ -177,37 +174,37 @@ def test_edge_inclusion_permuted_vertex_labels():
     # the swap of the last two coordinates carries the standard (2,2) and
     # (2,1) vertices to the lattices [t^2 e1, e2, t^2 e3] and [t^2 e1, e2, t e3]
     w = (1, 0, 0, 0, 0, 1, 0, 1, 0)  # det = 1 over GF(2)
-    lbl_v = vertex_label(w, F2, (2, 2))
-    direct = ref_lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 2]))
+    lbl_v = vertex_label(w, 2, (2, 2))
+    direct = ref_lattice_label(PolyMatrix.diagonal_powers(2, [2, 0, 2]))
     assert lbl_v == direct
-    lbl_vp = vertex_label(w, F2, (2, 1))
-    direct = ref_lattice_label(PolyMatrix.diagonal_powers(F2, [2, 0, 1]))
+    lbl_vp = vertex_label(w, 2, (2, 1))
+    direct = ref_lattice_label(PolyMatrix.diagonal_powers(2, [2, 0, 1]))
     assert lbl_vp == direct
-    mat = edge_inclusion(F2, (w, ((2, 1), (2, 2))), (w, (2, 2)))
+    mat = edge_inclusion(2, (w, ((2, 1), (2, 2))), (w, (2, 2)))
     assert mat.to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
 
 def test_edge_inclusion_requires_endpoint():
     with pytest.raises(ValueError):
-        edge_inclusion(F2, (IDENT3, ((1, 0), (1, 1))), (IDENT3, (2, 2)))
+        edge_inclusion(2, (IDENT3, ((1, 0), (1, 1))), (IDENT3, (2, 2)))
 
 
 def test_edge_inclusion_into_origin_is_empty():
-    mat = edge_inclusion(F2, (IDENT3, ((0, 0), (1, 0))), (IDENT3, (0, 0)))
+    mat = edge_inclusion(2, (IDENT3, ((0, 0), (1, 0))), (IDENT3, (0, 0)))
     assert (mat.rows, mat.cols) == (0, 0)
 
 
-def _reference_inclusion(field, edge_rep, vertex_rep):
+def _reference_inclusion(p, edge_rep, vertex_rep):
     # the polynomial route: conjugate each edge generator by W = s_v^-1 s_e,
     # check membership and read the class vector in the vertex basis
     s_e, simplex = edge_rep
     s_v, rv = vertex_rep
     n = len(rv) + 1
-    w = inverse(DenseMatrix(field, n, n, s_v)) @ DenseMatrix(field, n, n, s_e)
+    w = inverse(DenseMatrix(p, n, n, s_v)) @ DenseMatrix(p, n, n, s_e)
     vert_basis = h1_basis(bound_profile([rv]))
     cols = []
     for s in h1_basis(bound_profile(list(simplex))).slots:
-        u = conjugate_by(elementary(s.i, s.j, Poly.monomial(field, s.degree), n), w)
+        u = conjugate_by(elementary(s.i, s.j, Poly.monomial(p, s.degree), n), w)
         assert membership(vert_basis.profile, u)
         cols.append(class_vector(vert_basis, u))
     return [[col[a] for col in cols] for a in range(vert_basis.dim)]
@@ -228,8 +225,8 @@ def test_assembled_column_weight_radius_two():
                 vrep = z.vertices[at]
                 edge_rep = (se, simplex)
                 vertex_rep = (vrep.flag, vrep.vertex)
-                mat = edge_inclusion(GF(z.q), edge_rep, vertex_rep)
-                assert mat.to_rows() == _reference_inclusion(GF(z.q), edge_rep, vertex_rep)
+                mat = edge_inclusion(z.q, edge_rep, vertex_rep)
+                assert mat.to_rows() == _reference_inclusion(z.q, edge_rep, vertex_rep)
                 mats.append(mat)
             for b in range(basis.dim):
                 weight = sum(1 for m in mats for a in range(m.rows) if m.get(a, b))
@@ -241,10 +238,9 @@ def test_endpoint_criterion_matches_vertex_labels():
     # s^-1 s' lies in the parabolic of r, i.e. when the HNF labels agree
     rng = random.Random(2024)
     for n, q, radius in ((3, 2, 2), (3, 3, 2), (4, 2, 1)):
-        field = GF(q)
-        reps = enumerate_flag_reps(n, field)
+        reps = enumerate_flag_reps(n, q)
         verts, edges = standard_ball(n, radius)
-        label = {(s, r): vertex_label(s, field, r) for s in reps for r in verts}
+        label = {(s, r): vertex_label(s, q, r) for s in reps for r in verts}
         outcomes = set()
         for _ in range(150):
             edge = rng.choice(edges)
@@ -255,7 +251,7 @@ def test_endpoint_criterion_matches_vertex_labels():
             sp = rng.choice(partners if rng.random() < 0.5 else reps)
             same = label[(s, r)] == label[(sp, r)]
             try:
-                edge_inclusion(field, (s, edge), (sp, r))
+                edge_inclusion(q, (s, edge), (sp, r))
                 accepted = True
             except ValueError:
                 accepted = False
@@ -382,19 +378,18 @@ def test_packed_product_is_the_flag_pair_product(data):
     # one unpack memo serves every product of a field and size
     n = data.draw(st.sampled_from([2, 3, 4]))
     q = data.draw(st.sampled_from([2, 3, 5, 7, 257]))
-    field = GF(q)
     bits = homology._slot_bits(n, q)
     unpack = {}
     if q ** n <= 81 and data.draw(st.booleans()):
         reps = _flag_reps(n, q)
-        s_v, s_e = (DenseMatrix(field, n, n, data.draw(st.sampled_from(reps))) for _ in range(2))
+        s_v, s_e = (DenseMatrix(q, n, n, data.draw(st.sampled_from(reps))) for _ in range(2))
         a, b = inverse(s_v), s_e
     else:
         entry = st.one_of(st.just(q - 1), st.integers(0, q - 1))
-        a, b = (DenseMatrix(field, n, n, data.draw(st.lists(entry, min_size=n * n,
-                                                             max_size=n * n)))
+        a, b = (DenseMatrix(q, n, n, data.draw(st.lists(entry, min_size=n * n,
+                                                         max_size=n * n)))
                 for _ in range(2))
-    full = DenseMatrix(field, n, n, [q - 1] * (n * n))
+    full = DenseMatrix(q, n, n, [q - 1] * (n * n))
     for x, y in ((a, b), (full, full), (full, b)):
         packed = homology._pack_columns(x.entries, n, bits)
         assert homology._packed_product(packed, y.entries, unpack, bits, q) == (
@@ -403,7 +398,7 @@ def test_packed_product_is_the_flag_pair_product(data):
 
 @cache
 def _flag_reps(n, q):
-    return enumerate_flag_reps(n, GF(q))
+    return enumerate_flag_reps(n, q)
 
 
 @pytest.mark.parametrize("n,q,radius,entry", _through_both_entry_points([(3, 2, 2), (3, 3, 1)]))
@@ -436,9 +431,9 @@ def test_compute_path_builds_no_whole_boundary(monkeypatch):
     built = []
     real = SparseMatrix.__init__
 
-    def recording(self, field, rows, cols, triples=()):
+    def recording(self, p, rows, cols, triples=()):
         built.append((rows, cols))
-        real(self, field, rows, cols, triples)
+        real(self, p, rows, cols, triples)
 
     monkeypatch.setattr(SparseMatrix, "__init__", recording)
     z = build_Z(4, 2, 2)
@@ -556,7 +551,7 @@ def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
         edge_rep = (z.edges[pair], _simplex(z, pair))
         for at, sign in ((pair[0], 1), (pair[1], -1)):
             vrep = z.vertices[at]
-            mat = edge_inclusion(GF(z.q), edge_rep, (vrep.flag, vrep.vertex))
+            mat = edge_inclusion(z.q, edge_rep, (vrep.flag, vrep.vertex))
             assert mat.cols == basis.dim
             expected += [(row_offset[at] + a, off + b, sign * mat.get(a, b) % q)
                          for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]
@@ -611,7 +606,7 @@ def test_degree_blocks_of_real_boundaries(n, q, radius, h0_by_degree):
     for d in sorted(set(row_deg)):
         rows = {r: i for i, r in enumerate(r for r, e in enumerate(row_deg) if e == d)}
         cols = {c: i for i, c in enumerate(c for c, e in enumerate(col_deg) if e == d)}
-        block = SparseMatrix(boundary.field, len(rows), len(cols),
+        block = SparseMatrix(boundary.p, len(rows), len(cols),
                              [(rows[r], cols[c], v) for r, c, v in boundary.triples()
                               if r in rows])
         rank = sparse_rank(block)

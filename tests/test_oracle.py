@@ -3,7 +3,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conghom.errors import InvariantError, OracleLimitError
-from conghom.field import GF
 from conghom.oracle import (
     FiniteGroupTable,
     _closure,
@@ -20,42 +19,40 @@ from conghom.wedge import BoundProfile, adjacency, bound_profile, h1_basis, stan
 from reference import (Poly, adjacency_lattice, elementary, trunc_from_group_element,
                        trunc_identity, trunc_inverse, trunc_mul)
 
-F2 = GF(2)
-F3 = GF(3)
 
 
 def profile(n, upper):
     return BoundProfile.from_upper_bounds(n, upper)
 
 
-def _group_for(prof, field, limit=2 ** 20):
+def _group_for(prof, p, limit=2 ** 20):
     gens = profile_generators(prof)
-    return generate_group(gens, field.p, limit)
+    return generate_group(gens, p, limit)
 
 
 def _group_of(elements, m, limit=2 ** 20):
     """generate_group on GroupElements, each truncated mod t^m."""
     gens = [trunc_from_group_element(g, m) for g in elements]
-    return generate_group(gens, elements[0].field.p, limit)
+    return generate_group(gens, elements[0].p, limit)
 
 
 def test_generate_group_single_involution():
-    tbl = _group_of([elementary(1, 2, Poly.monomial(F2, 1), 3)], m=2)
+    tbl = _group_of([elementary(1, 2, Poly.monomial(2, 1), 3)], m=2)
     assert tbl.order == 2
 
 
 def test_profile_generators_are_the_truncated_elementaries():
     prof = profile(3, [2, 1, 3])
     m = 1 + prof.max_bound()
-    want = [trunc_from_group_element(elementary(i, j, Poly.monomial(F2, r), 3), m)
+    want = [trunc_from_group_element(elementary(i, j, Poly.monomial(2, r), 3), m)
             for (i, j) in prof.upper_pairs() for r in range(1, prof.b[(i, j)] + 1)]
     assert profile_generators(prof) == want
     assert len(want) == 6 and all(len(entry) == m == 4 for g in want for entry in g)
 
 
 def test_generate_group_orders():
-    assert _group_for(profile(3, [1, 1, 2]), F2).order == 16
-    assert _group_for(profile(3, [2, 1, 3]), F2).order == 64
+    assert _group_for(profile(3, [1, 1, 2]), 2).order == 16
+    assert _group_for(profile(3, [2, 1, 3]), 2).order == 64
 
 
 def test_generate_group_limit():
@@ -67,28 +64,28 @@ def test_generate_group_limit():
 
 def test_generate_group_rejects_constant_part():
     with pytest.raises(ValueError):
-        _group_of([elementary(1, 2, Poly.one(F2), 3)], m=2)
+        _group_of([elementary(1, 2, Poly.one(2), 3)], m=2)
 
 
 def test_generate_group_rejects_mixed_shapes():
-    g = trunc_from_group_element(elementary(1, 2, Poly.monomial(F2, 1), 3), 2)
-    deeper = trunc_from_group_element(elementary(2, 3, Poly.monomial(F2, 1), 3), 3)
+    g = trunc_from_group_element(elementary(1, 2, Poly.monomial(2, 1), 3), 2)
+    deeper = trunc_from_group_element(elementary(2, 3, Poly.monomial(2, 1), 3), 3)
     for gens in ([g, deeper], [g, g[:4]]):
         with pytest.raises(ValueError, match="m coefficients"):
             generate_group(gens, 2)
 
 
 def test_commutator_subgroup_abelian():
-    tbl = _group_for(profile(3, [2, 0, 2]), F2)  # no middle entry: abelian
+    tbl = _group_for(profile(3, [2, 0, 2]), 2)  # no middle entry: abelian
     assert commutator_subgroup(tbl).order == 1
 
 
 def test_commutator_subgroup_112():
-    tbl = _group_for(profile(3, [1, 1, 2]), F2)
+    tbl = _group_for(profile(3, [1, 1, 2]), 2)
     derived = commutator_subgroup(tbl)
     assert derived.order == 2
     # generated by the corner element of degree two
-    corner = elementary(1, 3, Poly.monomial(F2, 2), 3)
+    corner = elementary(1, 3, Poly.monomial(2, 2), 3)
     ring = _Packing(tbl.n, tbl.m, tbl.p)
     assert ring.pack(trunc_from_group_element(corner, tbl.m)) in derived.elements
 
@@ -213,7 +210,7 @@ def test_early_stopping_inverse(case, elem):
 
     n, m, p, i, j, c, r = elem
     ring = _Packing(n, m, p)
-    g = ring.pack(trunc_from_group_element(elementary(i, j, Poly.monomial(GF(p), r, c), n), m))
+    g = ring.pack(trunc_from_group_element(elementary(i, j, Poly.monomial(p, r, c), n), m))
     with pytest.MonkeyPatch.context() as mp:
         products = _counting_products(mp)
         inv = ring.inverse(g)
@@ -230,7 +227,7 @@ def test_inverse_rejects_a_matrix_that_is_not_unipotent_mod_t():
 def test_power_check_squares_and_multiplies(monkeypatch):
     # g^257 is 8 squarings and one product: 9 products per generator, not 256,
     # and the one generator is the only element whose power is checked
-    tbl = _group_for(bound_profile([(1,)]), GF(257))
+    tbl = _group_for(bound_profile([(1,)]), 257)
     assert tbl.order == 257
     mul, power = _Packing.mul, _Packing.power
     products = [0]
@@ -253,7 +250,7 @@ def test_power_check_squares_and_multiplies(monkeypatch):
 
 
 def test_commutator_subgroup_213():
-    tbl = _group_for(profile(3, [2, 1, 3]), F2)
+    tbl = _group_for(profile(3, [2, 1, 3]), 2)
     assert commutator_subgroup(tbl).order == 4  # degrees two and three at the corner
 
 
@@ -302,13 +299,12 @@ def _reference_commutator_subgroup(tbl):
 def test_commutator_subgroup_matches_all_pairs_reference():
     checked = 0
     for n, q, radius in ((3, 2, 2), (4, 2, 1), (2, 3, 4), (2, 5, 3), (3, 3, 2)):
-        field = GF(q)
         verts, edges = standard_ball(n, radius)
         for simplex in [[v] for v in verts] + [list(e) for e in edges]:
             prof = bound_profile(simplex)
             if not profile_generators(prof):
                 continue
-            tbl = _group_for(prof, field)
+            tbl = _group_for(prof, q)
             derived = commutator_subgroup(tbl)
             assert derived.elements == _reference_commutator_subgroup(tbl).elements, (
                 n, q, simplex)
@@ -323,8 +319,7 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
     # <I+tE12, I+tE23, I+tE34> mod t^4: the generator commutators
     # I+t^2E13 and I+t^2E24 close to an abelian group of order q^2 that is
     # not normal; conjugating by g3 or g1 adds the corner I+t^3E14.
-    field = GF(q)
-    gens = [elementary(i, i + 1, Poly.monomial(field, 1), 4) for i in (1, 2, 3)]
+    gens = [elementary(i, i + 1, Poly.monomial(q, 1), 4) for i in (1, 2, 3)]
     tbl = _group_of(gens, m=4)
     assert tbl.order == order
     derived = commutator_subgroup(tbl)
@@ -336,9 +331,9 @@ def test_commutator_subgroup_needs_conjugation(q, order, derived_order,
 
 
 def test_abelianization_dims():
-    assert abelianization_dim(_group_for(profile(3, [1, 1, 3]), F2)) == 4
-    assert abelianization_dim(_group_for(profile(3, [1, 1, 2]), F2)) == 3
-    trivial = _group_of([elementary(1, 2, Poly.monomial(F2, 1), 3)], m=1)
+    assert abelianization_dim(_group_for(profile(3, [1, 1, 3]), 2)) == 4
+    assert abelianization_dim(_group_for(profile(3, [1, 1, 2]), 2)) == 3
+    trivial = _group_of([elementary(1, 2, Poly.monomial(2, 1), 3)], m=1)
     assert abelianization_dim(trivial) == 0
 
 
@@ -356,10 +351,10 @@ def test_abelianization_rejects_a_generator_whose_square_is_not_in_g_prime():
 
 
 def test_verify_h1_formula_examples():
-    assert verify_h1_formula(profile(3, [1, 1, 3]), F2)
-    assert verify_h1_formula(bound_profile([(1, 0)]), F3)
+    assert verify_h1_formula(profile(3, [1, 1, 3]), 2)
+    assert verify_h1_formula(bound_profile([(1, 0)]), 3)
     # both sides are 2: the group is q^2 elements and abelian
-    tbl = _group_for(bound_profile([(1, 0)]), F3)
+    tbl = _group_for(bound_profile([(1, 0)]), 3)
     assert tbl.order == 9
     assert commutator_subgroup(tbl).order == 1
     assert abelianization_dim(tbl) == 2 == h1_basis(bound_profile([(1, 0)])).dim
@@ -368,12 +363,12 @@ def test_verify_h1_formula_examples():
 def test_order_formula_and_slot_agreement_sweep():
     verts, edges = standard_ball(3, 2)
     simplices = [[v] for v in verts] + [list(e) for e in edges]
-    for field in (F2, F3):
+    for p in (2, 3):
         for simplex in simplices:
             prof = bound_profile(simplex)
-            tbl = _group_for(prof, field) if profile_generators(prof) else None
+            tbl = _group_for(prof, p) if profile_generators(prof) else None
             if tbl is not None:
-                assert tbl.order == field.p ** expected_order_exponent(prof)
+                assert tbl.order == p ** expected_order_exponent(prof)
                 assert abelianization_dim(tbl) == h1_basis(prof).dim
             else:
                 assert h1_basis(prof).dim == 0

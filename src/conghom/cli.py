@@ -29,7 +29,6 @@ from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
 
 if TYPE_CHECKING:
     from .building import ComplexZ
-    from .gf import SparseMatrix
 
 
 def _usage_error(msg: str) -> int:
@@ -55,13 +54,6 @@ def _dot_text(z: ComplexZ, labels: list) -> str:
     for ia, ib in z.edges:
         lines.append(f'  "{names[ia]}" -- "{names[ib]}";')
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _matrix_text(m: SparseMatrix) -> str:
-    lines = [f"{m.rows} {m.cols} {m.p}"]
-    for r, c, v in m.triples():
-        lines.append(f"{r} {c} {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -164,7 +156,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         with open(args.dot, "w") as fh:
             fh.write(_dot_text(z, labels))
         with open(args.matrix, "w") as fh:
-            fh.write(_matrix_text(boundary))
+            fh.write(f"{boundary.rows} {boundary.cols} {boundary.p}\n")
+            fh.writelines(f"{r} {c} {v}\n" for r, c, v in boundary.triples())
     except OSError as exc:
         return _usage_error(f"cannot write output: {exc}")
     return 0

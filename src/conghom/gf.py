@@ -7,7 +7,7 @@ SparseMatrix, takes the prime as the int p.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
@@ -65,9 +65,9 @@ class SparseMatrix:
     Built from the prime p and (row, col, value) triples; values are
     reduced mod p, and an index out of bounds, a zero residue or a
     repeated (row, col) raises ValueError.  Rows without entries are not
-    stored.  triples() lists the entries in (row, col) order.  The
-    boundary is stored this way only for export and the tests; its rank
-    is taken column by column.
+    stored.  triples() yields the entries in (row, col) order, so export
+    writes them one line at a time.  The boundary is stored this way
+    only for export and the tests; its rank is taken column by column.
     """
 
     __slots__ = ("p", "rows", "cols", "by_row")
@@ -90,9 +90,9 @@ class SparseMatrix:
             row[c] = v
         self.by_row = by_row
 
-    def triples(self) -> list[tuple[int, int, int]]:
-        return [(r, c, v) for r in sorted(self.by_row)
-                for c, v in sorted(self.by_row[r].items())]
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        return ((r, c, v) for r in sorted(self.by_row)
+                for c, v in sorted(self.by_row[r].items()))
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.by_row.values())

@@ -38,7 +38,7 @@ def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex
     construction, and the parabolic and support checks are what catch a
     wrong flag.  The result, and whether these checks raise, depend only
     on (W, simplex, r_v): the bases are those of the simplex and of r_v.
-    boundary_columns memoizes it on that key.
+    boundary_columns keeps it in W's record, keyed by (simplex, r_v).
     W^-1 comes from gf.inverse_entries: read row-major, the column-major
     entries of W are W^T, whose inverse is W^-1 column-major, so row j
     of W^-1 is every n-th entry from j.  The tests read these entries
@@ -98,7 +98,7 @@ def block_index(z: ComplexZ) -> BlockIndex:
 
     Rows are the concatenated vertex slot bases by rank (the origin
     contributes none); columns the edge bases in the order of z.edges,
-    each edge's simplex read from its endpoints.
+    each under z.edges' own key tuple, its simplex read from its endpoints.
     No inclusion is computed, so dimensions other than closed_form_dims
     raise InvariantError before any of them.
     """
@@ -114,7 +114,7 @@ def block_index(z: ComplexZ) -> BlockIndex:
 
     vertex = [rep.vertex for rep in z.vertices]
     vertex_blocks, dim_c0 = blocks(enumerate((r,) for r in vertex))
-    edge_blocks, dim_c1 = blocks(((ia, ib), (vertex[ia], vertex[ib])) for ia, ib in z.edges)
+    edge_blocks, dim_c1 = blocks((pair, (vertex[pair[0]], vertex[pair[1]])) for pair in z.edges)
     want = closed_form_dims(z.n, z.q, z.radius)
     if (dim_c0, dim_c1) != want:
         raise InvariantError(
@@ -142,7 +142,7 @@ def _packed_product(packed: tuple, b: tuple, unpack: dict, bits: int, p: int
     substitution): slot i holds sum_k A[i][k] B[k][j] <= n (p-1)^2,
     which fits in `bits` bits, so no slot carries into the next.
     `unpack` memoizes the residues of each packed column; few distinct
-    ones occur.
+    ones occur, and boundary_columns shares one among its products.
     """
     n = len(packed)
     out: tuple = ()
@@ -167,29 +167,29 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
     orientation.  An edge is its rank pair and its flag s_e; its simplex
     is read once from its endpoints.
 
-    Flags are entry tuples.  W = s_v^-1 s_e is the identity when the two
-    flags are equal, and no product is formed.  Otherwise W's
-    column-major entries are memoized on the flag pair (s_v, s_e) and
-    formed by _packed_product from the columns of s_v^-1
-    (gf.inverse_entries), packed into one int each once per vertex
-    flag, and the entries of s_e; equal W values share one tuple.  The
-    _inclusion entries are memoized on (W, edge simplex, r_v), which
-    fixes both bases, so only the few distinct inclusions are computed,
-    each with W^-1 from gf.inverse_entries.  No general matrix product
-    runs.  Every pair looks up its own key, and a key whose inclusion
-    raises is never stored, so every pair passes the endpoint and
-    support checks.  The entries are offset by the endpoint's row and
-    signed into the columns.
+    Flags are entry tuples, and W = s_v^-1 s_e depends only on them:
+    w_of[s_v] maps each edge flag met at s_v to W's record, and starts
+    as {s_v: the identity's record}, so equal flags form no product.  A
+    new s_e forms W by _packed_product from the entries of s_e and the
+    columns of s_v^-1 (gf.inverse_entries), which packed_inverse packs
+    into one int each once per vertex flag.  per_w holds one record per
+    distinct W: the W tuple that equal W share, and its _inclusion
+    entries keyed by (edge simplex, r_v), which fixes both bases.  So
+    only the few distinct inclusions are computed, each with W^-1 from
+    gf.inverse_entries; no general matrix product runs.  Every pair
+    looks up its own inclusion, and a key whose inclusion raises is
+    never stored, so every pair passes the endpoint and support checks.
+    The entries are offset by the endpoint's row and signed into the
+    columns.
     """
     n = z.n
     p = z.q
     bits = _slot_bits(n, p)
+    packed_inverse = cache(lambda sv: _pack_columns(inverse_entries(sv, n, p), n, bits))
+    unpack = {}  # packed column of W -> its residues
     identity = tuple([int(i == j) for i in range(n) for j in range(n)])  # equal to its transpose
-    inv_packed = {}  # s_v entries -> columns of s_v^-1, packed
-    unpack = {}      # packed column of W -> its residues
-    w_of = {}        # (s_v entries, s_e entries) -> W entries, column-major
-    interned = {}    # W entries -> the one tuple that every equal W shares
-    inclusions = {}  # (W entries, edge simplex, r_v) -> _inclusion entries
+    per_w = {identity: (identity, {})}  # W entries -> (W, {(simplex, r_v): _inclusion entries})
+    w_of = {}    # s_v entries -> {s_e entries -> per_w record of W = s_v^-1 s_e}
     for ((ia, ib), se), (_, _, basis) in zip(z.edges.items(), index.edge_blocks, strict=True):
         if not basis.dim:
             continue
@@ -199,17 +199,15 @@ def boundary_columns(z: ComplexZ, index: BlockIndex) -> Iterator[dict[int, int]]
             vrep = z.vertices[at]
             _, r0, vert_basis = index.vertex_blocks[at]
             sv = vrep.flag
-            if sv == se:
-                w = identity
-            else:
-                w = w_of.get((sv, se))
-                if w is None:
-                    packed = inv_packed.get(sv)
-                    if packed is None:
-                        packed = inv_packed[sv] = _pack_columns(inverse_entries(sv, n, p), n, bits)
-                    w = _packed_product(packed, se, unpack, bits, p)
-                    w = w_of[sv, se] = interned.setdefault(w, w)
-            memo = (w, simplex, vrep.vertex)
+            of_sv = w_of.get(sv)
+            if of_sv is None:
+                of_sv = w_of[sv] = {sv: per_w[identity]}
+            record = of_sv.get(se)
+            if record is None:
+                w = _packed_product(packed_inverse(sv), se, unpack, bits, p)
+                record = of_sv[se] = per_w.setdefault(w, (w, {}))
+            w, inclusions = record
+            memo = (simplex, vrep.vertex)
             entries = inclusions.get(memo)
             if entries is None:
                 entries = inclusions[memo] = _inclusion(
@@ -223,12 +221,13 @@ def assemble_boundary(z: ComplexZ) -> tuple[SparseMatrix, BlockIndex]:
     """The boundary map from edge coefficients to vertex coefficients.
 
     Materializes boundary_columns into a SparseMatrix laid out by
-    block_index, whose dimension check runs before any inclusion.  The
-    rank never needs this matrix; export writes it.
+    block_index, whose dimension check runs before any inclusion; the
+    columns stream into the matrix, so the boundary is held only once.
+    The rank never needs this matrix; export writes it.
     """
     index = block_index(z)
-    triples = [(r, c, v) for c, column in enumerate(boundary_columns(z, index))
-               for r, v in column.items()]
+    triples = ((r, c, v) for c, column in enumerate(boundary_columns(z, index))
+               for r, v in column.items())
     return SparseMatrix(z.q, index.dim_c0, index.dim_c1, triples), index
 
 

@@ -180,7 +180,7 @@ def test_criterion_07_determinism_and_invariance():
     reversed_z = z._replace(edges={(kb, ka): se for (ka, kb), se in z.edges.items()})
     boundary, _ = assemble_boundary(z)
     reversed_boundary, _ = assemble_boundary(reversed_z)
-    assert reversed_boundary.triples() == [(r, c, -v % 2) for r, c, v in boundary.triples()]
+    assert list(reversed_boundary.triples()) == [(r, c, -v % 2) for r, c, v in boundary.triples()]
     assert h0_dimension(reversed_z).to_json() == base
 
     _report(7, "shuffled flags, reversed edges: byte-identical")

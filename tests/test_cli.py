@@ -239,6 +239,8 @@ def test_export_golden(tmp_path, capsys):
      "324e57ec432a92c96c9ba89d152f3acd9efb082ba06b0c1e58c1d5f3c8835ef6"),
     (4, 2, 1, "2b88895e6fb1c33b15deda486ecdda0c3d2477ce46fbd3ea65b8c6722ad4fdd9",
      "9056c6b61c05d1de35903fc5af487d80422db395cd19e137910eabfd40818e37"),
+    (4, 3, 1, "9435a04ddbde554d5aaeafe0070fab27164290fd3cdd4212c631995fe4815cc5",
+     "311b7cc99b4e85597caaa512d435fcec69947c72766a495d9c0fc61bfe495a3e"),
 ])
 def test_export_pinned_bytes(n, q, radius, dot_sha, matrix_sha, tmp_path, capsys):
     dot = tmp_path / "z.dot"

@@ -249,9 +249,9 @@ def _sparse_with_dependencies(draw):
 @given(_sparse_with_dependencies())
 def test_sparse_rank_matches_rref_property(m):
     # the column reduction, the row heap elimination and rref agree
-    before = m.triples()
+    before = list(m.triples())
     assert sparse_rank(m) == heap_rank(m) == rref(densify(m))[0]
-    assert m.triples() == before
+    assert list(m.triples()) == before
 
 
 @given(_sparse_with_dependencies(), st.data())

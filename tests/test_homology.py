@@ -370,6 +370,40 @@ def test_boundary_columns_forms_each_flag_pair_product_once(monkeypatch, n, q, r
     assert len(calls) == len(set(calls)) == products
 
 
+@pytest.mark.parametrize("n,q,radius,vertex_flags,distinct,entry", _through_both_entry_points([
+    (3, 3, 4, 25, 119), (4, 2, 2, 251, 150)]))
+def test_boundary_columns_inverts_each_vertex_flag_once(monkeypatch, n, q, radius, vertex_flags,
+                                                        distinct, entry):
+    # s_v^-1 is formed once per vertex flag that meets an edge flag other
+    # than its own; the other inverse_entries calls are the W^-1 of the
+    # distinct inclusions, made from inside _inclusion
+    z = build_Z(n, q, radius)
+    flag_pairs = [(z.vertices[at].flag, se)
+                  for pair, se in z.edges.items()
+                  if h1_basis(bound_profile(_simplex(z, pair))).dim for at in pair]
+    assert len({sv for sv, se in flag_pairs if sv != se}) == vertex_flags
+    inverted = {"flag": [], "w": []}
+    inside = []
+    real_inverse, real_inclusion = homology.inverse_entries, homology._inclusion
+
+    def recording_inverse(entries, n, p):
+        inverted["w" if inside else "flag"].append(entries)
+        return real_inverse(entries, n, p)
+
+    def recording_inclusion(*args):
+        inside.append(True)
+        entries = real_inclusion(*args)
+        inside.pop()
+        return entries
+
+    monkeypatch.setattr(homology, "inverse_entries", recording_inverse)
+    monkeypatch.setattr(homology, "_inclusion", recording_inclusion)
+    entry(z)
+    assert len(inverted["flag"]) == len(set(inverted["flag"])) == vertex_flags
+    assert set(inverted["flag"]) == {sv for sv, se in flag_pairs if sv != se}
+    assert len(inverted["w"]) == distinct
+
+
 @given(st.data())
 def test_packed_product_is_the_flag_pair_product(data):
     # W = s_v^-1 s_e from s_v^-1's packed columns, column-major, for random
@@ -500,7 +534,8 @@ def test_h0_dimension_invariances():
         reversed_z = _reversed_edges(z)
         boundary, _ = assemble_boundary(z)
         reversed_boundary, _ = assemble_boundary(reversed_z)
-        assert reversed_boundary.triples() == [(r, c, -v % q) for r, c, v in boundary.triples()]
+        assert list(reversed_boundary.triples()) == [(r, c, -v % q)
+                                                     for r, c, v in boundary.triples()]
         assert h0_dimension(reversed_z).to_json() == h0_dimension(z).to_json()
 
 
@@ -555,7 +590,7 @@ def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
             assert mat.cols == basis.dim
             expected += [(row_offset[at] + a, off + b, sign * mat.get(a, b) % q)
                          for a in range(mat.rows) for b in range(mat.cols) if mat.get(a, b)]
-    assert boundary.triples() == sorted(expected)
+    assert list(boundary.triples()) == sorted(expected)
 
 
 @pytest.mark.parametrize("n,q,radius", [(3, 2, 1), (3, 3, 2), (3, 3, 4), (4, 2, 2), (3, 7, 1),

@@ -11,8 +11,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "building": ("ComplexZ", "build_Z", "enumerate_flag_reps", "vertex_label"),
-    "errors": ("InvariantError", "OracleLimitError"),
-    "field": ("GF",),
+    "errors": ("GF", "InvariantError", "OracleLimitError"),
     "gf": ("SparseMatrix", "sparse_rank"),
     "homology": ("HomologyReport", "assemble_boundary", "h0_dimension"),
     "oracle": ("FiniteGroupTable", "abelianization_dim", "adjacency_oracle",

@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
-from . import field
-from .errors import InvariantError
+from .errors import GF, InvariantError
 from .gf import gauss_jordan, inverse_entries
 from .wedge import Vertex, is_standard_vertex, standard_ball
 
@@ -220,11 +219,12 @@ def build_Z(n: int, q: int, radius: int,
     endpoint that is not a vertex key, or counts other than the wedge's
     closed-form partial_flag_count sums raise InvariantError.  The keys
     stay here: a vertex's rank is its place in key order, and each
-    edge is its sorted rank pair (ia, ib), mapped to its flag, the edges
+    edge is its rank pair (ia, ib), mapped to its flag, the edges
     sorted; a key starts with its wedge vertex, so the endpoints give
-    the edge's simplex.
+    the edge's simplex.  Ball edges (a, b) have a < b, so the key of a
+    sorts before the key of b and ia < ib needs no swap.
     """
-    field.GF(q)  # checks that q is prime
+    GF(q)  # checks that q is prime
     ball_vertices, ball_edges = standard_ball(n, radius)
     breaks = {r: vertex_breaks(r) for r in ball_vertices}
     vertex_types: dict = {}  # break type -> ball vertices of that type, as 1-simplices
@@ -270,8 +270,6 @@ def build_Z(n: int, q: int, radius: int,
                 ia, ib = rank[keys[a]], rank[keys[b]]
             except KeyError as missing:
                 raise InvariantError(f"edge endpoint {missing} is not a vertex") from None
-            if ib < ia:
-                ia, ib = ib, ia
             if (ia, ib) in found_e:
                 raise InvariantError(f"{(order[ia], order[ib])} is reached by two flags")
             found_e[ia, ib] = s

@@ -6,8 +6,8 @@ invariant violation.
 
 The prime --q is checked once, in main, and every command passes it on
 as the int p.  Each command imports the modules it runs when it starts,
-so the module level loads only two small modules, field (the prime
-check) and errors:
+so the module level loads only one small module, errors (the exception
+types, the --limit default and the prime check):
 
 - compute: wedge, gf, building and homology (with json);
 - export: the same, and poly for the vertex labels;
@@ -24,8 +24,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import field
-from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError
+from .errors import DEFAULT_LIMIT, InvariantError, OracleLimitError, _is_prime
 
 if TYPE_CHECKING:
     from .building import ComplexZ
@@ -209,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error("n must be at least 2")
     if getattr(args, "radius", 1) < 1:
         return _usage_error("radius must be at least 1")
-    if not field._is_prime(getattr(args, "q", 2)):
+    if not _is_prime(getattr(args, "q", 2)):
         return _usage_error("q must be prime")
     try:
         return args.func(args)

@@ -347,9 +347,7 @@ def adjacency_oracle(r: Vertex, rp: Vertex) -> bool:
     exps_b = tuple(rp) + (0,)
     span = max(exps_a + exps_b) + 1
     for k in range(-span, span + 1):
-        c = max(0, -k)
-        if min(e + k + c for e in exps_b) < 0:
-            continue
+        c = max(0, -k)  # k + c >= 0, so every exponent below is too
         a1 = tuple(e + 1 + c for e in exps_a)   # t^{c+1} A
         mid = tuple(e + k + c for e in exps_b)  # t^{c+k} B
         a0 = tuple(e + c for e in exps_a)       # t^c A

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+import conghom.oracle
+from conghom import homology
 from conghom.cli import main
+from conghom.wedge import adjacency
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +64,29 @@ def test_compute_bad_radius(capsys):
     assert code == 2
 
 
+def test_compute_rejects_n_below_two(capsys):
+    code, out, err = run_cli(capsys, "compute", "--n", "1", "--q", "2", "--radius", "1")
+    assert code == 2
+    assert "n must be at least 2" in err
+    assert out == ""
+
+
+def test_compute_below_the_floor_is_an_invariant_violation(monkeypatch, capsys):
+    # one pivot too many takes dim_h0 at (3,2,1) from 8 to 7, under n^2 - 1
+    real = homology.reduce_columns
+
+    def one_extra_pivot(p, columns):
+        basis = real(p, columns)
+        basis[-1] = ()
+        return basis
+
+    monkeypatch.setattr(homology, "reduce_columns", one_extra_pivot)
+    code, out, err = run_cli(capsys, "compute", "--n", "3", "--q", "2", "--radius", "1")
+    assert code == 4
+    assert "cokernel dimension 7 fell below the guaranteed floor 8" in err
+    assert out == ""
+
+
 def test_compute_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "compute", "--n", "2", "--q", "2", "--radius", "1",
@@ -112,6 +138,13 @@ def test_survive_unrealizable(capsys):
     assert "unrealizable" in err
 
 
+def test_survive_rejects_bounds_that_are_not_integers(capsys):
+    code, out, err = run_cli(capsys, "survive", "--n", "3", "--bounds", "1,x,3")
+    assert code == 2
+    assert "comma-separated list of integers" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("n, bounds", [("3", "1,-1,1"), ("2", "-5")])
 def test_survive_rejects_negative_bounds(capsys, n, bounds):
     code, out, err = run_cli(capsys, "survive", "--n", n, f"--bounds={bounds}")
@@ -134,6 +167,24 @@ def test_oracle_limit_skips(capsys):
                            "--limit", "2")
     assert code == 0
     assert "skipped" in out
+
+
+def test_oracle_mismatch_exits_4(monkeypatch, capsys):
+    # a failed certification prints MISMATCH, the line perfbench counts as a failure
+    monkeypatch.setattr(conghom.oracle, "verify_h1_formula", lambda *args, **kwargs: False)
+    code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--q", "2", "--radius", "1")
+    assert code == 4
+    assert out.count(": MISMATCH\n") == 6  # 3 vertices and 3 edges in the radius-1 ball
+    assert "adjacency: 3 pairs checked, 0 mismatches" in out
+
+
+def test_oracle_adjacency_mismatch_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(conghom.oracle, "adjacency_oracle", lambda a, b: not adjacency(a, b))
+    code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--q", "2", "--radius", "1")
+    assert code == 4
+    assert "MISMATCH" not in out
+    assert out.count("adjacency mismatch: ") == 3
+    assert "adjacency: 3 pairs checked, 3 mismatches" in out
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import conghom
 from conghom.building import enumerate_flag_reps
-from conghom.field import GF
+from conghom.errors import GF
 from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
 from conghom.oracle import verify_h1_formula
 from conghom.wedge import bound_profile
@@ -23,6 +24,10 @@ def test_gf_is_the_checked_prime_as_an_int():
     # perfbench calls GF(q) and passes the result on as the prime p
     for q in (2, 3, 257):
         assert GF(q) == q and type(GF(q)) is int
+    # the package export is the checked constructor in conghom.errors
+    assert conghom.GF is GF and conghom.GF(3) == 3
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        conghom.GF(4)
     assert enumerate_flag_reps(3, GF(3)) == enumerate_flag_reps(3, 3)
     for simplex in ([(1, 0)], [(1, 0), (1, 1)]):
         prof = bound_profile(simplex)

@@ -313,6 +313,19 @@ def test_edge_whose_ranks_span_no_simplex_raises_before_any_inclusion(monkeypatc
     assert calls == []
 
 
+def test_inclusion_rejects_a_class_outside_the_vertex_caps():
+    # W = I and r_v = (2, 1) is an endpoint of the edge, but the basis passed
+    # is that of (1, 0), whose cap b_13 = 1 cannot hold the edge slot (1, 3, 2)
+    simplex = ((2, 1), (2, 2))
+    edge_basis = h1_basis(bound_profile(simplex))
+    assert (1, 3, 2) in edge_basis.slots
+    own = h1_basis(bound_profile([(2, 1)]))
+    assert homology._inclusion(IDENT3, 3, 3, simplex, edge_basis, (2, 1), own)
+    with pytest.raises(InvariantError, match="representative inconsistency"):
+        homology._inclusion(IDENT3, 3, 3, simplex, edge_basis, (2, 1),
+                            h1_basis(bound_profile([(1, 0)])))
+
+
 def _record_inclusions(monkeypatch):
     # each _inclusion call's (W entries, simplex, r_v), listed before the call runs
     calls = []

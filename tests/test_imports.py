@@ -68,23 +68,34 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
+def _names_imported_from(module: str, source: str) -> set[str]:
+    """Names that src/conghom/<module>.py imports from conghom.<source>."""
+    return {alias.name for node in ast.walk(_module_tree(module))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
+            for alias in node.names}
+
+
 def test_compute_path_imports_no_group_code():
     # the parser sees the imports that are there
     assert {"building", "gf", "wedge"} <= _package_imports("homology")
     assert {"poly", "wedge"} <= _package_imports("oracle")
-    assert "field" in _package_imports("building")  # build_Z's prime check
+    assert "GF" in _names_imported_from("building", "errors")  # build_Z's prime check
+    assert "_is_prime" in _names_imported_from("cli", "errors")  # the CLI's --q check
     # a prime is an int, so the linear algebra, the boundary and the oracle
-    # need no field context
+    # need no prime check; it lives in errors, so no field module is left
     for module in ("gf", "homology", "oracle"):
-        assert "field" not in _package_imports(module), module
+        assert not _names_imported_from(module, "errors") & {"GF", "_is_prime"}, module
+    assert not (Path(conghom.__file__).parent / "field.py").exists()
+    for m in pkgutil.iter_modules(conghom.__path__):
+        assert "field" not in _package_imports(m.name), m.name
     # the group elements are test references now
     assert not (Path(conghom.__file__).parent / "congruence.py").exists()
     for module in ("gf", "homology"):
         assert not _package_imports(module) & {"oracle", "poly"}, module
     # the oracle path holds no Z_R, boundary or matrix code
-    for module in ("oracle", "poly", "wedge", "field"):
+    for module in ("oracle", "poly", "wedge", "errors"):
         assert not _package_imports(module) & {"building", "homology", "gf"}, module
-    assert not _package_imports("wedge") | _package_imports("field")
+    assert not _package_imports("wedge") | _package_imports("errors")
 
 
 def test_building_and_homology_import_from_gf_only_the_hot_path():
@@ -92,9 +103,7 @@ def test_building_and_homology_import_from_gf_only_the_hot_path():
     hot_path = {"gauss_jordan", "inverse_entries", "reduce_columns", "SparseMatrix"}
     imported = set()
     for module in ("building", "homology"):
-        names = {alias.name for node in ast.walk(_module_tree(module))
-                 if isinstance(node, ast.ImportFrom) and node.module == "gf" and node.level == 1
-                 for alias in node.names}
+        names = _names_imported_from(module, "gf")
         assert names <= hot_path, module
         imported |= names
     assert imported == hot_path  # the walk sees the imports that are there
@@ -192,7 +201,7 @@ def test_startup_loads_only_what_compute_runs(run_python):
     assert not {m for m in package if m.startswith("conghom.")}
     cli = _loaded_modules(run_python, "import conghom.cli") - bare
     assert {m for m in cli if m.startswith("conghom")} == {
-        "conghom", "conghom.cli", "conghom.field", "conghom.errors"}
+        "conghom", "conghom.cli", "conghom.errors"}
     assert not cli & {"json", "dataclasses", "inspect"}
 
     size = ("--n", "3", "--q", "2", "--radius", "1")
@@ -203,8 +212,7 @@ def test_startup_loads_only_what_compute_runs(run_python):
     assert {"conghom.building", "conghom.homology", "conghom.gf"} <= compute
     assert not compute & {"conghom.poly", "conghom.oracle", "conghom.congruence"}
     survive = _command_modules(run_python, "survive", "--n", "3", "--bounds", "1,1,3")
-    assert survive == {"conghom", "conghom.cli", "conghom.wedge", "conghom.field",
-                       "conghom.errors"}
+    assert survive == {"conghom", "conghom.cli", "conghom.wedge", "conghom.errors"}
 
 
 def test_boundary_columns_forms_no_general_product():

@@ -23,9 +23,9 @@ from .gf import gauss_jordan, inverse_entries
 from .wedge import Vertex, is_standard_vertex, standard_ball
 
 
-def bruhat_cells(n: int, p: int, break_types=None
+def bruhat_cells(n: int, p: int, break_types
                  ) -> Iterator[tuple[frozenset[int], list[tuple[int, ...]]]]:
-    """Each Bruhat cell of complete flags of F_p^n, with its ascent set.
+    """Each Bruhat cell of complete flags of F_p^n whose ascents lie in a break type.
 
     For each row permutation w, in lexicographic order, the cell holds
     one determinant-one matrix per flag, as its n^2 row-major residues
@@ -38,13 +38,13 @@ def bruhat_cells(n: int, p: int, break_types=None
     coset w W_B of the Young subgroup of a break set B has a unique
     longest element, the one decreasing inside every block of B
     (Bjorner-Brenti, GTM 231, 2.4), so the flags whose ascents lie in B
-    are one per partial flag of type B.  With break_types given, only
-    the cells whose ascent set lies in one of them are enumerated.
+    are one per partial flag of type B.  The break types [range(1, n)]
+    hold every ascent set, so they yield every cell.
     """
-    types = None if break_types is None else [frozenset(b) for b in break_types]
+    types = [frozenset(b) for b in break_types]
     for w in permutations(range(n)):
         ascents = frozenset(k for k in range(1, n) if w[k - 1] < w[k])
-        if types is not None and not any(ascents <= b for b in types):
+        if not any(ascents <= b for b in types):
             continue
         free = [r * n + k for k in range(n - 1) for r in range(w[k] + 1, n) if r not in w[:k]]
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
@@ -70,7 +70,7 @@ def enumerate_flag_reps(n: int, p: int) -> list[tuple[int, ...]]:
     reads it only when given it as flag_reps: by default it enumerates
     just the cells whose ascents lie in a break type of its ball.
     """
-    reps = [s for _, flags in bruhat_cells(n, p) for s in flags]
+    reps = [s for _, flags in bruhat_cells(n, p, [range(1, n)]) for s in flags]
     reps.sort(key=lambda s: [s[j::n] for j in range(n)])
     return reps
 

@@ -87,11 +87,7 @@ def cmd_survive(args: argparse.Namespace) -> int:
     except ValueError:
         return _usage_error("bounds must be a comma-separated list of integers")
     try:
-        profile = BoundProfile.from_upper_bounds(args.n, values)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
-        surv = surviving_degrees(profile)
+        surv = surviving_degrees(BoundProfile.from_upper_bounds(args.n, values))
     except ValueError as exc:
         return _usage_error(str(exc))
     parts = []

@@ -285,15 +285,15 @@ def abelianization_dim(tbl: FiniteGroupTable) -> int:
 def profile_generators(profile: BoundProfile) -> list[Trunc]:
     """In-cap elementaries I + t^r E_ij mod t^m, m = 1 + max cap; they generate the group.
 
-    Each is written directly: the identity's entries, with the
-    coefficient of t^r set at entry (i, j).
+    Each is written directly, in the order of b's keys: the identity's
+    entries, with the coefficient of t^r set at entry (i, j).
     """
     n, m = profile.n, 1 + profile.max_bound()
     zero = (0,) * m
     identity = [(1,) + zero[1:] if i == j else zero for i in range(n) for j in range(n)]
     gens = []
-    for (i, j) in profile.upper_pairs():
-        for r in range(1, profile.b[(i, j)] + 1):
+    for (i, j), cap in profile.b.items():
+        for r in range(1, cap + 1):
             g = identity[:]
             g[(i - 1) * n + j - 1] = zero[:r] + (1,) + zero[r + 1:]
             gens.append(tuple(g))
@@ -301,8 +301,8 @@ def profile_generators(profile: BoundProfile) -> list[Trunc]:
 
 
 def expected_order_exponent(profile: BoundProfile) -> int:
-    """Coefficient count: sum of max(0, b_ij) over the upper triangle."""
-    return sum(max(0, profile.b[pair]) for pair in profile.upper_pairs())
+    """Coefficient count: the sum of the upper caps b_ij, each >= 0."""
+    return sum(profile.b.values())
 
 
 def verify_h1_formula(profile: BoundProfile, p: int, limit: int = DEFAULT_LIMIT) -> bool:

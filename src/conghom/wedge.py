@@ -76,20 +76,17 @@ def standard_ball(n: int, radius: int) -> tuple[tuple[Vertex, ...], tuple[Edge, 
 class BoundProfile(NamedTuple):
     """Degree caps b_ij for the upper entries of a simplex stabilizer.
 
-    Keys are the 1-based pairs (i, j), i < j.  For standard simplices
-    b_ij = min over vertices of r_i - r_j (r_n = 0), which is
-    superadditive: b_ij >= b_ik + b_kj whenever i < k < j.  No cap is
-    stored below the diagonal: there b_ij <= 0 for every standard
-    simplex, so no slot or commutator split lives there.
+    The keys of b are exactly the upper pairs (i, j), 1 <= i < j <= n,
+    in construction order: lexicographic from bound_profile, root_order
+    from from_upper_bounds.  For standard simplices b_ij = min over
+    vertices of r_i - r_j (r_n = 0), which is superadditive: b_ij >=
+    b_ik + b_kj whenever i < k < j.  No cap is stored below the
+    diagonal: there b_ij <= 0 for every standard simplex, so no slot or
+    commutator split lives there.
     """
 
     n: int
     b: dict[tuple[int, int], int]
-
-    def upper_pairs(self):
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield (i, j)
 
     def is_superadditive(self) -> bool:
         for i in range(1, self.n + 1):
@@ -100,7 +97,7 @@ class BoundProfile(NamedTuple):
         return True
 
     def max_bound(self) -> int:
-        return max([self.b[p] for p in self.upper_pairs()] + [0])
+        return max([*self.b.values(), 0])
 
     @classmethod
     def from_upper_bounds(cls, n: int, values: list[int]) -> "BoundProfile":
@@ -160,8 +157,7 @@ def surviving_degrees(profile: BoundProfile) -> dict[tuple[int, int], list[int]]
     if not profile.is_superadditive():
         raise ValueError("unrealizable profile")
     out: dict[tuple[int, int], list[int]] = {}
-    for (i, j) in profile.upper_pairs():
-        cap = profile.b[(i, j)]
+    for (i, j), cap in profile.b.items():
         if cap < 1:
             continue
         degs = []

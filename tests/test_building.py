@@ -45,6 +45,18 @@ def test_standard_ball_n3_r2():
     assert set(verts) == {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
 
+def test_standard_ball_rejects_bad_dimension_and_radius():
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        standard_ball(1, 1)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        standard_ball(3, -1)
+
+
+def test_adjacency_rejects_vertices_of_different_dimension():
+    with pytest.raises(ValueError, match="vertices of different dimension"):
+        adjacency((1,), (1, 0))
+
+
 def test_adjacency_examples():
     assert adjacency((0, 0), (1, 0))
     assert adjacency((1, 0), (1, 1))
@@ -61,7 +73,7 @@ def test_bound_profile_examples():
     assert p.b[(1, 2)] == 0 and p.b[(2, 3)] == 0 and p.b[(1, 3)] == 1
 
     p = bound_profile([(0, 0)])
-    assert all(p.b[pair] == 0 for pair in p.upper_pairs())
+    assert list(p.b.items()) == [((1, 2), 0), ((1, 3), 0), ((2, 3), 0)]
 
 
 def test_bound_profile_rejects_non_simplex():
@@ -69,6 +81,10 @@ def test_bound_profile_rejects_non_simplex():
         bound_profile([(0, 0), (2, 0)])
     with pytest.raises(ValueError):
         bound_profile([(1, 0), (1, 0)])
+    with pytest.raises(ValueError, match="empty simplex"):
+        bound_profile([])
+    with pytest.raises(ValueError, match="vertices do not lie in the standard wedge"):
+        bound_profile([(0, 1)])
 
 
 def test_bound_profile_superadditive_everywhere():
@@ -101,7 +117,7 @@ def test_flag_reps_counts(n, q, count):
     assert len(chains) == count  # pairwise inequivalent, hence exhaustive
     # flags are n^2 residues in [0, p), the determinant's sign written as p - 1,
     # not -1: the packed flag products of boundary_columns need every entry in [0, p)
-    cells = [s for _, flags in bruhat_cells(n, q) for s in flags]
+    cells = [s for _, flags in bruhat_cells(n, q, [range(1, n)]) for s in flags]
     assert sorted(cells) == sorted(reps)
     for s in reps:
         assert type(s) is tuple and len(s) == n * n
@@ -115,6 +131,11 @@ def test_vertex_label_origin():
     for s in reps:
         assert vertex_label(s, 2, (0, 0)) == origin
     assert origin[0][0] == (1,)
+
+
+def test_vertex_label_rejects_non_standard_vertex():
+    with pytest.raises(ValueError, match="not a standard vertex"):
+        vertex_label(DenseMatrix.identity(2, 3).entries, 2, (0, 1))
 
 
 def test_vertex_label_classes_match_line_subspaces():

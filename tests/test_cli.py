@@ -145,6 +145,13 @@ def test_survive_rejects_bounds_that_are_not_integers(capsys):
     assert out == ""
 
 
+def test_survive_rejects_a_wrong_number_of_bounds(capsys):
+    code, out, err = run_cli(capsys, "survive", "--n", "3", "--bounds", "1,1")
+    assert code == 2
+    assert "expected 3 bounds for n=3" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("n, bounds", [("3", "1,-1,1"), ("2", "-5")])
 def test_survive_rejects_negative_bounds(capsys, n, bounds):
     code, out, err = run_cli(capsys, "survive", "--n", n, f"--bounds={bounds}")

@@ -105,8 +105,7 @@ def random_member(rng, prof, p):
     n = prof.n
     rows = [[Poly.one(p) if i == j else Poly.zero(p) for j in range(n)]
             for i in range(n)]
-    for (i, j) in prof.upper_pairs():
-        cap = prof.b[(i, j)]
+    for (i, j), cap in prof.b.items():
         if cap >= 1:
             coeffs = [0] + [rng.randrange(p) for _ in range(cap)]
             rows[i - 1][j - 1] = Poly(p, coeffs)

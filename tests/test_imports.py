@@ -21,6 +21,7 @@ import conghom
 from conghom.building import ComplexZ
 from conghom.gf import SparseMatrix
 from conghom.oracle import _Packing
+from conghom.wedge import BoundProfile
 from reference import DenseMatrix, GroupElement, Poly, PolyMatrix
 
 MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
@@ -39,7 +40,8 @@ METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate
                             (GroupElement, "__matmul__"), (Poly, "const"),
                             (_Packing, "to_bytes"), (_Packing, "from_bytes"),
                             (SparseMatrix, "densify"), (ComplexZ, "origin_key"),
-                            (ComplexZ, "field"), (SparseMatrix, "field"))
+                            (ComplexZ, "field"), (SparseMatrix, "field"),
+                            (BoundProfile, "upper_pairs"))
 
 
 def _module_tree(module: str) -> ast.Module:

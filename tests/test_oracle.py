@@ -45,7 +45,7 @@ def test_profile_generators_are_the_truncated_elementaries():
     prof = profile(3, [2, 1, 3])
     m = 1 + prof.max_bound()
     want = [trunc_from_group_element(elementary(i, j, Poly.monomial(2, r), 3), m)
-            for (i, j) in prof.upper_pairs() for r in range(1, prof.b[(i, j)] + 1)]
+            for (i, j), cap in prof.b.items() for r in range(1, cap + 1)]
     assert profile_generators(prof) == want
     assert len(want) == 6 and all(len(entry) == m == 4 for g in want for entry in g)
 
@@ -60,6 +60,11 @@ def test_generate_group_limit():
     assert {len(entry) for g in gens for entry in g} == {4}  # m = 4
     with pytest.raises(OracleLimitError):
         generate_group(gens, 2, limit=4)
+
+
+def test_generate_group_requires_a_generator():
+    with pytest.raises(ValueError, match="at least one context element is required"):
+        generate_group([], 2)
 
 
 def test_generate_group_rejects_constant_part():
@@ -379,6 +384,13 @@ def test_adjacency_oracle_examples():
     assert adjacency_oracle((1, 0), (1, 1))
     assert not adjacency_oracle((2, 1), (0, 0))
     assert not adjacency_oracle((1, 0), (1, 0))
+
+
+def test_adjacency_oracle_rejects_bad_vertices():
+    with pytest.raises(ValueError, match="vertices of different dimension"):
+        adjacency_oracle((1,), (1, 0))
+    with pytest.raises(ValueError, match="not standard vertices"):
+        adjacency_oracle((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("n, radius, adjacent", [(2, 5, 5), (3, 3, 18), (4, 2, 25)])

@@ -6,11 +6,11 @@ union of the translates of the truncated wedge by one constant matrix
 per full flag of F_q^n.  The translate of a wedge vertex r by a flag
 matrix s depends only on r and on the partial flag of F_q^n that s
 cuts out at the breaks of r, so Z_R takes one canonical flag per
-partial flag.  build_Z keys translates by that partial flag, written
-as RREF column spans, only to deduplicate and order them: a vertex of
-Z_R is its rank in key order, and an edge a pair of ranks.  Canonical
-HNF lattice labels are computed only on export (order_by_label), to
-name the vertices of Z_R and fix the published order.
+partial flag.  build_Z keys translates by that partial flag, as the
+RREFs (gf.extend_rref) of its leading column spans, only to deduplicate
+and order them: a vertex of Z_R is its rank in key order, and an edge
+a pair of ranks.  Canonical HNF lattice labels are computed only on
+export (order_by_label), to name the vertices and fix their order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
 from .errors import GF, InvariantError
-from .gf import gauss_jordan, inverse_entries
+from .gf import extend_rref, inverse_entries
 from .wedge import Vertex, is_standard_vertex, standard_ball
 
 
@@ -111,22 +111,18 @@ def vertex_breaks(r: Vertex) -> tuple[int, ...]:
     return tuple(k for k in range(1, len(exps)) if exps[k - 1] > exps[k])
 
 
-def partial_flag_keys(s: tuple[int, ...], n: int, p: int, vertices,
-                      spans: dict | None = None) -> dict:
+def partial_flag_keys(s: tuple[int, ...], n: int, p: int, vertices) -> dict:
     """Partial-flag key of the translate of each wedge vertex r by s.
 
     s is an n x n flag matrix given by its row-major residues mod p.
-    The key is (r, the RREF entries of the span of the first k columns
-    of s for each break k of r).  (s, r) and (s', r) share a
-    vertex_label exactly when s^-1 s' lies in the parabolic of r, that
-    is, block upper triangular with blocks ending at the breaks, which
-    holds exactly when the leading column spans agree at every break.
-    `spans` carries the last RREF computed at each k from one call to
-    the next (see _flag_keys); pass one dict to calls on flags that
-    share leading columns.
+    The key is (r, the RREF of the span of the first k columns of s,
+    as a tuple of row tuples, for each break k of r).  (s, r) and
+    (s', r) share a vertex_label exactly when s^-1 s' lies in the
+    parabolic of r, that is, block upper triangular with blocks ending
+    at the breaks, which holds exactly when the leading column spans
+    agree at every break.
     """
-    return _flag_keys(s, n, p, _with_top({r: vertex_breaks(r) for r in vertices}),
-                      {} if spans is None else spans)
+    return _flag_keys(s, n, p, _with_top({r: vertex_breaks(r) for r in vertices}))
 
 
 def _with_top(breaks: dict) -> tuple:
@@ -134,31 +130,19 @@ def _with_top(breaks: dict) -> tuple:
     return list(breaks.items()), max((b[-1] for b in breaks.values() if b), default=0)
 
 
-def _flag_keys(s: tuple[int, ...], n: int, p: int, vertices: tuple, spans: dict) -> dict:
+def _flag_keys(s: tuple[int, ...], n: int, p: int, vertices: tuple) -> dict:
     """partial_flag_keys for vertices given by _with_top.
 
-    The span at k, of the first k columns, is the span at k - 1 plus
-    column k, so its RREF is the RREF at k - 1 with that column appended
-    as a row and reduced by gauss_jordan, which eliminates the one new
-    row against rows already reduced.  `spans` holds, for each k, the
-    last (RREF at k - 1, column k, RREF at k) computed: a flag that
-    shares the span at k - 1 (the same tuple) and column k with it
-    reuses that RREF.  Flags in cell order share many leading columns.
+    The RREF of the span of the first k columns is extend_rref of the
+    one at k - 1 and column k.  A flag's columns are independent, so it
+    has k rows of n entries, and the keys of one wedge vertex sort as
+    their entries read row by row.
     """
     pairs, top = vertices
     span = ()
-    at = [span]  # at[k]: RREF entries of the span at k
+    at = [span]  # at[k]: RREF of the span at k
     for k in range(1, top + 1):
-        col = s[k - 1::n]
-        last = spans.get(k)
-        if last is not None and last[0] is span and last[1] == col:
-            span = last[2]
-        else:
-            rows = [list(span[i:i + n]) for i in range(0, len(span), n)]
-            rows.append(list(col))
-            gauss_jordan(rows, p, n)
-            spans[k] = (span, col, tuple([v for row in rows for v in row]))
-            span = spans[k][2]
+        span = extend_rref(span, s[k - 1::n], p, n)
         at.append(span)
     return {r: (r, tuple([at[k] for k in b])) for r, b in pairs}
 
@@ -212,17 +196,17 @@ def build_Z(n: int, q: int, radius: int,
     flags whose ascents lie in B, one per partial flag of type B.  By
     default the flags are those of the bruhat_cells whose ascents lie in
     some break type of the ball, so no other cell is enumerated; given
-    flag_reps, each flag's ascents are read off its matrix instead.  Each flag is keyed
-    once per pass for all the break types that hold its ascents, and
-    the RREF of each leading column span extends the RREF of the
-    shorter one by a column (_flag_keys).  A key reached twice, an edge
-    endpoint that is not a vertex key, or counts other than the wedge's
-    closed-form partial_flag_count sums raise InvariantError.  The keys
-    stay here: a vertex's rank is its place in key order, and each
-    edge is its rank pair (ia, ib), mapped to its flag, the edges
-    sorted; a key starts with its wedge vertex, so the endpoints give
-    the edge's simplex.  Ball edges (a, b) have a < b, so the key of a
-    sorts before the key of b and ia < ib needs no swap.
+    flag_reps, each flag's ascents are read off its matrix instead.
+    Each flag is keyed once per pass for all the break types that hold
+    its ascents; extend_rref grows the RREF of each leading column span,
+    a tuple of row tuples, from the shorter one (_flag_keys).  A key
+    reached twice, an edge endpoint that is not a vertex key, or counts
+    other than the wedge's closed-form partial_flag_count sums raise
+    InvariantError.  The keys stay here: a vertex's rank is its place in
+    key order, and each edge is its rank pair (ia, ib), mapped to its
+    flag, the edges sorted; a key starts with its wedge vertex, so the
+    endpoints give the edge's simplex.  Ball edges (a, b) have a < b, so
+    the key of a sorts before the key of b and ia < ib needs no swap.
     """
     GF(q)  # checks that q is prime
     ball_vertices, ball_edges = standard_ball(n, radius)
@@ -242,7 +226,6 @@ def build_Z(n: int, q: int, radius: int,
             by_ascents.setdefault(frozenset(k for k in range(1, n) if w[k - 1] < w[k]),
                                   []).append(s)
         cells = list(by_ascents.items())
-    spans: dict = {}
 
     def canonical(types: dict):
         """(flag, simplices, keys): each flag, the simplices whose break types hold its ascents."""
@@ -252,7 +235,7 @@ def build_Z(n: int, q: int, radius: int,
             if mine:
                 verts = _with_top({r: breaks[r] for simplex in mine for r in simplex})
                 for s in flags:
-                    yield s, mine, _flag_keys(s, n, q, verts, spans)
+                    yield s, mine, _flag_keys(s, n, q, verts)
 
     found_v: dict = {}
     for s, mine, keys in canonical(vertex_types):

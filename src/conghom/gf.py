@@ -1,8 +1,9 @@
 """Exact linear algebra over the prime field GF(p).
 
-Scalars are plain Python ints in [0, p).  A dense matrix is a list of
-rows or a row-major tuple of residues.  Every routine, and
-SparseMatrix, takes the prime as the int p.
+Scalars are plain Python ints in [0, p).  A dense matrix is a row-major
+tuple of residues, and an RREF a tuple of row tuples in pivot order,
+grown a row at a time by extend_rref, the one Gauss-Jordan routine.
+Every routine, and SparseMatrix, takes the prime as the int p.
 """
 
 from __future__ import annotations
@@ -10,51 +11,49 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-def gauss_jordan(rows: list[list[int]], p: int, width: int) -> list[int]:
-    """Reduce rows of residues mod p in place to reduced row echelon form.
+def extend_rref(rows: tuple, row: Sequence[int], p: int, width: int) -> tuple:
+    """RREF of the span of `rows` plus one row: a tuple of row tuples in pivot order.
 
-    Pivots are sought in the first `width` columns, left to right: each
-    pivot row is moved up, scaled to 1 at its pivot, and subtracted from
-    every other row that is nonzero there, across the whole row.
-    Returns the pivot columns; the rows below the last pivot row are
-    zero in the first `width` columns.  building reduces the leading
-    column spans of a flag this way, and inverse_entries the left half
-    of [m | I].
+    `rows` is such an RREF, pivots in the first `width` columns; a
+    reduced row's pivot is its first 1.  The new row is reduced at each
+    pivot; if it is then zero in the first `width` columns, `rows`
+    itself is returned.  Else its first nonzero is scaled to 1 and
+    cleared from the other rows, and it goes in at its pivot's place.
+    building folds a flag's columns through this, inverse_entries the
+    rows of [m | I].
     """
-    pivots: list[int] = []
-    r = 0
-    count = len(rows)
-    for c in range(width):
-        if r == count:
+    for r in rows:
+        f = row[r.index(1)]
+        if f:
+            row = [(x - f * y) % p for x, y in zip(row, r)]
+    f = next(filter(None, row[:width]), 0)  # the first nonzero, which row.index finds
+    if not f:
+        return rows
+    c = row.index(f)
+    if f != 1:
+        inv = pow(f, p - 2, p)
+        row = [v * inv % p for v in row]
+    row = tuple(row)
+    head = []  # the rows with pivots left of c, cleared at c; the rest are zero there
+    for r in rows:
+        f = r[c]
+        if not f and r.index(1) > c:
             break
-        for i in range(r, count):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        row = rows[i]
-        rows[i] = rows[r]
-        if row[c] != 1:
-            inv = pow(row[c], p - 2, p)
-            row = [v * inv % p for v in row]
-        rows[r] = row
-        for i, other in enumerate(rows):
-            f = other[c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(other, row)]
-        pivots.append(c)
-        r += 1
-    return pivots
+        head.append(tuple([(x - f * y) % p for x, y in zip(r, row)]) if f else r)
+    return (*head, row, *rows[len(head):])
 
 
 def inverse_entries(entries: Sequence[int], n: int, p: int) -> tuple[int, ...]:
     """Row-major inverse of an n x n matrix given by its row-major residues mod p.
 
-    gauss_jordan reduces [m | I] with its pivots in the left half, which
-    leaves [I | m^-1]; a singular matrix raises ValueError.
+    Folding the rows of [m | I] through extend_rref leaves [I | m^-1]; a
+    singular matrix, whose RREF has fewer than n rows, raises ValueError.
     """
-    rows = [[*entries[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
-    if len(gauss_jordan(rows, p, n)) < n:
+    rows: tuple = ()
+    zeros = (0,) * n
+    for i in range(n):
+        rows = extend_rref(rows, (*entries[i * n:(i + 1) * n], *zeros[:i], 1, *zeros[i + 1:]), p, n)
+    if len(rows) < n:
         raise ValueError("matrix is singular")
     return tuple([v for row in rows for v in row[n:]])
 

@@ -24,12 +24,12 @@ command line never runs it.  It holds
   off its coefficients;
 - the dense GF(p) matrix that the tests compute with, its product and
   transpose, rref and inverse as thin wrappers over conghom.gf's
-  gauss_jordan and inverse_entries, and densify of a sparse matrix;
+  extend_rref and inverse_entries, and densify of a sparse matrix;
 - the determinant over GF(p), which checks the flag representatives;
 - the heap rank, a Markowitz elimination on the rows, which checks the
   column reduction of conghom.gf.sparse_rank;
 - the row-list RREF and the inverse read off the RREF of [m | I], which
-  check gauss_jordan and inverse_entries through rref and inverse;
+  check extend_rref and inverse_entries through rref and inverse;
 - edge_inclusion, the uncached dense block of one edge into one
   endpoint, with W = s_v^-1 s_e from a dense product, which the
   assembled boundary is held to;
@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 
 from conghom.building import ComplexZ
 from conghom.errors import InvariantError
-from conghom.gf import SparseMatrix, gauss_jordan, inverse_entries
+from conghom.gf import SparseMatrix, extend_rref, inverse_entries
 from conghom.homology import BlockIndex, _inclusion
 from conghom.oracle import Trunc
 from conghom.wedge import (BoundProfile, H1Basis, Vertex, bound_profile, h1_basis,
@@ -521,11 +521,16 @@ class DenseMatrix:
 
 
 def rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
-    """(rank, reduced row echelon form, pivot columns), by conghom.gf.gauss_jordan."""
-    rows = m.to_rows()
-    pivots = gauss_jordan(rows, m.p, m.cols)
-    reduced = DenseMatrix(m.p, m.rows, m.cols, [v for row in rows for v in row])
-    return len(pivots), reduced, tuple(pivots)
+    """(rank, reduced row echelon form, pivot columns), by conghom.gf.extend_rref.
+
+    The rows of m are folded in order through extend_rref, and the RREF
+    is padded with zero rows back to the shape of m.
+    """
+    red: tuple = ()
+    for row in m.to_rows():
+        red = extend_rref(red, row, m.p, m.cols)
+    entries = [v for row in red for v in row] + [0] * ((m.rows - len(red)) * m.cols)
+    return len(red), DenseMatrix(m.p, m.rows, m.cols, entries), tuple(r.index(1) for r in red)
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:
@@ -852,7 +857,7 @@ def row_rref(m: DenseMatrix) -> tuple[int, DenseMatrix, tuple[int, ...]]:
 
     Every pivot row is scaled by the inverse of its pivot, and every
     column is scanned until the rank reaches the row count.  Checks
-    conghom.gf.gauss_jordan through rref.
+    conghom.gf.extend_rref through rref.
     """
     p = m.p
     a = m.to_rows()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from functools import cache
 from itertools import combinations
 
@@ -276,6 +277,16 @@ def test_build_z_rejects_partial_flag_reached_twice():
         build_Z(3, 2, 1, flag_reps=reps + [reps[0]])
 
 
+def test_build_z_rejects_edge_reached_twice():
+    # the identity flag's ascents {1, 2} are the break type of the edge
+    # (1, 0)-(1, 1) only, so the vertex pass never keys the duplicate and
+    # the edge pass names the two endpoint keys, each span a tuple of rows
+    reps = enumerate_flag_reps(3, 2)
+    edge = "((1, 0), (((1, 0, 0),),)), ((1, 1), (((1, 0, 0), (0, 1, 0)),))"
+    with pytest.raises(InvariantError, match=re.escape(f"({edge}) is reached by two flags")):
+        build_Z(3, 2, 1, flag_reps=reps + [(1, 0, 0, 0, 1, 0, 0, 0, 1)])
+
+
 def test_build_z_rejects_edge_endpoint_that_is_not_a_vertex():
     # reps[0] is the one flag with no ascent, so without it the origin is no vertex,
     # while the flags of the 14 edges at the origin still reach its key
@@ -303,13 +314,12 @@ def test_ascent_rule_picks_one_flag_per_partial_flag(n, q):
     chosen = {r: 0 for r in types}
     keys = {r: set() for r in types}
     selected = {r: [] for r in types}
-    spans = {}
     for s in _flag_reps(n, q):
         ascents = _ascents(s, n)
         mine = [r for r, breaks in types.items() if ascents <= set(breaks)]
         for r in mine:
             selected[r].append(s)
-        for r, key in partial_flag_keys(s, n, q, mine, spans).items():
+        for r, key in partial_flag_keys(s, n, q, mine).items():
             chosen[r] += 1
             keys[r].add(key)
     for r, breaks in types.items():

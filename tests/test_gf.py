@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import conghom
 from conghom.building import enumerate_flag_reps
 from conghom.errors import GF
-from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
+from conghom.gf import SparseMatrix, extend_rref, reduce_columns, sparse_rank
 from conghom.oracle import verify_h1_formula
 from conghom.wedge import bound_profile
 from reference import (DenseMatrix, augmented_inverse, densify, det, heap_rank, inverse,
@@ -124,7 +124,7 @@ def _residue_matrix(draw, square=False):
 
 
 @given(_residue_matrix(), _residue_matrix(square=True))
-def test_gauss_jordan_matches_row_reference(m, square):
+def test_extend_rref_matches_row_reference(m, square):
     # rank, RREF entries and pivots of rref, and inverse or its refusal, as
     # the row-list references compute them
     assert rref(m) == row_rref(m)
@@ -135,6 +135,22 @@ def test_gauss_jordan_matches_row_reference(m, square):
             inverse(square)
     else:
         assert inverse(square) == want
+
+
+@given(_residue_matrix(), st.data())
+def test_extend_rref_fold_depends_only_on_the_span(m, data):
+    # folding the rows in any order gives the nonzero rows of the reference
+    # RREF, so build_Z's keys depend on the column spans, not on column order
+    rows = m.to_rows()
+    red = ()
+    for i in data.draw(st.permutations(range(m.rows))):
+        red = extend_rref(red, rows[i], m.p, m.cols)
+    rank, want, _ = row_rref(m)
+    assert red == tuple(tuple(want.row(i)) for i in range(rank))
+    # a row already in the span returns the very same RREF object
+    combo = data.draw(st.lists(st.integers(0, m.p - 1), min_size=m.rows, max_size=m.rows))
+    inside = [sum(a * row[j] for a, row in zip(combo, rows)) % m.p for j in range(m.cols)]
+    assert extend_rref(red, inside, m.p, m.cols) is red
 
 
 def test_product_column_and_transpose_match_entrywise_definitions():

@@ -32,7 +32,8 @@ MOVED_OR_DELETED = ("TracelessMatrix", "bracket", "level", "rho", "commutator",
                     "GroupElement", "elementary", "_trunc_from_group_element",
                     "trunc_from_group_element", "_typecode", "_deserialize",
                     "DenseMatrix", "rref", "inverse", "edge_inclusion", "Poly", "PolyMatrix",
-                    "CanonicalLabel", "polymat_det", "_check_same_field", "EdgeRep")
+                    "CanonicalLabel", "polymat_det", "_check_same_field", "EdgeRep",
+                    "gauss_jordan")
 METHODS_MOVED_OR_DELETED = ((GroupElement, "inverse"), (GroupElement, "conjugate_by"),
                             (PolyMatrix, "from_constant"), (PolyMatrix, "constant_term"),
                             (DenseMatrix, "add"), (DenseMatrix, "sub"), (DenseMatrix, "trace"),
@@ -102,7 +103,7 @@ def test_compute_path_imports_no_group_code():
 
 def test_building_and_homology_import_from_gf_only_the_hot_path():
     # flags are entry tuples, so no dense matrix class, rref or inverse is imported
-    hot_path = {"gauss_jordan", "inverse_entries", "reduce_columns", "SparseMatrix"}
+    hot_path = {"extend_rref", "inverse_entries", "reduce_columns", "SparseMatrix"}
     imported = set()
     for module in ("building", "homology"):
         names = _names_imported_from(module, "gf")

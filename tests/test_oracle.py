@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conghom import oracle
 from conghom.errors import InvariantError, OracleLimitError
 from conghom.oracle import (
     FiniteGroupTable,
@@ -353,6 +354,45 @@ def test_abelianization_rejects_a_generator_whose_square_is_not_in_g_prime():
         abelianization_dim(tbl)
     # the witness is the offending generator, written as its coefficients
     assert f"witness {g}" in str(err.value)
+
+
+def _lower_corner(m):
+    """I + t E31 over F_2 mod t^m, packed: no table of upper caps holds it."""
+    g = list(trunc_identity(3, m))
+    g[6] = (0, 1) + (0,) * (m - 2)
+    return _Packing(3, m, 2).pack(tuple(g))
+
+
+def test_generate_group_rejects_a_closure_whose_order_is_not_a_power_of_p(monkeypatch):
+    # a closure of 3 elements at p = 2 cannot be a p-group
+    closure = oracle._closure
+    monkeypatch.setattr(oracle, "_closure", lambda *args: closure(*args) | {_lower_corner(2)})
+    gens = profile_generators(profile(3, [1, 0, 0]))
+    with pytest.raises(InvariantError, match="closure order is not a power of the characteristic"):
+        generate_group(gens, 2)
+
+
+def test_commutator_subgroup_rejects_a_closure_outside_the_group(monkeypatch):
+    tbl = _group_for(profile(3, [1, 1, 1]), 2)
+    monkeypatch.setattr(oracle, "_closure", lambda *args: {_lower_corner(tbl.m)})
+    with pytest.raises(InvariantError, match="commutator subgroup leaves the group"):
+        commutator_subgroup(tbl)
+
+
+def test_abelianization_rejects_an_order_that_is_not_a_power_of_p():
+    # one foreign element makes the order-8 table 9 elements over G' = {I}
+    tbl = _group_for(profile(3, [1, 1, 1]), 2)
+    assert tbl.order == 8
+    tbl = tbl._replace(elements=tbl.elements | {_lower_corner(tbl.m)})
+    with pytest.raises(InvariantError, match="abelianization order is not a power of p"):
+        abelianization_dim(tbl)
+
+
+def test_verify_h1_formula_rejects_an_order_off_the_coefficient_count(monkeypatch):
+    monkeypatch.setattr(oracle, "expected_order_exponent",
+                        lambda prof: expected_order_exponent(prof) + 1)
+    with pytest.raises(InvariantError, match="enumerated order disagrees"):
+        verify_h1_formula(profile(3, [1, 1, 1]), 2)
 
 
 def test_verify_h1_formula_examples():

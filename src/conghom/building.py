@@ -11,6 +11,7 @@ RREFs (gf.extend_rref) of its leading column spans, only to deduplicate
 and order them: a vertex of Z_R is its rank in key order, and an edge
 a pair of ranks.  Canonical HNF lattice labels are computed only on
 export (order_by_label), to name the vertices and fix their order.
+compute translates only the ball edges of certificate_edges first.
 """
 
 from __future__ import annotations
@@ -166,6 +167,47 @@ def partial_flag_count(n: int, q: int, breaks) -> int:
     return count
 
 
+def certificate_edges(n: int, radius: int) -> tuple:
+    """The ball edges whose translates compute reduces first, in standard_ball order.
+
+    An edge (a, b) is kept when one endpoint is the line vertex
+    (1, 0, ..., 0), when |b - a| is a prefix of ones (1, ..., 1, 0, ...,
+    0), or when one endpoint is a scaled vertex c (1, ..., 1, 0, ..., 0)
+    with c >= 2.  At radius 1 its edges with H1 slots are exactly the
+    line star (the edges at the origin carry none); for n = 2 it is
+    every edge.
+
+    Why a sub-boundary is enough when it reaches the floor: for any set S
+    of the boundary's columns, rank S <= rank d <= C0 - (n^2 - 1).  The
+    second inequality is the floor: the depth-one coefficient map Phi
+    sends the coefficient classes onto the traceless matrices and kills
+    d.  So rank S = C0 - (n^2 - 1) gives dim H0 = n^2 - 1 exactly, and a
+    smaller rank S says nothing, so the full boundary runs.
+
+    Why these edges plausibly reach it (a sketch, not a proof): at radius
+    1 a vertex of type (1^k, 0, ...) is a k-dimensional subspace V, and
+    its slots are the rank-one maps x (x) phi with x in V and phi(V) = 0.
+    The edge to V from a line L in V carries L (x) V^perp, and these span
+    V (x) V^perp, so modulo the line rows the line star reaches every
+    row; that it reaches the rest of the rank on the line rows is
+    measured, not proven.  For radius >= 2 the line star and the prefix
+    edges fall short by the degree-two slots of the scaled vertices
+    2(1, ..., 1, 0, ..., 0), which the edges at scaled vertices close.
+    """
+    line = (1,) + (0,) * (n - 2)
+
+    def scaled(r: Vertex) -> bool:
+        return r[0] >= 2 and all(x in (0, r[0]) for x in r)
+
+    def prefix(d: tuple) -> bool:
+        k = d.count(1)
+        return k > 0 and d == (1,) * k + (0,) * (len(d) - k)
+
+    return tuple((a, b) for a, b in standard_ball(n, radius)[1]
+                 if line in (a, b) or scaled(a) or scaled(b)
+                 or prefix(tuple(abs(y - x) for x, y in zip(a, b))))
+
+
 class VertexRep(NamedTuple):
     flag: tuple[int, ...]  # row-major residues of the flag matrix
     vertex: Vertex
@@ -178,6 +220,8 @@ class ComplexZ(NamedTuple):
     vertex ia to vertex ib, and its flag; Z_R is a flag complex, so its
     simplex is read from its endpoints, vertices[ia] and vertices[ib].
     Its prime is the int q, which every routine over GF(q) takes as p.
+    A z whose ball_edges is not None holds every vertex of Z_R but only
+    the translates of those ball edges.
     """
 
     n: int
@@ -185,10 +229,12 @@ class ComplexZ(NamedTuple):
     radius: int
     vertices: tuple  # VertexRep of its canonical flag, by rank
     edges: dict      # (ia, ib), ia < ib, sorted -> row-major residues of its flag
+    ball_edges: tuple | None = None  # the ball edges translated; None for all of them
 
 
 def build_Z(n: int, q: int, radius: int,
-            flag_reps: list[tuple[int, ...]] | None = None) -> ComplexZ:
+            flag_reps: list[tuple[int, ...]] | None = None,
+            ball_edges: tuple | None = None) -> ComplexZ:
     """Union of the flag translates of the radius-R wedge, one per partial flag.
 
     A ball vertex or edge of break type B, for an edge the union of its
@@ -207,15 +253,21 @@ def build_Z(n: int, q: int, radius: int,
     flag, the edges sorted; a key starts with its wedge vertex, so the
     endpoints give the edge's simplex.  Ball edges (a, b) have a < b, so
     the key of a sorts before the key of b and ia < ib needs no swap.
+    Given ball_edges, a subset of standard_ball's edges such as
+    certificate_edges, only those are translated and counted, and z
+    records them; every vertex is translated either way.
     """
     GF(q)  # checks that q is prime
-    ball_vertices, ball_edges = standard_ball(n, radius)
+    ball_vertices, every_edge = standard_ball(n, radius)
+    if ball_edges is not None and not set(ball_edges) <= set(every_edge):
+        raise ValueError("not edges of the ball")
+    edges = every_edge if ball_edges is None else ball_edges
     breaks = {r: vertex_breaks(r) for r in ball_vertices}
     vertex_types: dict = {}  # break type -> ball vertices of that type, as 1-simplices
     for r in ball_vertices:
         vertex_types.setdefault(frozenset(breaks[r]), []).append((r,))
     edge_types: dict = {}    # break type -> ball edges of that type
-    for a, b in ball_edges:
+    for a, b in edges:
         edge_types.setdefault(frozenset(breaks[a] + breaks[b]), []).append((a, b))
     if flag_reps is None:
         cells = list(bruhat_cells(n, q, vertex_types.keys() | edge_types.keys()))
@@ -258,14 +310,14 @@ def build_Z(n: int, q: int, radius: int,
             found_e[ia, ib] = s
 
     want_v = sum(partial_flag_count(n, q, breaks[r]) for r in ball_vertices)
-    want_e = sum(partial_flag_count(n, q, set(breaks[a]) | set(breaks[b])) for a, b in ball_edges)
+    want_e = sum(partial_flag_count(n, q, set(breaks[a]) | set(breaks[b])) for a, b in edges)
     if (len(found_v), len(found_e)) != (want_v, want_e):
         raise InvariantError(
             f"{len(found_v)} vertices and {len(found_e)} edges, but the partial-flag "
             f"counts give {want_v} and {want_e}")
     return ComplexZ(n=n, q=q, radius=radius,
                     vertices=tuple([found_v[key] for key in order]),
-                    edges=dict(sorted(found_e.items())))
+                    edges=dict(sorted(found_e.items())), ball_edges=ball_edges)
 
 
 def order_by_label(z: ComplexZ) -> tuple[ComplexZ, list]:

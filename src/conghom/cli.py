@@ -9,7 +9,10 @@ as the int p.  Each command imports the modules it runs when it starts,
 so the module level loads only one small module, errors (the exception
 types, the --limit default and the prime check):
 
-- compute: wedge, gf, building and homology (with json);
+- compute: wedge, gf, building and homology (with json).  It reduces
+  the sub-boundary of building.certificate_edges first, and the full
+  boundary only when that does not certify dim_h0 = n^2 - 1
+  (homology.compute_h0), so exit 3 always comes from the full boundary;
 - export: the same, and poly for the vertex labels;
 - survive: wedge;
 - oracle: wedge, poly and oracle.  It loads neither the Z_R
@@ -59,12 +62,10 @@ def _dot_text(z: ComplexZ, labels: list) -> str:
 def cmd_compute(args: argparse.Namespace) -> int:
     import json
 
-    from .building import build_Z
-    from .homology import h0_dimension
+    from .homology import compute_h0
 
     t0 = time.monotonic()
-    z = build_Z(args.n, args.q, args.radius)
-    report = h0_dimension(z)
+    report = compute_h0(args.n, args.q, args.radius)
     doc = report.to_dict()
     doc["timing_ms"] = int((time.monotonic() - t0) * 1000)
     text = json.dumps(doc, sort_keys=True, indent=2)

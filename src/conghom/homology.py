@@ -3,7 +3,9 @@
 Each simplex of Z_R carries the graded H1 basis of its stabilizer
 (conghom.wedge.h1_basis); an edge slot maps into its endpoints' slots
 by the inclusion of stabilizers, conjugated by the constant matrix
-W = s_v^-1 s_e that relates the two translates.
+W = s_v^-1 s_e that relates the two translates.  compute_h0, the report
+of conghom compute, reduces a sub-boundary first and the full boundary
+only when that does not certify the answer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import cache
 from operator import lshift, mul
 from typing import Iterator, NamedTuple
 
-from .building import ComplexZ, partial_flag_count, vertex_breaks
+from .building import ComplexZ, build_Z, certificate_edges, partial_flag_count, vertex_breaks
 from .errors import InvariantError
 from .gf import SparseMatrix, inverse_entries, reduce_columns
 from .wedge import H1Basis, Vertex, bound_profile, h1_basis, standard_ball
@@ -68,20 +70,27 @@ def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex
     return entries
 
 
-def closed_form_dims(n: int, q: int, radius: int) -> tuple[int, int]:
+def _edge_terms(n: int, q: int, edges) -> list[tuple[int, int]]:
+    """(translates in Z_R, H1 basis dimension) of each ball edge."""
+    return [(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b))),
+             h1_basis(bound_profile([a, b])).dim) for a, b in edges]
+
+
+def closed_form_dims(n: int, q: int, radius: int,
+                     ball_edges: tuple | None = None) -> tuple[int, int]:
     """dim C0 and dim C1 of Z_R, from the ball alone.
 
     Each ball simplex of break type B has partial_flag_count(n, q, B)
     translates in Z_R, and each carries the H1 basis of the simplex's
     profile, so the dimensions are the sums of count times basis
-    dimension over the ball's vertices and over its edges.
+    dimension over the ball's vertices and over its edges: over
+    ball_edges alone when given, as build_Z takes them.
     """
     verts, edges = standard_ball(n, radius)
     dim_c0 = sum(partial_flag_count(n, q, vertex_breaks(r)) * h1_basis(bound_profile([r])).dim
                  for r in verts)
-    dim_c1 = sum(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
-                 * h1_basis(bound_profile([a, b])).dim for a, b in edges)
-    return dim_c0, dim_c1
+    terms = _edge_terms(n, q, edges if ball_edges is None else ball_edges)
+    return dim_c0, sum(count * dim for count, dim in terms)
 
 
 class BlockIndex(NamedTuple):
@@ -100,7 +109,8 @@ def block_index(z: ComplexZ) -> BlockIndex:
     contributes none); columns the edge bases in the order of z.edges,
     each under z.edges' own key tuple, its simplex read from its endpoints.
     No inclusion is computed, so dimensions other than closed_form_dims
-    raise InvariantError before any of them.
+    over the ball edges z translated raise InvariantError before any of
+    them.
     """
     basis_of = cache(lambda simplex: h1_basis(bound_profile(list(simplex))))
 
@@ -115,7 +125,7 @@ def block_index(z: ComplexZ) -> BlockIndex:
     vertex = [rep.vertex for rep in z.vertices]
     vertex_blocks, dim_c0 = blocks(enumerate((r,) for r in vertex))
     edge_blocks, dim_c1 = blocks((pair, (vertex[pair[0]], vertex[pair[1]])) for pair in z.edges)
-    want = closed_form_dims(z.n, z.q, z.radius)
+    want = closed_form_dims(z.n, z.q, z.radius, z.ball_edges)
     if (dim_c0, dim_c1) != want:
         raise InvariantError(
             f"C0 and C1 have dimensions {dim_c0} and {dim_c1}, but the partial-flag "
@@ -272,9 +282,10 @@ def h0_dimension(z: ComplexZ) -> HomologyReport:
     the orientation z carries.  It can never drop below n^2 - 1: the
     coefficient classes surject onto the traceless matrices through the
     depth-one coefficient map, so a smaller value signals a bug and
-    raises.  The reduction does not stop once the rank reaches
-    C0 - (n^2 - 1), because that would skip the endpoint and support
-    checks of the remaining edges.
+    raises.  On a z that holds only some ball edges (build_Z's
+    ball_edges) every number is that of their sub-boundary, and the
+    floor still holds, since its rank is at most the full rank;
+    compute_h0 reads a certificate off that report.
     """
     index = block_index(z)
     rank = len(reduce_columns(z.q, boundary_columns(z, index)))
@@ -301,3 +312,32 @@ def h0_dimension(z: ComplexZ) -> HomologyReport:
         meets_conjecture=dim_h0 == target,
         counts_note=note,
     )
+
+
+def compute_h0(n: int, q: int, radius: int) -> HomologyReport:
+    """The report of conghom compute, certified from a sub-boundary when it can be.
+
+    Builds Z_R with only the ball edges of building.certificate_edges,
+    and h0_dimension reduces that sub-boundary S.  Its floor check
+    raises InvariantError when rank S > C0 - (n^2 - 1), which only a
+    bug can cause, and nothing falls back.  When rank S = C0 - (n^2 - 1),
+    dim H0 = n^2 - 1 exactly (the argument is in certificate_edges), so
+    rank S is the full rank, and the report is certified: dim_c1 and
+    num_edges, the edges with H1 slots, come from the closed-form
+    partial-flag counts of every ball edge, and the report equals
+    h0_dimension(build_Z(n, q, radius)) field for field.  Otherwise,
+    or when the rule keeps every ball edge, h0_dimension runs on the
+    full Z_R, so a dimension above n^2 - 1 always comes from the full
+    boundary.  The trade: the edges the rule skips are never translated,
+    so a certified run gives them no endpoint or support check; export
+    and the tests still check them.
+    """
+    every_edge = standard_ball(n, radius)[1]
+    kept = certificate_edges(n, radius)
+    if len(kept) < len(every_edge):
+        sub = h0_dimension(build_Z(n, q, radius, ball_edges=kept))
+        if sub.meets_conjecture:
+            terms = _edge_terms(n, q, every_edge)
+            return sub._replace(num_edges=sum(count for count, dim in terms if dim),
+                                dim_c1=sum(count * dim for count, dim in terms))
+    return h0_dimension(build_Z(n, q, radius))

@@ -86,6 +86,21 @@ def test_compute_below_the_floor_is_an_invariant_violation(monkeypatch, capsys):
     assert "cokernel dimension 7 fell below the guaranteed floor 8" in err
     assert out == ""
 
+    # on the sub-boundary at (4,2,1) it raises too, and never builds the full Z_R
+    real_build = homology.build_Z
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(kwargs.get("ball_edges"))
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "build_Z", recording)
+    code, out, err = run_cli(capsys, "compute", "--n", "4", "--q", "2", "--radius", "1")
+    assert code == 4
+    assert "cokernel dimension 14 fell below the guaranteed floor 15" in err
+    assert out == ""
+    assert built == [homology.certificate_edges(4, 1)]
+
 
 def test_compute_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"

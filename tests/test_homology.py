@@ -1,3 +1,4 @@
+import json
 import random
 from functools import cache
 
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conghom import homology
-from conghom.building import VertexRep, build_Z, enumerate_flag_reps, order_by_label, vertex_label
+from conghom.building import (VertexRep, build_Z, certificate_edges, enumerate_flag_reps,
+                               order_by_label, vertex_label)
+from conghom.cli import main
 from conghom.errors import InvariantError
 from conghom.gf import SparseMatrix, reduce_columns, sparse_rank
 from conghom.homology import (
@@ -14,6 +17,7 @@ from conghom.homology import (
     block_index,
     boundary_columns,
     closed_form_dims,
+    compute_h0,
     h0_dimension,
 )
 from conghom.wedge import BoundProfile, bound_profile, h1_basis, standard_ball, surviving_degrees
@@ -605,8 +609,10 @@ def test_assembled_boundary_matches_edge_inclusion_blocks(n, q, radius):
     assert list(boundary.triples()) == sorted(expected)
 
 
-@pytest.mark.parametrize("n,q,radius", [(3, 2, 1), (3, 3, 2), (3, 3, 4), (4, 2, 2), (3, 7, 1),
-                                         (4, 3, 1), (2, 3, 3)])
+WITNESS_ROWS = [(3, 2, 1), (3, 3, 2), (3, 3, 4), (4, 2, 2), (3, 7, 1), (4, 3, 1), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("n,q,radius", WITNESS_ROWS)
 def test_depth_one_witness_certifies_the_floor(n, q, radius):
     # Phi kills every boundary column and has rank n^2 - 1, so
     # rank boundary <= dim C0 - (n^2 - 1): the floor as a fact of this matrix
@@ -614,6 +620,18 @@ def test_depth_one_witness_certifies_the_floor(n, q, radius):
     boundary, index = assemble_boundary(z)
     phi = depth_one_witness(z, index)
     assert (phi.rows, phi.cols) == (n * n, index.dim_c0)
+    assert witness_defects(phi, boundary) == []
+    assert rref(phi)[0] == n * n - 1
+
+
+@pytest.mark.parametrize("n,q,radius", WITNESS_ROWS)
+def test_depth_one_witness_kills_the_sub_boundary(n, q, radius):
+    # compute certifies from the columns of certificate_edges alone, so Phi
+    # must kill exactly the matrix it reduces, not only the full boundary
+    z = build_Z(n, q, radius, ball_edges=certificate_edges(n, radius))
+    boundary, index = assemble_boundary(z)
+    assert index.dim_c1 == closed_form_dims(n, q, radius, z.ball_edges)[1]
+    phi = depth_one_witness(z, index)
     assert witness_defects(phi, boundary) == []
     assert rref(phi)[0] == n * n - 1
 
@@ -661,3 +679,90 @@ def test_degree_blocks_of_real_boundaries(n, q, radius, h0_by_degree):
         h0[d] = len(rows) - rank
     assert sum(h0.values()) == index.dim_c0 - sparse_rank(boundary)
     assert h0 == h0_by_degree
+
+
+# every compute row that tier-1 runs elsewhere, and the rows of the CLI
+COMPUTE_ROWS = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 1), (3, 2, 2),
+                (3, 2, 3), (3, 3, 1), (3, 3, 2), (3, 3, 4), (3, 7, 1), (4, 2, 1), (4, 2, 2),
+                (4, 3, 1), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("n,q,radius", COMPUTE_ROWS)
+def test_sub_boundary_rank_is_the_full_rank(n, q, radius, capsys):
+    full = h0_dimension(build_Z(n, q, radius))
+    sub = h0_dimension(build_Z(n, q, radius, ball_edges=certificate_edges(n, radius)))
+    assert sub.rank_boundary == full.rank_boundary
+    assert main(["compute", "--n", str(n), "--q", str(q), "--radius", str(radius)]) in (0, 3)
+    doc = json.loads(capsys.readouterr().out)
+    del doc["timing_ms"]
+    assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == full.to_json()
+
+
+@pytest.mark.parametrize("n,radius,kept,every", [(2, 3, 3, 3), (3, 1, 3, 3), (3, 2, 9, 9),
+                                                 (3, 4, 27, 30), (4, 1, 5, 6), (4, 2, 20, 25)])
+def test_certificate_edges_keep_the_rule(n, radius, kept, every):
+    edges = certificate_edges(n, radius)
+    ball_edges = standard_ball(n, radius)[1]
+    assert (len(edges), len(ball_edges)) == (kept, every)
+    assert [e for e in ball_edges if e in edges] == list(edges)
+    if radius == 1:  # the line star, beside the origin's edges, which carry no slot
+        line = (1,) + (0,) * (n - 2)
+        slotted = [e for e in ball_edges if h1_basis(bound_profile(e)).dim]
+        assert [e for e in slotted if e in edges] == [e for e in slotted if line in e]
+
+
+@pytest.mark.parametrize("n,q,radius,dim_c1,full_c1", [(3, 3, 4, 4316, 5044),
+                                                       (4, 2, 2, 5795, 11045),
+                                                       (4, 3, 1, 1560, 2600),
+                                                       (3, 7, 1, 456, 456)])
+def test_sub_boundary_columns(n, q, radius, dim_c1, full_c1):
+    z = build_Z(n, q, radius, ball_edges=certificate_edges(n, radius))
+    assert block_index(z).dim_c1 == dim_c1
+    assert closed_form_dims(n, q, radius)[1] == full_c1
+
+
+def test_sub_boundary_count_checks_read_the_translated_edges():
+    z = build_Z(4, 2, 1, ball_edges=certificate_edges(4, 1))
+    with pytest.raises(InvariantError, match="dimensions 230 and 315, but the "
+                                             "partial-flag counts give 230 and 525"):
+        block_index(z._replace(ball_edges=None))
+    with pytest.raises(ValueError, match="not edges of the ball"):
+        build_Z(4, 2, 1, ball_edges=(((2, 0, 0), (1, 0, 0)),))
+
+
+def _record_h0_dimension(monkeypatch):
+    """The z and report of each h0_dimension call that compute_h0 makes."""
+    calls = []
+
+    def recording(z):
+        report = h0_dimension(z)
+        calls.append((z, report))
+        return report
+
+    monkeypatch.setattr(homology, "h0_dimension", recording)
+    return calls
+
+
+def test_compute_h0_falls_back_to_the_full_boundary(monkeypatch):
+    # the line star alone falls short at (3,3,2), so the full boundary runs
+    def line_star(n, radius):
+        line = (1,) + (0,) * (n - 2)
+        return tuple(e for e in standard_ball(n, radius)[1] if line in e)
+
+    monkeypatch.setattr(homology, "certificate_edges", line_star)
+    calls = _record_h0_dimension(monkeypatch)
+    report = compute_h0(3, 3, 2)
+    (sub_z, sub), (full_z, full) = calls
+    assert sub_z.ball_edges == line_star(3, 2) and full_z.ball_edges is None
+    assert (sub.rank_boundary, sub.dim_c0 - 8) == (174, 304)
+    assert full.rank_boundary == 304
+    assert report.to_json() == full.to_json() == h0_dimension(build_Z(3, 3, 2)).to_json()
+
+
+def test_compute_h0_certifies_without_the_full_boundary(monkeypatch):
+    calls = _record_h0_dimension(monkeypatch)
+    report = compute_h0(4, 2, 2)
+    [(z, sub)] = calls
+    assert z.ball_edges == certificate_edges(4, 2)
+    assert (sub.dim_c1, sub.rank_boundary) == (5795, 2250)
+    assert report.to_json() == h0_dimension(build_Z(4, 2, 2)).to_json()

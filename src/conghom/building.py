@@ -11,7 +11,9 @@ RREFs (gf.extend_rref) of its leading column spans, only to deduplicate
 and order them: a vertex of Z_R is its rank in key order, and an edge
 a pair of ranks.  Canonical HNF lattice labels are computed only on
 export (order_by_label), to name the vertices and fix their order.
-compute translates only the ball edges of certificate_edges first.
+compute translates only the ball edges of certificate_edges first: the
+clause rule's edges, pruned to those its ball-level H0, read off the
+standard translates alone, needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import GF, InvariantError
 from .gf import extend_rref, inverse_entries
-from .wedge import Vertex, is_standard_vertex, standard_ball
+from .wedge import Vertex, is_standard_vertex, simplex_basis, standard_ball
 
 
 def bruhat_cells(n: int, p: int, break_types
@@ -167,8 +169,8 @@ def partial_flag_count(n: int, q: int, breaks) -> int:
     return count
 
 
-def certificate_edges(n: int, radius: int) -> tuple:
-    """The ball edges whose translates compute reduces first, in standard_ball order.
+def _clause_rule(n: int, radius: int) -> tuple:
+    """The ball edges that certificate_edges starts from, in standard_ball order.
 
     An edge (a, b) is kept when one endpoint is the line vertex
     (1, 0, ..., 0), when |b - a| is a prefix of ones (1, ..., 1, 0, ...,
@@ -177,22 +179,16 @@ def certificate_edges(n: int, radius: int) -> tuple:
     line star (the edges at the origin carry none); for n = 2 it is
     every edge.
 
-    Why a sub-boundary is enough when it reaches the floor: for any set S
-    of the boundary's columns, rank S <= rank d <= C0 - (n^2 - 1).  The
-    second inequality is the floor: the depth-one coefficient map Phi
-    sends the coefficient classes onto the traceless matrices and kills
-    d.  So rank S = C0 - (n^2 - 1) gives dim H0 = n^2 - 1 exactly, and a
-    smaller rank S says nothing, so the full boundary runs.
-
-    Why these edges plausibly reach it (a sketch, not a proof): at radius
-    1 a vertex of type (1^k, 0, ...) is a k-dimensional subspace V, and
-    its slots are the rank-one maps x (x) phi with x in V and phi(V) = 0.
-    The edge to V from a line L in V carries L (x) V^perp, and these span
-    V (x) V^perp, so modulo the line rows the line star reaches every
-    row; that it reaches the rest of the rank on the line rows is
-    measured, not proven.  For radius >= 2 the line star and the prefix
-    edges fall short by the degree-two slots of the scaled vertices
-    2(1, ..., 1, 0, ..., 0), which the edges at scaled vertices close.
+    Why these edges plausibly reach the floor (a sketch, not a proof): at
+    radius 1 a vertex of type (1^k, 0, ...) is a k-dimensional subspace
+    V, and its slots are the rank-one maps x (x) phi with x in V and
+    phi(V) = 0.  The edge to V from a line L in V carries L (x) V^perp,
+    and these span V (x) V^perp, so modulo the line rows the line star
+    reaches every row; that it reaches the rest of the rank on the line
+    rows is measured, not proven.  For radius >= 2 the line star and the
+    prefix edges fall short by the degree-two slots of the scaled
+    vertices 2(1, ..., 1, 0, ..., 0), which the edges at scaled vertices
+    close.
     """
     line = (1,) + (0,) * (n - 2)
 
@@ -206,6 +202,99 @@ def certificate_edges(n: int, radius: int) -> tuple:
     return tuple((a, b) for a, b in standard_ball(n, radius)[1]
                  if line in (a, b) or scaled(a) or scaled(b)
                  or prefix(tuple(abs(y - x) for x, y in zip(a, b))))
+
+
+def _joined(graph: dict, x, y, gone: set) -> bool:
+    """Whether x and y are connected in graph, an adjacency {node: [(edge, node)]}, without gone."""
+    if x == y:
+        return True
+    seen = {x}
+    stack = [x]
+    while stack:
+        for at, v in graph[stack.pop()]:
+            if v not in seen and at not in gone:
+                if v == y:
+                    return True
+                seen.add(v)
+                stack.append(v)
+    return False
+
+
+def _ball_h0_prune(n: int, radius: int, weight_q: int) -> tuple:
+    """_clause_rule's slot-bearing edges that ball-level H0 needs, weights counted over F_weight_q.
+
+    The slot-level graph of certificate_edges gets one more node, the
+    ground None, and a kill becomes an edge to it: free(s) is then the
+    number of components apart from the ground's, and dropping an edge
+    leaves it unchanged exactly when the edge's two nodes stay connected
+    without it.  Each slot graph is built once, as an adjacency list
+    over the rule's edges, and a dropped edge is skipped, not removed.
+    """
+    holders: dict = {}  # slot label -> the ball vertices whose H1 holds it
+    for r in standard_ball(n, radius)[0]:
+        for s in simplex_basis((r,)).slots:
+            holders.setdefault(s, set()).add(r)
+    rule = _clause_rule(n, radius)
+    graphs: dict = {}  # slot label -> {node: [(rule position, node)]}
+    carried = []       # (-weight, rule position, [(slot graph, node, node)]) per slot-bearing edge
+    for at, (a, b) in enumerate(rule):
+        slots = simplex_basis((a, b)).slots
+        if not slots:
+            continue
+        ends = []
+        for s in slots:
+            held = holders.get(s, ())
+            x, y = (a if a in held else None), (b if b in held else None)
+            graph = graphs.setdefault(s, {})
+            graph.setdefault(x, []).append((at, y))
+            graph.setdefault(y, []).append((at, x))
+            ends.append((graph, x, y))
+        count = partial_flag_count(n, weight_q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
+        carried.append((-count * len(slots), at, ends))
+    gone = set()
+    kept = set()
+    for _, at, ends in sorted(carried, key=lambda c: c[:2]):
+        gone.add(at)
+        if not all(_joined(graph, x, y, gone) for graph, x, y in ends):
+            gone.discard(at)
+            kept.add(at)
+    return tuple(e for at, e in enumerate(rule) if at in kept)
+
+
+def certificate_edges(n: int, radius: int) -> tuple:
+    """The ball edges whose translates compute reduces first, in standard_ball order.
+
+    They are the clause rule's edges (_clause_rule) that its ball-level
+    H0 needs.  Ball-level H0 is the cokernel of the boundary of the
+    standard translates alone, the ball's simplices with flag I: there
+    W = I, so an edge slot (i, j, d) maps to the slot (i, j, d) of each
+    endpoint whose H1 holds it, and the boundary splits by slot label.
+    For a label s, take the graph on the ball vertices whose H1 holds s:
+    an edge carrying s joins its endpoints when both hold s, and kills
+    the component of its one endpoint when only that one does; free(s),
+    the number of components with no kill, is the dimension of the
+    label-s part of ball-level H0.  The rule's slot-bearing edges are
+    visited heaviest first, by partial-flag count over F_2 times slot
+    count, ties in standard_ball order, and an edge is dropped when
+    free(s) is unchanged without it for every s it carries.  An edge is
+    kept when some free(s) needs it, and later drops only remove edges,
+    so it still does: without any one kept edge some free(s) of the
+    final set changes.  The test is read off the
+    ball alone, with no q and no flag; the weights read q, and over F_3
+    or F_5 they give the same set on the rows tried.  Slot-free edges,
+    such as the origin's, add no column and are dropped.  At radius 1
+    the set is the line star's slot-bearing edges.
+
+    Why any subset S of the boundary's columns is sound: rank S <= rank
+    d <= C0 - (n^2 - 1).  The second inequality is the floor: the
+    depth-one coefficient map Phi sends the coefficient classes onto the
+    traceless matrices and kills d.  So rank S = C0 - (n^2 - 1) gives
+    dim H0 = n^2 - 1 exactly, and a smaller rank S says nothing, so the
+    full boundary runs.  Keeping ball-level H0 is only what makes the
+    certificate likely: a translate's columns are the standard ones
+    conjugated by its W, and the rows tried all certify.
+    """
+    return _ball_h0_prune(n, radius, 2)
 
 
 class VertexRep(NamedTuple):

@@ -10,9 +10,11 @@ so the module level loads only one small module, errors (the exception
 types, the --limit default and the prime check):
 
 - compute: wedge, gf, building and homology (with json).  It reduces
-  the sub-boundary of building.certificate_edges first, and the full
-  boundary only when that does not certify dim_h0 = n^2 - 1
-  (homology.compute_h0), so exit 3 always comes from the full boundary;
+  the sub-boundary of building.certificate_edges first, the clause
+  rule's ball edges that its ball-level H0 needs, when that has fewer
+  columns than the full boundary, and the full boundary when it does
+  not or does not certify dim_h0 = n^2 - 1 (homology.compute_h0), so
+  exit 3 always comes from the full boundary;
 - export: the same, and poly for the vertex labels;
 - survive: wedge;
 - oracle: wedge, poly and oracle.  It loads neither the Z_R

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 from .building import ComplexZ, build_Z, certificate_edges, partial_flag_count, vertex_breaks
 from .errors import InvariantError
 from .gf import SparseMatrix, inverse_entries, reduce_columns
-from .wedge import H1Basis, Vertex, bound_profile, h1_basis, standard_ball
+from .wedge import H1Basis, Vertex, simplex_basis, standard_ball
 
 
 def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex],
@@ -73,7 +73,7 @@ def _inclusion(w: tuple[int, ...], n: int, p: int, simplex: tuple[Vertex, Vertex
 def _edge_terms(n: int, q: int, edges) -> list[tuple[int, int]]:
     """(translates in Z_R, H1 basis dimension) of each ball edge."""
     return [(partial_flag_count(n, q, set(vertex_breaks(a)) | set(vertex_breaks(b))),
-             h1_basis(bound_profile([a, b])).dim) for a, b in edges]
+             simplex_basis((a, b)).dim) for a, b in edges]
 
 
 def closed_form_dims(n: int, q: int, radius: int,
@@ -87,7 +87,7 @@ def closed_form_dims(n: int, q: int, radius: int,
     ball_edges alone when given, as build_Z takes them.
     """
     verts, edges = standard_ball(n, radius)
-    dim_c0 = sum(partial_flag_count(n, q, vertex_breaks(r)) * h1_basis(bound_profile([r])).dim
+    dim_c0 = sum(partial_flag_count(n, q, vertex_breaks(r)) * simplex_basis((r,)).dim
                  for r in verts)
     terms = _edge_terms(n, q, edges if ball_edges is None else ball_edges)
     return dim_c0, sum(count * dim for count, dim in terms)
@@ -112,14 +112,13 @@ def block_index(z: ComplexZ) -> BlockIndex:
     over the ball edges z translated raise InvariantError before any of
     them.
     """
-    basis_of = cache(lambda simplex: h1_basis(bound_profile(list(simplex))))
-
     def blocks(simplices) -> tuple[tuple, int]:
         out = []
         off = 0
         for at, simplex in simplices:
-            out.append((at, off, basis_of(simplex)))
-            off += basis_of(simplex).dim
+            basis = simplex_basis(simplex)
+            out.append((at, off, basis))
+            off += basis.dim
         return tuple(out), off
 
     vertex = [rep.vertex for rep in z.vertices]
@@ -326,18 +325,20 @@ def compute_h0(n: int, q: int, radius: int) -> HomologyReport:
     num_edges, the edges with H1 slots, come from the closed-form
     partial-flag counts of every ball edge, and the report equals
     h0_dimension(build_Z(n, q, radius)) field for field.  Otherwise,
-    or when the rule keeps every ball edge, h0_dimension runs on the
-    full Z_R, so a dimension above n^2 - 1 always comes from the full
-    boundary.  The trade: the edges the rule skips are never translated,
-    so a certified run gives them no endpoint or support check; export
-    and the tests still check them.
+    or when S has as many columns as the full boundary by the
+    closed-form counts (slot-free edges add none, so their number says
+    nothing), h0_dimension runs on the full Z_R, so a dimension above
+    n^2 - 1 always comes from the full boundary.  The trade: the edges
+    certificate_edges skips are never translated, so a certified run
+    gives them no endpoint or support check; export and the tests still
+    check them.
     """
-    every_edge = standard_ball(n, radius)[1]
+    terms = _edge_terms(n, q, standard_ball(n, radius)[1])
+    dim_c1 = sum(count * dim for count, dim in terms)
     kept = certificate_edges(n, radius)
-    if len(kept) < len(every_edge):
+    if sum(count * dim for count, dim in _edge_terms(n, q, kept)) < dim_c1:
         sub = h0_dimension(build_Z(n, q, radius, ball_edges=kept))
         if sub.meets_conjecture:
-            terms = _edge_terms(n, q, every_edge)
             return sub._replace(num_edges=sum(count for count, dim in terms if dim),
-                                dim_c1=sum(count * dim for count, dim in terms))
+                                dim_c1=dim_c1)
     return h0_dimension(build_Z(n, q, radius))

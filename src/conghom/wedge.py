@@ -21,6 +21,7 @@ wedge by the flags to build Z_R, or conghom.homology, its boundary.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 Vertex = tuple[int, ...]
@@ -47,8 +48,9 @@ def adjacency(r: Vertex, rp: Vertex) -> bool:
     return all(d in (0, 1) for d in diff) or all(d in (-1, 0) for d in diff)
 
 
+@cache
 def standard_ball(n: int, radius: int) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
-    """All standard vertices with r_1 <= radius, and the edges among them."""
+    """All standard vertices with r_1 <= radius, and the edges among them, computed once per ball."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if radius < 0:
@@ -195,3 +197,14 @@ def h1_basis(profile: BoundProfile) -> H1Basis:
         for r in surv[(i, j)]
     )
     return H1Basis(profile=profile, slots=slots)
+
+
+@cache
+def simplex_basis(simplex: tuple[Vertex, ...]) -> H1Basis:
+    """h1_basis of a standard simplex's bound_profile, computed once per simplex tuple.
+
+    The ball simplices of Z_R are few, so building.certificate_edges and
+    the closed-form counts and block layout of conghom.homology share
+    this one cache.  The basis is shared too: callers must not mutate it.
+    """
+    return h1_basis(bound_profile(simplex))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conghom import homology
+from conghom import building, homology
 from conghom.building import (VertexRep, build_Z, certificate_edges, enumerate_flag_reps,
                                order_by_label, vertex_label)
 from conghom.cli import main
@@ -698,21 +698,76 @@ def test_sub_boundary_rank_is_the_full_rank(n, q, radius, capsys):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == full.to_json()
 
 
-@pytest.mark.parametrize("n,radius,kept,every", [(2, 3, 3, 3), (3, 1, 3, 3), (3, 2, 9, 9),
+@pytest.mark.parametrize("n,radius,rule,every", [(2, 3, 3, 3), (3, 1, 3, 3), (3, 2, 9, 9),
                                                  (3, 4, 27, 30), (4, 1, 5, 6), (4, 2, 20, 25)])
-def test_certificate_edges_keep_the_rule(n, radius, kept, every):
+def test_certificate_edges_keep_the_rule(n, radius, rule, every):
     edges = certificate_edges(n, radius)
+    clause = building._clause_rule(n, radius)
     ball_edges = standard_ball(n, radius)[1]
-    assert (len(edges), len(ball_edges)) == (kept, every)
-    assert [e for e in ball_edges if e in edges] == list(edges)
-    if radius == 1:  # the line star, beside the origin's edges, which carry no slot
+    assert (len(clause), len(ball_edges)) == (rule, every)
+    assert [e for e in clause if e in edges] == list(edges)  # a subset, in ball order
+    assert all(h1_basis(bound_profile(e)).dim for e in edges)
+    if radius == 1:  # the line star's edges with slots; the origin's carry none
         line = (1,) + (0,) * (n - 2)
         slotted = [e for e in ball_edges if h1_basis(bound_profile(e)).dim]
-        assert [e for e in slotted if e in edges] == [e for e in slotted if line in e]
+        assert list(edges) == [e for e in slotted if line in e]
 
 
-@pytest.mark.parametrize("n,q,radius,dim_c1,full_c1", [(3, 3, 4, 4316, 5044),
-                                                       (4, 2, 2, 5795, 11045),
+def _ball_level_rank(n, radius, edges):
+    """Rank of the boundary of the standard translates of the given ball edges, all flags I.
+
+    It is built from the reference edge_inclusion at W = I, over GF(3):
+    with a ground node for the kills it is an incidence matrix, so its
+    rank is the same over every field.
+    """
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    offset, rows = {}, 0
+    for r in standard_ball(n, radius)[0]:
+        offset[r] = rows
+        rows += h1_basis(bound_profile([r])).dim
+    columns = []
+    for a, b in edges:
+        block = [{} for _ in range(h1_basis(bound_profile([a, b])).dim)]
+        for r, sign in ((a, 1), (b, -1)):
+            mat = edge_inclusion(3, (ident, (a, b)), (ident, r))
+            for i in range(mat.rows):
+                for j in range(mat.cols):
+                    if mat.get(i, j):
+                        block[j][offset[r] + i] = sign * mat.get(i, j) % 3
+        columns += block
+    return len(reduce_columns(3, columns))
+
+
+# the (n, R) of every tier-1 compute row, and how many edges certificate_edges keeps
+TIER1_BALLS = [(2, 1, 0), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 1, 1), (3, 2, 4), (3, 3, 8),
+               (3, 4, 14), (4, 1, 2), (4, 2, 9), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("n,radius,kept", TIER1_BALLS)
+def test_certificate_edges_are_minimal(n, radius, kept):
+    # per label s, the ball-level rank is (vertices holding s) - free(s) and
+    # only falls when edges go, so an unchanged total rank is an unchanged
+    # free(s) for every s: the pruned set keeps the rule's ball-level H0, and
+    # without any one of its edges some free(s) moves
+    edges = certificate_edges(n, radius)
+    assert len(edges) == kept
+    rank = _ball_level_rank(n, radius, edges)
+    assert rank == _ball_level_rank(n, radius, building._clause_rule(n, radius))
+    for e in edges:
+        assert _ball_level_rank(n, radius, [f for f in edges if f != e]) < rank, e
+
+
+@pytest.mark.parametrize("n,radius", [(n, radius) for n, radius, _ in TIER1_BALLS]
+                         + [(4, 3), (5, 2), (6, 2)])
+def test_certificate_edges_do_not_depend_on_the_weights_q(n, radius):
+    # the weights count partial flags over F_2; over F_3 or F_5 the set is the same
+    edges = certificate_edges(n, radius)
+    for q in (3, 5):
+        assert building._ball_h0_prune(n, radius, q) == edges
+
+
+@pytest.mark.parametrize("n,q,radius,dim_c1,full_c1", [(3, 3, 4, 2080, 5044),
+                                                       (4, 2, 2, 3170, 11045),
                                                        (4, 3, 1, 1560, 2600),
                                                        (3, 7, 1, 456, 456)])
 def test_sub_boundary_columns(n, q, radius, dim_c1, full_c1):
@@ -764,5 +819,17 @@ def test_compute_h0_certifies_without_the_full_boundary(monkeypatch):
     report = compute_h0(4, 2, 2)
     [(z, sub)] = calls
     assert z.ball_edges == certificate_edges(4, 2)
-    assert (sub.dim_c1, sub.rank_boundary) == (5795, 2250)
+    assert (sub.dim_c1, sub.rank_boundary) == (3170, 2250)
     assert report.to_json() == h0_dimension(build_Z(4, 2, 2)).to_json()
+
+
+@pytest.mark.parametrize("n,q,radius", [(2, 3, 2), (2, 2, 3), (3, 3, 1)])
+def test_compute_h0_skips_a_sub_boundary_with_every_column(n, q, radius, monkeypatch):
+    # certificate_edges drops the origin's slot-free edges here, but keeps
+    # every column, so only the full boundary is reduced
+    assert len(certificate_edges(n, radius)) < len(standard_ball(n, radius)[1])
+    calls = _record_h0_dimension(monkeypatch)
+    report = compute_h0(n, q, radius)
+    [(z, full)] = calls
+    assert z.ball_edges is None
+    assert report == full

@@ -12,12 +12,13 @@ and order them: a vertex of Z_R is its rank in key order, and an edge
 a pair of ranks.  Canonical HNF lattice labels are computed only on
 export (order_by_label), to name the vertices and fix their order.
 compute translates only the ball edges of certificate_edges first: the
-clause rule's edges, pruned to those its ball-level H0, read off the
-standard translates alone, needs.
+line star of the radius-1 ball and, at R >= 2, a cover of the shells
+r_1 >= 2 read off the ball (the argument is in homology.compute_h0).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
@@ -169,132 +170,72 @@ def partial_flag_count(n: int, q: int, breaks) -> int:
     return count
 
 
-def _clause_rule(n: int, radius: int) -> tuple:
-    """The ball edges that certificate_edges starts from, in standard_ball order.
+def _shell_cover(n: int, radius: int) -> list:
+    """Ball edges that offer every slot of every ball vertex b with b_1 >= 2, picked greedily.
 
-    An edge (a, b) is kept when one endpoint is the line vertex
-    (1, 0, ..., 0), when |b - a| is a prefix of ones (1, ..., 1, 0, ...,
-    0), or when one endpoint is a scaled vertex c (1, ..., 1, 0, ..., 0)
-    with c >= 2.  At radius 1 its edges with H1 slots are exactly the
-    line star (the edges at the origin carry none); for n = 2 it is
-    every edge.
-
-    Why these edges plausibly reach the floor (a sketch, not a proof): at
-    radius 1 a vertex of type (1^k, 0, ...) is a k-dimensional subspace
-    V, and its slots are the rank-one maps x (x) phi with x in V and
-    phi(V) = 0.  The edge to V from a line L in V carries L (x) V^perp,
-    and these span V (x) V^perp, so modulo the line rows the line star
-    reaches every row; that it reaches the rest of the rank on the line
-    rows is measured, not proven.  For radius >= 2 the line star and the
-    prefix edges fall short by the degree-two slots of the scaled
-    vertices 2(1, ..., 1, 0, ..., 0), which the edges at scaled vertices
-    close.
+    The Levi label of a slot s = (i, j, d) at a ball vertex v is
+    (v, v'[i], v'[j], d), v' being v padded with 0.  A slot e of a ball
+    edge (a, b), b_1 >= 2, offers the slots of b with b's label of e;
+    when b holds none, its columns have no entry at b, and if a_1 >= 2
+    it offers the slots of a with a's label of e instead.  Each step
+    takes the edge with the most newly offered slots per unit of weight,
+    the partial-flag count over F_2 times the slot count, the lighter
+    edge on a tie and then the first in standard_ball order, until
+    every slot is offered or no edge offers a new one.
     """
-    line = (1,) + (0,) * (n - 2)
+    def label(r: Vertex, s) -> tuple:
+        padded = r + (0,)
+        return r, padded[s.i - 1], padded[s.j - 1], s.degree
 
-    def scaled(r: Vertex) -> bool:
-        return r[0] >= 2 and all(x in (0, r[0]) for x in r)
-
-    def prefix(d: tuple) -> bool:
-        k = d.count(1)
-        return k > 0 and d == (1,) * k + (0,) * (len(d) - k)
-
-    return tuple((a, b) for a, b in standard_ball(n, radius)[1]
-                 if line in (a, b) or scaled(a) or scaled(b)
-                 or prefix(tuple(abs(y - x) for x, y in zip(a, b))))
-
-
-def _joined(graph: dict, x, y, gone: set) -> bool:
-    """Whether x and y are connected in graph, an adjacency {node: [(edge, node)]}, without gone."""
-    if x == y:
-        return True
-    seen = {x}
-    stack = [x]
-    while stack:
-        for at, v in graph[stack.pop()]:
-            if v not in seen and at not in gone:
-                if v == y:
-                    return True
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
-def _ball_h0_prune(n: int, radius: int, weight_q: int) -> tuple:
-    """_clause_rule's slot-bearing edges that ball-level H0 needs, weights counted over F_weight_q.
-
-    The slot-level graph of certificate_edges gets one more node, the
-    ground None, and a kill becomes an edge to it: free(s) is then the
-    number of components apart from the ground's, and dropping an edge
-    leaves it unchanged exactly when the edge's two nodes stay connected
-    without it.  Each slot graph is built once, as an adjacency list
-    over the rule's edges, and a dropped edge is skipped, not removed.
-    """
-    holders: dict = {}  # slot label -> the ball vertices whose H1 holds it
-    for r in standard_ball(n, radius)[0]:
-        for s in simplex_basis((r,)).slots:
-            holders.setdefault(s, set()).add(r)
-    rule = _clause_rule(n, radius)
-    graphs: dict = {}  # slot label -> {node: [(rule position, node)]}
-    carried = []       # (-weight, rule position, [(slot graph, node, node)]) per slot-bearing edge
-    for at, (a, b) in enumerate(rule):
+    ball_vertices, ball_edges = standard_ball(n, radius)
+    need = Counter(label(b, s) for b in ball_vertices if b[0] >= 2  # label -> its slots
+                   for s in simplex_basis((b,)).slots)
+    offers = []  # (edge, the labels it offers, weight)
+    for a, b in ball_edges:
         slots = simplex_basis((a, b)).slots
-        if not slots:
+        if b[0] < 2 or not slots:
             continue
-        ends = []
-        for s in slots:
-            held = holders.get(s, ())
-            x, y = (a if a in held else None), (b if b in held else None)
-            graph = graphs.setdefault(s, {})
-            graph.setdefault(x, []).append((at, y))
-            graph.setdefault(y, []).append((at, x))
-            ends.append((graph, x, y))
-        count = partial_flag_count(n, weight_q, set(vertex_breaks(a)) | set(vertex_breaks(b)))
-        carried.append((-count * len(slots), at, ends))
-    gone = set()
-    kept = set()
-    for _, at, ends in sorted(carried, key=lambda c: c[:2]):
-        gone.add(at)
-        if not all(_joined(graph, x, y, gone) for graph, x, y in ends):
-            gone.discard(at)
-            kept.add(at)
-    return tuple(e for at, e in enumerate(rule) if at in kept)
+        offer = set()
+        for e in slots:
+            at = label(b, e)
+            if at not in need and a[0] >= 2:
+                at = label(a, e)
+            if at in need:
+                offer.add(at)
+        if offer:
+            weight = partial_flag_count(n, 2, set(vertex_breaks(a)) | set(vertex_breaks(b)))
+            offers.append(((a, b), offer, weight * len(slots)))
+    cover = []
+    while offers:
+        edge, offer, _ = max(offers, key=lambda o: (sum(map(need.get, o[1])) / o[2], -o[2]))
+        cover.append(edge)
+        for x in offer:
+            del need[x]
+        offers = [(e, o & need.keys(), w) for e, o, w in offers if not need.keys().isdisjoint(o)]
+    return cover
 
 
 def certificate_edges(n: int, radius: int) -> tuple:
-    """The ball edges whose translates compute reduces first, in standard_ball order.
+    """The ball edges whose translates compute reads first, in standard_ball order.
 
-    They are the clause rule's edges (_clause_rule) that its ball-level
-    H0 needs.  Ball-level H0 is the cokernel of the boundary of the
-    standard translates alone, the ball's simplices with flag I: there
-    W = I, so an edge slot (i, j, d) maps to the slot (i, j, d) of each
-    endpoint whose H1 holds it, and the boundary splits by slot label.
-    For a label s, take the graph on the ball vertices whose H1 holds s:
-    an edge carrying s joins its endpoints when both hold s, and kills
-    the component of its one endpoint when only that one does; free(s),
-    the number of components with no kill, is the dimension of the
-    label-s part of ball-level H0.  The rule's slot-bearing edges are
-    visited heaviest first, by partial-flag count over F_2 times slot
-    count, ties in standard_ball order, and an edge is dropped when
-    free(s) is unchanged without it for every s it carries.  An edge is
-    kept when some free(s) needs it, and later drops only remove edges,
-    so it still does: without any one kept edge some free(s) of the
-    final set changes.  The test is read off the
-    ball alone, with no q and no flag; the weights read q, and over F_3
-    or F_5 they give the same set on the rows tried.  Slot-free edges,
-    such as the origin's, add no column and are dropped.  At radius 1
-    the set is the line star's slot-bearing edges.
-
-    Why any subset S of the boundary's columns is sound: rank S <= rank
-    d <= C0 - (n^2 - 1).  The second inequality is the floor: the
-    depth-one coefficient map Phi sends the coefficient classes onto the
-    traceless matrices and kills d.  So rank S = C0 - (n^2 - 1) gives
-    dim H0 = n^2 - 1 exactly, and a smaller rank S says nothing, so the
-    full boundary runs.  Keeping ball-level H0 is only what makes the
-    certificate likely: a translate's columns are the standard ones
-    conjugated by its W, and the rows tried all certify.
+    Two parts.  The line star: the edges of the radius-1 ball with H1
+    slots at the line vertex (1, 0, ..., 0).  Their columns lie on the
+    rows of Z_1, and they are meant to reach rank C0(Z_1) - (n^2 - 1)
+    there.  Why (a sketch, not a proof): a vertex of type (1^k, 0, ...)
+    is a k-dimensional subspace V, and its slots are the rank-one maps
+    x (x) phi with x in V and phi(V) = 0.  The edge to V from a line L
+    in V carries L (x) V^perp, and these span V (x) V^perp, so modulo
+    the line rows the line star reaches every row; that it reaches the
+    rest of the rank on the line rows is measured, not proven.  At
+    radius >= 2 they are joined by a shell cover (_shell_cover), whose
+    translates are meant to give every row of a vertex with r_1 >= 2 a
+    column whose largest row it is.  homology.compute_h0 checks both at
+    run time, so neither part has to be right for the answer to be.
     """
-    return _ball_h0_prune(n, radius, 2)
+    line = (1,) + (0,) * (n - 2)
+    kept = set(_shell_cover(n, radius))  # empty at radius 1
+    kept.update(e for e in standard_ball(n, 1)[1] if line in e and simplex_basis(e).dim)
+    return tuple(e for e in standard_ball(n, radius)[1] if e in kept)
 
 
 class VertexRep(NamedTuple):

@@ -9,12 +9,12 @@ as the int p.  Each command imports the modules it runs when it starts,
 so the module level loads only one small module, errors (the exception
 types, the --limit default and the prime check):
 
-- compute: wedge, gf, building and homology (with json).  It reduces
-  the sub-boundary of building.certificate_edges first, the clause
-  rule's ball edges that its ball-level H0 needs, when that has fewer
-  columns than the full boundary, and the full boundary when it does
-  not or does not certify dim_h0 = n^2 - 1 (homology.compute_h0), so
-  exit 3 always comes from the full boundary;
+- compute: wedge, gf, building and homology (with json).  It streams
+  the columns of building.certificate_edges first, when they are fewer
+  than the full boundary's: those on the rows of Z_1 are reduced, and
+  any other marks its largest row covered.  It reduces the full
+  boundary when that does not certify dim_h0 = n^2 - 1
+  (homology.compute_h0), so exit 3 always comes from the full boundary;
 - export: the same, and poly for the vertex labels;
 - survive: wedge;
 - oracle: wedge, poly and oracle.  It loads neither the Z_R

@@ -4,8 +4,9 @@ Each simplex of Z_R carries the graded H1 basis of its stabilizer
 (conghom.wedge.h1_basis); an edge slot maps into its endpoints' slots
 by the inclusion of stabilizers, conjugated by the constant matrix
 W = s_v^-1 s_e that relates the two translates.  compute_h0, the report
-of conghom compute, reduces a sub-boundary first and the full boundary
-only when that does not certify the answer.
+of conghom compute, reduces only the columns of a sub-boundary that lie
+on the rows of Z_1, checks that the rest cover every later row, and
+reduces the full boundary only when that does not certify the answer.
 """
 
 from __future__ import annotations
@@ -270,75 +271,107 @@ class HomologyReport(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def h0_dimension(z: ComplexZ) -> HomologyReport:
-    """Dimension of the degree-zero homology of the coefficient system on Z_R.
+def _report(z: ComplexZ, index: BlockIndex, rank: int) -> HomologyReport:
+    """The report of z laid out by index, for a boundary of the given rank.
 
-    Equals dim C0 minus the rank of the boundary over GF(z.q).  The
-    columns of boundary_columns are reduced as they arrive by
-    reduce_columns(z.q, ...), so the whole boundary is never held: only
-    the basis tails are.  Reversing
-    edges only negates their columns, so the result does not depend on
-    the orientation z carries.  It can never drop below n^2 - 1: the
+    dim_h0 = dim C0 - rank can never drop below n^2 - 1: the
     coefficient classes surject onto the traceless matrices through the
-    depth-one coefficient map, so a smaller value signals a bug and
-    raises.  On a z that holds only some ball edges (build_Z's
-    ball_edges) every number is that of their sub-boundary, and the
-    floor still holds, since its rank is at most the full rank;
-    compute_h0 reads a certificate off that report.
+    depth-one coefficient map, which kills the boundary, so a smaller
+    value signals a bug and raises.
     """
-    index = block_index(z)
-    rank = len(reduce_columns(z.q, boundary_columns(z, index)))
     dim_h0 = index.dim_c0 - rank
     target = z.n * z.n - 1
-    num_vertices = sum(1 for _, _, basis in index.vertex_blocks if basis.dim)
-    num_edges = sum(1 for _, _, basis in index.edge_blocks if basis.dim)
     if z.radius >= 1 and dim_h0 < target:
         raise InvariantError(
             f"cokernel dimension {dim_h0} fell below the guaranteed floor {target}"
         )
-    note = F3_COUNTS_NOTE if (z.n, z.q, z.radius) == (3, 3, 1) else None
     return HomologyReport(
         n=z.n,
         q=z.q,
         radius=z.radius,
-        num_vertices=num_vertices,
-        num_edges=num_edges,
+        num_vertices=sum(1 for _, _, basis in index.vertex_blocks if basis.dim),
+        num_edges=sum(1 for _, _, basis in index.edge_blocks if basis.dim),
         dim_c0=index.dim_c0,
         dim_c1=index.dim_c1,
         rank_boundary=rank,
         dim_h0=dim_h0,
         target=target,
         meets_conjecture=dim_h0 == target,
-        counts_note=note,
+        counts_note=F3_COUNTS_NOTE if (z.n, z.q, z.radius) == (3, 3, 1) else None,
     )
 
 
-def compute_h0(n: int, q: int, radius: int) -> HomologyReport:
-    """The report of conghom compute, certified from a sub-boundary when it can be.
+def h0_dimension(z: ComplexZ) -> HomologyReport:
+    """Dimension of the degree-zero homology of the coefficient system on Z_R.
 
-    Builds Z_R with only the ball edges of building.certificate_edges,
-    and h0_dimension reduces that sub-boundary S.  Its floor check
-    raises InvariantError when rank S > C0 - (n^2 - 1), which only a
-    bug can cause, and nothing falls back.  When rank S = C0 - (n^2 - 1),
-    dim H0 = n^2 - 1 exactly (the argument is in certificate_edges), so
-    rank S is the full rank, and the report is certified: dim_c1 and
+    Equals dim C0 minus the rank of the boundary over GF(z.q).  The
+    columns of boundary_columns are reduced as they arrive by
+    reduce_columns(z.q, ...), so the whole boundary is never held: only
+    the basis tails are.  Reversing edges only negates their columns,
+    so the result does not depend on the orientation z carries.  A
+    value below n^2 - 1 raises InvariantError (_report).  On a z that
+    holds only some ball edges (build_Z's ball_edges) every number is
+    that of their sub-boundary, and the floor still holds, since its
+    rank is at most the full rank.
+    """
+    index = block_index(z)
+    return _report(z, index, len(reduce_columns(z.q, boundary_columns(z, index))))
+
+
+def compute_h0(n: int, q: int, radius: int) -> HomologyReport:
+    """The report of conghom compute, certified from the columns of a few ball edges when it can be.
+
+    The shell argument.  Rows are in key order, and a key starts with
+    its wedge vertex r, so the c01 = C0(Z_1) rows of the vertices with
+    r_1 <= 1 come first, and each shell r_1 = rho >= 2 is a contiguous
+    block after them; a first shell row other than c01 raises
+    InvariantError.  Let A be the columns whose largest row is below
+    c01.  If every later row is the largest row of some column, one
+    such column per row, restricted to the rows from c01 on, is
+    triangular with a nonzero diagonal, so rank d >= rank A + (C0 - c01).
+    The depth-one coefficient map on the rows of Z_1 still has rank
+    n^2 - 1 and kills A, so rank A <= c01 - (n^2 - 1), and a larger rank
+    raises InvariantError.  Equality gives rank d >= C0 - (n^2 - 1), and
+    the floor then gives dim H0 = n^2 - 1 exactly.  These are the
+    apparent pairs of Bauer, "Ripser" (2021): rows from c01 on need no
+    elimination, only a covered flag.
+
+    So Z_R is built with the ball edges of building.certificate_edges,
+    and of its columns those of A go to reduce_columns while any other
+    marks its largest row covered.  A certified report equals
+    h0_dimension(build_Z(n, q, radius)) field for field: dim_c1 and
     num_edges, the edges with H1 slots, come from the closed-form
-    partial-flag counts of every ball edge, and the report equals
-    h0_dimension(build_Z(n, q, radius)) field for field.  Otherwise,
-    or when S has as many columns as the full boundary by the
-    closed-form counts (slot-free edges add none, so their number says
-    nothing), h0_dimension runs on the full Z_R, so a dimension above
-    n^2 - 1 always comes from the full boundary.  The trade: the edges
-    certificate_edges skips are never translated, so a certified run
-    gives them no endpoint or support check; export and the tests still
+    partial-flag counts of every ball edge.  Otherwise, and when the
+    certificate keeps every column (for n = 2, where dim H0 = (q + 1) R,
+    and at (3, q, 1)), h0_dimension runs on the full Z_R, so a
+    dimension above n^2 - 1 always comes from the full boundary.  The trade: edges that are never translated get no
+    endpoint or support check on compute; export and the tests still
     check them.
     """
     terms = _edge_terms(n, q, standard_ball(n, radius)[1])
     dim_c1 = sum(count * dim for count, dim in terms)
     kept = certificate_edges(n, radius)
     if sum(count * dim for count, dim in _edge_terms(n, q, kept)) < dim_c1:
-        sub = h0_dimension(build_Z(n, q, radius, ball_edges=kept))
-        if sub.meets_conjecture:
-            return sub._replace(num_edges=sum(count for count, dim in terms if dim),
-                                dim_c1=dim_c1)
+        z = build_Z(n, q, radius, ball_edges=kept)
+        index = block_index(z)
+        c01 = closed_form_dims(n, q, 1)[0]
+        shells = next((off for at, off, _ in index.vertex_blocks
+                       if z.vertices[at].vertex[0] >= 2), index.dim_c0)
+        if shells != c01:
+            raise InvariantError(f"the shell rows start at {shells}, but C0(Z_1) is {c01}")
+        covered = bytearray(index.dim_c0 - c01)  # 1 at each shell row that is a largest row
+
+        def on_z1() -> Iterator[dict[int, int]]:
+            for column in boundary_columns(z, index):
+                low = max(column, default=0)
+                if low < c01:
+                    yield column
+                else:
+                    covered[low - c01] = 1
+
+        # rank A and one pivot per shell row; the floor check raises when rank A is too large
+        report = _report(z, index, len(reduce_columns(q, on_z1())) + len(covered))
+        if report.meets_conjecture and 0 not in covered:
+            return report._replace(num_edges=sum(count for count, dim in terms if dim),
+                                   dim_c1=dim_c1)
     return h0_dimension(build_Z(n, q, radius))

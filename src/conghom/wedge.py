@@ -203,8 +203,9 @@ def h1_basis(profile: BoundProfile) -> H1Basis:
 def simplex_basis(simplex: tuple[Vertex, ...]) -> H1Basis:
     """h1_basis of a standard simplex's bound_profile, computed once per simplex tuple.
 
-    The ball simplices of Z_R are few, so building.certificate_edges and
-    the closed-form counts and block layout of conghom.homology share
-    this one cache.  The basis is shared too: callers must not mutate it.
+    The ball simplices of Z_R are few, so the shell cover of
+    building.certificate_edges and the closed-form counts and block
+    layout of conghom.homology share this one cache.  The basis is
+    shared too: callers must not mutate it.
     """
     return h1_basis(bound_profile(simplex))

@@ -698,76 +698,23 @@ def test_sub_boundary_rank_is_the_full_rank(n, q, radius, capsys):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == full.to_json()
 
 
-@pytest.mark.parametrize("n,radius,rule,every", [(2, 3, 3, 3), (3, 1, 3, 3), (3, 2, 9, 9),
-                                                 (3, 4, 27, 30), (4, 1, 5, 6), (4, 2, 20, 25)])
-def test_certificate_edges_keep_the_rule(n, radius, rule, every):
-    edges = certificate_edges(n, radius)
-    clause = building._clause_rule(n, radius)
-    ball_edges = standard_ball(n, radius)[1]
-    assert (len(clause), len(ball_edges)) == (rule, every)
-    assert [e for e in clause if e in edges] == list(edges)  # a subset, in ball order
-    assert all(h1_basis(bound_profile(e)).dim for e in edges)
-    if radius == 1:  # the line star's edges with slots; the origin's carry none
-        line = (1,) + (0,) * (n - 2)
-        slotted = [e for e in ball_edges if h1_basis(bound_profile(e)).dim]
-        assert list(edges) == [e for e in slotted if line in e]
+@pytest.mark.parametrize("n,radius,star,cover", [(2, 3, 0, 2), (3, 1, 1, 0), (3, 2, 1, 5),
+                                                 (3, 4, 1, 19), (4, 1, 2, 0), (4, 2, 2, 10),
+                                                 (5, 1, 3, 0)])
+def test_certificate_edges_are_the_line_star_and_a_shell_cover(n, radius, star, cover):
+    # the line star of the radius-1 ball (its slot-free origin edge is dropped)
+    # and, at R >= 2, the shell cover's edges into the shells r_1 >= 2
+    line = (1,) + (0,) * (n - 2)
+    line_star = [e for e in standard_ball(n, 1)[1] if line in e and h1_basis(bound_profile(e)).dim]
+    shell_cover = building._shell_cover(n, radius)
+    assert (len(line_star), len(shell_cover)) == (star, cover)
+    assert all(b[0] >= 2 and h1_basis(bound_profile((a, b))).dim for a, b in shell_cover)
+    kept = set(line_star) | set(shell_cover)
+    assert certificate_edges(n, radius) == tuple(e for e in standard_ball(n, radius)[1] if e in kept)
 
 
-def _ball_level_rank(n, radius, edges):
-    """Rank of the boundary of the standard translates of the given ball edges, all flags I.
-
-    It is built from the reference edge_inclusion at W = I, over GF(3):
-    with a ground node for the kills it is an incidence matrix, so its
-    rank is the same over every field.
-    """
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    offset, rows = {}, 0
-    for r in standard_ball(n, radius)[0]:
-        offset[r] = rows
-        rows += h1_basis(bound_profile([r])).dim
-    columns = []
-    for a, b in edges:
-        block = [{} for _ in range(h1_basis(bound_profile([a, b])).dim)]
-        for r, sign in ((a, 1), (b, -1)):
-            mat = edge_inclusion(3, (ident, (a, b)), (ident, r))
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    if mat.get(i, j):
-                        block[j][offset[r] + i] = sign * mat.get(i, j) % 3
-        columns += block
-    return len(reduce_columns(3, columns))
-
-
-# the (n, R) of every tier-1 compute row, and how many edges certificate_edges keeps
-TIER1_BALLS = [(2, 1, 0), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 1, 1), (3, 2, 4), (3, 3, 8),
-               (3, 4, 14), (4, 1, 2), (4, 2, 9), (5, 1, 3)]
-
-
-@pytest.mark.parametrize("n,radius,kept", TIER1_BALLS)
-def test_certificate_edges_are_minimal(n, radius, kept):
-    # per label s, the ball-level rank is (vertices holding s) - free(s) and
-    # only falls when edges go, so an unchanged total rank is an unchanged
-    # free(s) for every s: the pruned set keeps the rule's ball-level H0, and
-    # without any one of its edges some free(s) moves
-    edges = certificate_edges(n, radius)
-    assert len(edges) == kept
-    rank = _ball_level_rank(n, radius, edges)
-    assert rank == _ball_level_rank(n, radius, building._clause_rule(n, radius))
-    for e in edges:
-        assert _ball_level_rank(n, radius, [f for f in edges if f != e]) < rank, e
-
-
-@pytest.mark.parametrize("n,radius", [(n, radius) for n, radius, _ in TIER1_BALLS]
-                         + [(4, 3), (5, 2), (6, 2)])
-def test_certificate_edges_do_not_depend_on_the_weights_q(n, radius):
-    # the weights count partial flags over F_2; over F_3 or F_5 the set is the same
-    edges = certificate_edges(n, radius)
-    for q in (3, 5):
-        assert building._ball_h0_prune(n, radius, q) == edges
-
-
-@pytest.mark.parametrize("n,q,radius,dim_c1,full_c1", [(3, 3, 4, 2080, 5044),
-                                                       (4, 2, 2, 3170, 11045),
+@pytest.mark.parametrize("n,q,radius,dim_c1,full_c1", [(3, 3, 4, 3276, 5044),
+                                                       (4, 2, 2, 3380, 11045),
                                                        (4, 3, 1, 1560, 2600),
                                                        (3, 7, 1, 456, 456)])
 def test_sub_boundary_columns(n, q, radius, dim_c1, full_c1):
@@ -798,29 +745,99 @@ def _record_h0_dimension(monkeypatch):
     return calls
 
 
+def _record_reductions(monkeypatch):
+    """(columns in, rank) of each reduce_columns call that compute_h0 makes."""
+    calls = []
+
+    def recording(p, columns):
+        columns = list(columns)
+        basis = reduce_columns(p, columns)
+        calls.append((len(columns), len(basis)))
+        return basis
+
+    monkeypatch.setattr(homology, "reduce_columns", recording)
+    return calls
+
+
 def test_compute_h0_falls_back_to_the_full_boundary(monkeypatch):
-    # the line star alone falls short at (3,3,2), so the full boundary runs
+    # the line star alone leaves shell rows of (3,3,2) uncovered, so the full boundary runs
     def line_star(n, radius):
         line = (1,) + (0,) * (n - 2)
         return tuple(e for e in standard_ball(n, radius)[1] if line in e)
 
     monkeypatch.setattr(homology, "certificate_edges", line_star)
     calls = _record_h0_dimension(monkeypatch)
+    reductions = _record_reductions(monkeypatch)
     report = compute_h0(3, 3, 2)
-    (sub_z, sub), (full_z, full) = calls
-    assert sub_z.ball_edges == line_star(3, 2) and full_z.ball_edges is None
-    assert (sub.rank_boundary, sub.dim_c0 - 8) == (174, 304)
+    [(full_z, full)] = calls
+    assert full_z.ball_edges is None
+    assert reductions[0][1] == 52 - 8  # Z_1 certifies; its shells do not
     assert full.rank_boundary == 304
     assert report.to_json() == full.to_json() == h0_dimension(build_Z(3, 3, 2)).to_json()
 
 
-def test_compute_h0_certifies_without_the_full_boundary(monkeypatch):
+def test_compute_h0_falls_back_without_one_cover_edge(monkeypatch):
+    # without the step into the scaled vertex (2, 2) no column has the rows of
+    # its top-degree slots (1,3,2) and (2,3,2) as largest row, 26 rows over its
+    # 13 translates; Z_1 still certifies, and the full boundary gives the same JSON
+    real = certificate_edges
+    monkeypatch.setattr(homology, "certificate_edges", lambda n, radius: tuple(
+        e for e in real(n, radius) if e != ((2, 1), (2, 2))))
     calls = _record_h0_dimension(monkeypatch)
+    reductions = _record_reductions(monkeypatch)
+    report = compute_h0(3, 3, 2)
+    [(full_z, full)] = calls
+    assert full_z.ball_edges is None
+    assert reductions[0] == (52, 52 - 8)
+    assert report.to_json() == full.to_json() == h0_dimension(build_Z(3, 3, 2)).to_json()
+
+
+def test_compute_h0_certifies_without_the_full_boundary(monkeypatch):
+    # at (4,2,2) the certificate's 3,380 columns stream, and only the 315 of
+    # the line star, on the 230 rows of Z_1, are reduced
+    calls = _record_h0_dimension(monkeypatch)
+    reductions = _record_reductions(monkeypatch)
     report = compute_h0(4, 2, 2)
-    [(z, sub)] = calls
-    assert z.ball_edges == certificate_edges(4, 2)
-    assert (sub.dim_c1, sub.rank_boundary) == (3170, 2250)
+    assert calls == []
+    assert reductions == [(315, 230 - 15)]
     assert report.to_json() == h0_dimension(build_Z(4, 2, 2)).to_json()
+
+
+# every tier-1 compute row with n >= 3 and R >= 2
+@pytest.mark.parametrize("n,q,radius", [(3, 2, 2), (3, 2, 3), (3, 3, 2), (3, 3, 4), (4, 2, 2)])
+def test_compute_h0_certifies_every_shell_row(n, q, radius, monkeypatch):
+    calls = _record_h0_dimension(monkeypatch)
+    report = compute_h0(n, q, radius)
+    assert calls == []
+    assert report.to_json() == h0_dimension(build_Z(n, q, radius)).to_json()
+
+
+def test_compute_h0_checks_that_the_shells_start_at_c01(monkeypatch):
+    real = homology.closed_form_dims
+
+    def shifted(n, q, radius, ball_edges=None):
+        dim_c0, dim_c1 = real(n, q, radius, ball_edges)
+        return (dim_c0 + 1 if radius == 1 else dim_c0), dim_c1
+
+    monkeypatch.setattr(homology, "closed_form_dims", shifted)
+    with pytest.raises(InvariantError, match=r"the shell rows start at 230, but C0\(Z_1\) is 231"):
+        compute_h0(4, 2, 2)
+
+
+def test_compute_h0_rejects_a_column_on_z1_that_phi_does_not_kill(monkeypatch):
+    # Z_R's first rows are Z_1's, and Phi is nonzero on row 0, so a unit
+    # column there lifts the rank on Z_1 above c01 - (n^2 - 1) = 230 - 15
+    z = build_Z(4, 2, 1)
+    assert any(depth_one_witness(z, block_index(z)).col(0))
+    real = homology.boundary_columns
+
+    def one_more(z, index):
+        yield from real(z, index)
+        yield {0: 1}
+
+    monkeypatch.setattr(homology, "boundary_columns", one_more)
+    with pytest.raises(InvariantError, match="cokernel dimension 14 fell below the guaranteed floor 15"):
+        compute_h0(4, 2, 2)
 
 
 @pytest.mark.parametrize("n,q,radius", [(2, 3, 2), (2, 2, 3), (3, 3, 1)])
